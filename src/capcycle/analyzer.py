@@ -189,26 +189,25 @@ def segment(
         (int(labels[a]), int(a), int(b)) for a, b in zip(starts, ends)
     ]
 
-    def _coalesce(rs: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-        out = [rs[0]]
-        for lab, a, b in rs[1:]:
-            plab, pa, pb = out[-1]
-            if lab == plab:
-                out[-1] = (plab, pa, b)
-            else:
-                out.append((lab, a, b))
-        return out
-
+    # One left-to-right pass.  Every run already kept is long, except
+    # possibly a short leading run, which takes its successor's label and
+    # grows until it is long; any other short run joins its predecessor, and
+    # so does a run that such a merge left next to one of its own label.
     dt = trace.sample_period
-    while len(runs) > 1:
-        for j, (lab, a, b) in enumerate(runs):
-            if (b - a + 1) * dt < min_segment - 1e-12:
-                donor = runs[j - 1][0] if j > 0 else runs[j + 1][0]
-                runs[j] = (donor, a, b)
-                runs = _coalesce(runs)
-                break
+
+    def short(a: int, b: int) -> bool:
+        return (b - a + 1) * dt < min_segment - 1e-12
+
+    merged = [list(runs[0])]
+    for lab, a, b in runs[1:]:
+        last = merged[-1]
+        if len(merged) == 1 and short(last[1], last[2]):
+            last[0], last[2] = lab, b
+        elif lab == last[0] or short(a, b):
+            last[2] = b
         else:
-            break
+            merged.append([lab, a, b])
+    runs = [(lab, a, b) for lab, a, b in merged]
 
     if not any(lab != 0 for lab, _, _ in runs):
         raise NoCyclesFound(

@@ -30,6 +30,7 @@ from .model import (
     DeviceParams,
     OperatingWindow,
     RestVoltages,
+    charge_duration,
     efficiency_no_rest,
     efficiency_with_rest,
     usable_energy_fraction,
@@ -239,7 +240,11 @@ def build_grid(
                         value = efficiency_with_rest(p, s, rv)
                 else:
                     trace = run_protocol(p, s, acq)
-                    value = analyze_trace(trace).steady.mean.eta
+                    # A narrow window's ramps can be shorter than the default
+                    # 1-s glitch filter, which would merge them away.
+                    min_segment = min(1.0, 0.5 * charge_duration(p, s))
+                    report = analyze_trace(trace, min_segment=min_segment)
+                    value = report.steady.mean.eta
             except (WindowTooNarrow, LossesExceedDelivery):
                 continue
             if 1.0 < value < 1.0 + 1e-9:

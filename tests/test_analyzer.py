@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capcycle import (
     AcquisitionConfig,
@@ -65,6 +67,42 @@ def _mk_trace(t, v, i, sp):
     )
 
 
+def _restarting_merge_oracle(labels, dt, min_segment):
+    """Reference merge: relabel the first short run, coalesce, start over."""
+    change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change - 1, [labels.size - 1]))
+    runs = [(int(labels[a]), int(a), int(b)) for a, b in zip(starts, ends)]
+
+    def coalesce(rs):
+        out = [rs[0]]
+        for lab, a, b in rs[1:]:
+            plab, pa, pb = out[-1]
+            if lab == plab:
+                out[-1] = (plab, pa, b)
+            else:
+                out.append((lab, a, b))
+        return out
+
+    while len(runs) > 1:
+        for j, (lab, a, b) in enumerate(runs):
+            if (b - a + 1) * dt < min_segment - 1e-12:
+                donor = runs[j - 1][0] if j > 0 else runs[j + 1][0]
+                runs[j] = (donor, a, b)
+                runs = coalesce(runs)
+                break
+        else:
+            break
+    return runs
+
+
+_LABEL = {Phase.CHARGE: 1, Phase.DISCHARGE: -1, Phase.REST_HIGH: 0, Phase.REST_LOW: 0}
+
+_label_runs = st.lists(
+    st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 40)), min_size=1, max_size=40
+)
+
+
 class TestSegmentation:
     def test_matches_simulator_boundaries_within_one_sample(self, rest_trace, rest_segments):
         ref = rest_trace.meta["boundaries"]
@@ -110,6 +148,28 @@ class TestSegmentation:
         t = np.arange(1, i.size + 1) * sp
         with pytest.raises(MalformedProtocol):
             segment(_mk_trace(t, v, i, sp), min_segment=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=_label_runs, min_segment=st.sampled_from([0.0, 0.3, 1.0, 2.5, 100.0]))
+    @example(runs=[(1, 3), (0, 2), (-1, 30), (0, 30), (1, 30)], min_segment=1.0)
+    @example(runs=[(1, 2), (0, 3), (-1, 4), (0, 1)], min_segment=1.0)
+    def test_single_pass_merge_matches_restarting_oracle(self, runs, min_segment):
+        sp = 0.1
+        labels = np.repeat([lab for lab, _ in runs], [n for _, n in runs]).astype(np.int8)
+        i = labels.astype(float)
+        t = np.arange(1, i.size + 1) * sp
+        tr = _mk_trace(t, np.ones_like(i), i, sp)
+        expected = _restarting_merge_oracle(labels, sp, min_segment)
+        actives = [lab for lab, _, _ in expected if lab != 0]
+        try:
+            segs = segment(tr, min_segment=min_segment)
+        except NoCyclesFound:
+            assert not actives
+            return
+        except MalformedProtocol:
+            assert any(x == y for x, y in zip(actives, actives[1:]))
+            return
+        assert [(_LABEL[s.kind], s.first_index, s.last_index) for s in segs] == expected
 
     def test_no_active_samples_raises(self):
         sp = 0.1

@@ -173,6 +173,25 @@ class TestMap:
         assert code == 0
         assert (tmp_path / "s.csv").read_text().splitlines()[0] == "vmpu\\vMpu,0,0.5,1"
 
+    def test_simulated_map_keeps_ramps_shorter_than_glitch_filter(self, capsys, tmp_path):
+        # Cell (0, 0.05) charges in under a second, less than the analyzer's
+        # default 1-s glitch filter; the cell must not abort the whole map.
+        code, _, err = run(
+            capsys, "map", "--device", "50F", "--ideal", "--method", "simulated",
+            "--levels", "0,0.05,1", "--out", str(tmp_path / "s"),
+        )
+        assert code == 0, err
+        row = (tmp_path / "s.csv").read_text().splitlines()[2]
+        assert row.startswith("0.05,")
+        # Sampling lifts a short cycle's efficiency above the closed form by
+        # at most one sample's capacitor step over the swing, dV/S.
+        p = preset("50F", ideal=True)
+        spec = CycleSpec(i_c=3.95, v_min=0.0, v_max=0.05 * p.v_rated)
+        d_v = spec.i_c * 0.1 / p.c_main
+        swing = spec.v_max - spec.v_min - 2 * spec.i_c * p.r_series
+        excess = float(row.split(",")[1]) / 100 - efficiency_no_rest(p, spec)
+        assert -5e-5 <= excess <= d_v / swing + 5e-5
+
 
 class TestOptimize:
     def test_analytic_result(self, capsys):

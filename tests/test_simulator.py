@@ -1,10 +1,6 @@
 """Protocol simulator: exact stepping, conservation, and sampling contracts."""
 
-import importlib
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -20,9 +16,18 @@ from capcycle import (
     branch_time_constant,
     charge_duration,
     efficiency_no_rest,
+    preset,
     quantize_trace,
     run_protocol,
+    simulator,
     step_dynamics,
+)
+from capcycle._kernels import (
+    MODE_CHARGE,
+    MODE_DISCHARGE,
+    MODE_FIXED,
+    TABLE_CAP,
+    run_phase,
 )
 
 DEV = DeviceParams(c_main=10.0, r_series=0.0922, v_rated=2.7)
@@ -259,47 +264,97 @@ class TestAcquisition:
             AcquisitionConfig(v_quantum=-1.0)
 
 
-class TestKernelParity:
-    def test_python_fallback_produces_identical_trace(self):
-        code = (
-            "import json, numpy as np\n"
-            "from capcycle import DeviceParams, CycleSpec, Redistribution, run_protocol\n"
-            "import capcycle._kernels as k\n"
-            "d = DeviceParams(c_main=52.0, r_series=0.0088, v_rated=2.7,\n"
-            "                 redistribution=Redistribution(c_branch=5.2, r_branch=4.0),\n"
-            "                 r_leak=9000.0)\n"
-            "s = CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=60.0,\n"
-            "              rest_after_discharge=60.0, max_cycles=2)\n"
-            "tr = run_protocol(d, s)\n"
-            "print(json.dumps({'numba': k.USING_NUMBA,\n"
-            "                  'v': tr.v.tobytes().hex()[:200],\n"
-            "                  'sum_v': float(tr.v.sum()), 'sum_i': float(tr.i.sum()),\n"
-            "                  'n': int(tr.t.size)}))\n"
+def _scalar_phase_loop(
+    v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
+    v_stop, eps, max_steps, n_sub, countdown, out_v, out_i, out_start,
+):
+    """Reference recurrence: ``run_phase``'s contract, one step at a time."""
+    k = out_start
+    steps = 0
+    crossed = False
+    while steps < max_steps:
+        v_main, v_branch = (
+            a11 * v_main + a12 * v_branch + b1,
+            a21 * v_main + a22 * v_branch + b2,
         )
+        steps += 1
+        countdown -= 1
+        if countdown == 0:
+            out_v[k] = v_main + i_applied * r_series
+            out_i[k] = i_applied
+            k += 1
+            countdown = n_sub
+        vt = v_main + i_applied * r_series
+        if mode == MODE_CHARGE and vt >= v_stop - eps:
+            crossed = True
+            break
+        if mode == MODE_DISCHARGE and vt <= v_stop + eps:
+            crossed = True
+            break
+    return v_main, v_branch, steps, k, countdown, crossed
+
+
+class TestBlockedPropagation:
+    """The blocked kernel against the step-by-step recurrence it replaces."""
+
+    CASES = {
+        "50F-rests": (
+            preset("50F"),
+            CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=1800.0,
+                      rest_after_discharge=1800.0, max_cycles=3),
+            None,
+        ),
+        "two-branch-n_sub-2": (
+            TWO_BRANCH,
+            CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=60.0,
+                      rest_after_discharge=60.0, max_cycles=3),
+            AcquisitionConfig(sample_period=0.5),
+        ),
+        "100F-narrow-ideal": (
+            preset("100F", ideal=True),
+            CycleSpec(i_c=4.7, v_min=0.0, v_max=0.05 * 2.7, max_cycles=20),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_scalar_recurrence(self, case, monkeypatch):
+        p, s, acq = self.CASES[case]
+        blocked = run_protocol(p, s, acq)
+        monkeypatch.setattr(simulator, "run_phase", _scalar_phase_loop)
+        ref = run_protocol(p, s, acq)
+        if case == "two-branch-n_sub-2":
+            assert blocked.meta["n_sub"] == 2
+        assert blocked.meta["boundaries"] == ref.meta["boundaries"]
+        for key in ("q_in", "q_out", "t_charge", "t_discharge"):
+            assert blocked.meta[key] == ref.meta[key]
+        assert np.array_equal(blocked.t, ref.t)
+        assert np.array_equal(blocked.i, ref.i)
+        assert np.max(np.abs(blocked.v - ref.v)) <= 1e-10
+
+    def test_rest_longer_than_one_table_block(self):
+        # A rest past the table cap runs as several blocks; the sample
+        # countdown must carry across them exactly.
+        steps = TABLE_CAP + 1000
+        ad, _ = simulator._discretize(TWO_BRANCH, 0.05)
+        # coefficients, zero current, zero R, fixed mode, n_sub=3, countdown=2
+        args = (*ad.ravel(), 0.0, 0.0, 0.0, 0.0, MODE_FIXED, 0.0, 1e-9, steps, 3, 2)
         outs = []
-        for disable in ("0", "1"):
-            env = dict(os.environ, CAPCYCLE_DISABLE_NUMBA=disable)
-            if disable == "0":
-                env.pop("CAPCYCLE_DISABLE_NUMBA")
-            r = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert r.returncode == 0, r.stderr
-            outs.append(r.stdout.strip().splitlines()[-1])
-        import json
+        for kernel in (run_phase, _scalar_phase_loop):
+            out_v, out_i = np.zeros(steps // 3 + 2), np.zeros(steps // 3 + 2)
+            res = kernel(2.5, 2.0, *args, out_v, out_i, 0)
+            outs.append((res, out_v, out_i))
+        (got, gv, gi), (exp, ev, ei) = outs
+        assert got[2:5] == exp[2:5]  # steps, out_next, countdown
+        assert got[0] == pytest.approx(exp[0], abs=1e-10)
+        assert got[1] == pytest.approx(exp[1], abs=1e-10)
+        assert np.max(np.abs(gv - ev)) <= 1e-10
+        assert np.array_equal(gi, ei)
 
-        a, b = json.loads(outs[0]), json.loads(outs[1])
-        assert b["numba"] is False  # fallback actually engaged
-        assert a["n"] == b["n"]
-        assert a["v"] == b["v"]  # byte-identical prefix
-        assert a["sum_v"] == b["sum_v"]
-        assert a["sum_i"] == b["sum_i"]
-
-    def test_env_flag_selects_python_path(self):
-        r = subprocess.run(
-            [sys.executable, "-c",
-             "import capcycle._kernels as k; print(k.run_phase is k.run_phase_python)"],
-            capture_output=True, text=True,
-            env=dict(os.environ, CAPCYCLE_DISABLE_NUMBA="1"),
-        )
-        assert r.stdout.strip() == "True"
+    def test_leaky_charge_that_never_reaches_v_max_diverges(self):
+        # Leakage settles the capacitor at i*R_leak = 2.0 V, below v_max:
+        # the charge phase scans many blocks up to its step budget and stops.
+        leaky = DeviceParams(c_main=1.0, r_series=0.01, v_rated=2.7, r_leak=5.0)
+        spec = CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5)
+        with pytest.raises(DynamicsDiverged, match="charge phase did not reach"):
+            run_protocol(leaky, spec)
