@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -350,9 +350,17 @@ def cycle_metrics(
 
         total_loss = e_in - e_out
         rests = [s for s in (cyc.rest_high, cyc.rest_low) if s is not None]
-        if rests and c_est is not None:
+        if rests and c_est is None:
+            t_rest = sum(
+                (s.last_index - s.first_index + 1) * dt for s in rests
+            )
+            w_sum = t_charge + t_discharge + t_rest
+            loss_charge = total_loss * t_charge / w_sum
+            loss_rest = total_loss * t_rest / w_sum
+            loss_discharge = total_loss - loss_charge - loss_rest
+        else:
             loss_rest = sum(
-                0.5 * c_est * (s.v_start**2 - s.v_end**2) for s in rests
+                (0.5 * c_est * (s.v_start**2 - s.v_end**2) for s in rests), 0.0
             )
             remainder = total_loss - loss_rest
             if r_est is not None:
@@ -362,23 +370,6 @@ def cycle_metrics(
                 w_c, w_d = t_charge, t_discharge
             loss_charge = remainder * w_c / (w_c + w_d)
             loss_discharge = remainder - loss_charge
-        elif rests:
-            t_rest = sum(
-                (s.last_index - s.first_index + 1) * dt for s in rests
-            )
-            w_sum = t_charge + t_discharge + t_rest
-            loss_charge = total_loss * t_charge / w_sum
-            loss_rest = total_loss * t_rest / w_sum
-            loss_discharge = total_loss - loss_charge - loss_rest
-        else:
-            if r_est is not None:
-                w_c = _dissipation_weight(trace, cyc.charge)
-                w_d = _dissipation_weight(trace, cyc.discharge)
-            else:
-                w_c, w_d = t_charge, t_discharge
-            loss_rest = 0.0
-            loss_charge = total_loss * w_c / (w_c + w_d)
-            loss_discharge = total_loss - loss_charge
 
         out.append(
             CycleMetrics(
@@ -406,6 +397,17 @@ def _dissipation_weight(trace: Trace, seg: Segment) -> float:
     return float(np.sum(trace.i[k] ** 2) * trace.sample_period)
 
 
+def _steady_from(charges: list[tuple[float, float]], tol: float) -> int | None:
+    """First 1-based cycle from which every ``(q_in, q_out)`` balances within ``tol``."""
+    steady_from = None
+    for c in range(len(charges), 0, -1):
+        q_in, q_out = charges[c - 1]
+        if not (q_in > 0 and abs(q_in - q_out) / q_in < tol):
+            break
+        steady_from = c
+    return steady_from
+
+
 def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyReport:
     """Locate the steady regime and average the reporting window.
 
@@ -420,14 +422,7 @@ def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyRep
         raise InsufficientData(f"steady detection needs >= 2 cycles, got {n}")
     if not 0 < tol < 1:
         raise ConfigError(f"tol must lie in (0, 1), got {tol}")
-    ok = [abs(m.q_in - m.q_out) / m.q_in < tol if m.q_in > 0 else False
-          for m in per_cycle]
-    steady_from: int | None = None
-    for c in range(n, 0, -1):
-        if ok[c - 1]:
-            steady_from = c
-        else:
-            break
+    steady_from = _steady_from([(m.q_in, m.q_out) for m in per_cycle], tol)
 
     if n >= 20:
         window = (17, 20)
@@ -442,18 +437,11 @@ def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyRep
     sel = per_cycle[window[0] - 1 : window[1]]
     mean = CycleMetrics(
         cycle_index=0,
-        q_in=float(np.mean([m.q_in for m in sel])),
-        q_out=float(np.mean([m.q_out for m in sel])),
-        e_in=float(np.mean([m.e_in for m in sel])),
-        e_out=float(np.mean([m.e_out for m in sel])),
-        t_charge=float(np.mean([m.t_charge for m in sel])),
-        t_discharge=float(np.mean([m.t_discharge for m in sel])),
-        v_sd=float(np.mean([m.v_sd for m in sel])),
-        v_sc=float(np.mean([m.v_sc for m in sel])),
-        eta=float(np.mean([m.eta for m in sel])),
-        loss_charge=float(np.mean([m.loss_charge for m in sel])),
-        loss_rest=float(np.mean([m.loss_rest for m in sel])),
-        loss_discharge=float(np.mean([m.loss_discharge for m in sel])),
+        **{
+            f.name: float(np.mean([getattr(m, f.name) for m in sel]))
+            for f in fields(CycleMetrics)
+            if f.name != "cycle_index"
+        },
     )
     return SteadyReport(
         steady_from_cycle=steady_from,
@@ -543,17 +531,11 @@ def analyze_trace(
     if not grouped:
         raise NoCyclesFound("no complete charge-discharge cycle in the trace")
 
-    balances = []
-    for cyc in grouped:
-        _, q_in = _segment_energy_charge(trace, cyc.charge)
-        _, q_out = _segment_energy_charge(trace, cyc.discharge)
-        balances.append(abs(q_in - q_out) / q_in if q_in > 0 else np.inf)
-    steady0: int | None = None
-    for c in range(len(balances), 0, -1):
-        if balances[c - 1] < steady_tol:
-            steady0 = c
-        else:
-            break
+    charges = [
+        tuple(_segment_energy_charge(trace, seg)[1] for seg in (c.charge, c.discharge))
+        for c in grouped
+    ]
+    steady0 = _steady_from(charges, steady_tol)
 
     if steady0 is None:
         steady_cycles = grouped

@@ -6,21 +6,27 @@ Subcommands: ``simulate`` (protocol run to trace + sidecar CSV), ``analyze``
 (rest-voltage regression to JSON), ``iec-current`` (test current for a
 target efficiency), and ``fixtures`` (export the embedded data tables).
 
-Options may come from a ``--config`` JSON file (``schema_version`` 1, keys
-named after the long flags); explicit command-line flags win.  Exit codes:
-0 success, 2 configuration, 3 parse, 4 numeric, 5 I/O.
+One table, :data:`COMMANDS`, declares every option of every command; it
+drives the argument parser, the accepted ``--config`` keys and the coercion
+of values.  Options may come from a ``--config`` JSON file (``schema_version``
+1, keys named after the long flags); explicit command-line flags win, and
+flag strings and config values pass through the same :func:`coerce`.  Exit
+codes: 0 success, 2 configuration, 3 parse, 4 numeric, 5 I/O.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import fixtures
 from .analyzer import analyze_trace
 from .effmap import (
+    PU_LEVELS,
     ClosedFormObjective,
     GridMethod,
     RestPlan,
@@ -39,15 +45,78 @@ from .model import (
 )
 from .presets import PRESET_NAMES, TEST_CURRENTS, preset
 from .simulator import AcquisitionConfig, run_protocol
-from .trace import (
-    CycleBoundary,
-    read_trace_csv,
-    sidecar_path,
-    write_sidecar_csv,
-    write_trace_csv,
-)
+from .trace import read_trace_csv, sidecar_path, write_sidecar_csv, write_trace_csv
 
 CONFIG_SCHEMA_VERSION = 1
+
+REQUIRED = object()
+"""Default of an option that must come from the command line or the config."""
+
+
+class Option(NamedTuple):
+    """One option of one command: flag ``--name`` and config key ``name``."""
+
+    name: str
+    kind: str  # float, int, bool, str or levels
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    positional: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[Option, ...]
+    config: bool = True
+
+
+def _number(value) -> int | float:
+    """A finite JSON number or numeric string; ``bool`` is not a number."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            value = float(value)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(value)
+    return value
+
+
+def coerce(kind: str, value, where: str, choices=None):
+    """``value`` converted to an option of ``kind``.
+
+    A value of the wrong type or outside ``choices`` raises
+    :class:`ConfigError` whose message starts with ``where``.
+    """
+    try:
+        if kind == "float":
+            return float(_number(value))
+        elif kind == "int":
+            n = _number(value)
+            if float(n).is_integer():
+                return int(n)
+        elif kind == "levels":
+            items = value.split(",") if isinstance(value, str) else value
+            if isinstance(items, list):
+                return tuple(float(_number(x)) for x in items)
+        elif kind == "bool" and isinstance(value, bool):
+            return value
+        elif kind == "str" and isinstance(value, str):
+            if choices is None or value in choices:
+                return value
+    except (ValueError, OverflowError):
+        pass
+    expected = f"one of {', '.join(choices)}" if choices else kind
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
 def _load_config(path: str | None, allowed: set[str], command: str) -> dict:
@@ -73,47 +142,71 @@ def _load_config(path: str | None, allowed: set[str], command: str) -> dict:
     return doc
 
 
-def _merged(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"))
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Typed values of every option: the flag, else the config, else the default.
+
+    A config value of ``null`` counts as not given.
+    """
+    command = COMMANDS[args.command]
+    path = getattr(args, "config", None)
+    config = _load_config(path, {o.name for o in command.options}, args.command)
+    resolved = argparse.Namespace()
+    for o in command.options:
+        flag = o.name if o.positional else f"--{o.name}"
+        value = getattr(args, o.dest)
+        if value is not None:
+            value = coerce(o.kind, value, flag, o.choices)
+        elif config.get(o.name) is not None:
+            value = coerce(o.kind, config[o.name], f"config {path}: {o.name}", o.choices)
+        elif o.default is REQUIRED:
+            raise ConfigError(f"{args.command}: {flag} is required")
+        else:
+            value = o.default
+        setattr(resolved, o.dest, value)
+    return resolved
+
+
+def _float_fields(doc: dict, defaults: dict, where: str) -> dict:
+    """Numeric fields of a JSON object; ``null`` takes the default."""
+    out = {}
+    for key, default in defaults.items():
+        if doc.get(key) is not None:
+            out[key] = coerce("float", doc[key], f"{where}: {key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        else:
+            out[key] = default
+    return out
+
+
+_DEVICE_FIELDS = {"c_main": REQUIRED, "r_series": REQUIRED, "v_rated": 2.7, "r_leak": None}
+_BRANCH_FIELDS = {"c_branch": REQUIRED, "r_branch": REQUIRED}
 
 
 def _device_from_json(path: Path) -> DeviceParams:
+    where = f"device file {path}"
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise TraceParseError(f"device file {path}: {exc}") from exc
+        raise TraceParseError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"device file {path}: top level must be a JSON object")
-    known = {"c_main", "r_series", "v_rated", "redistribution", "r_leak"}
-    unknown = set(doc) - known
+        raise ConfigError(f"{where}: top level must be a JSON object")
+    unknown = set(doc) - {*_DEVICE_FIELDS, "redistribution"}
     if unknown:
-        raise ConfigError(f"device file {path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     redis = doc.get("redistribution")
     if redis is not None:
-        if not isinstance(redis, dict) or set(redis) != {"c_branch", "r_branch"}:
+        if not isinstance(redis, dict) or set(redis) != set(_BRANCH_FIELDS):
             raise ConfigError(
-                f"device file {path}: redistribution must be an object with "
+                f"{where}: redistribution must be an object with "
                 "c_branch and r_branch"
             )
         redis = Redistribution(
-            c_branch=float(redis["c_branch"]), r_branch=float(redis["r_branch"])
+            **_float_fields(redis, _BRANCH_FIELDS, f"{where}: redistribution")
         )
-    try:
-        return DeviceParams(
-            c_main=float(doc["c_main"]),
-            r_series=float(doc["r_series"]),
-            v_rated=float(doc.get("v_rated", 2.7)),
-            redistribution=redis,
-            r_leak=None if doc.get("r_leak") is None else float(doc["r_leak"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"device file {path}: missing key {exc}") from exc
+    return DeviceParams(
+        **_float_fields(doc, _DEVICE_FIELDS, where), redistribution=redis
+    )
 
 
 def _resolve_device(name_or_path: str, ideal: bool) -> DeviceParams:
@@ -133,12 +226,11 @@ def _resolve_device(name_or_path: str, ideal: bool) -> DeviceParams:
     return device
 
 
-def _default_current(args, config, device_name: str | None) -> float:
-    current = _merged(args, config, "current")
-    if current is not None:
-        return float(current)
-    if device_name in TEST_CURRENTS:
-        return TEST_CURRENTS[device_name]
+def _default_current(o: argparse.Namespace) -> float:
+    if o.current is not None:
+        return o.current
+    if o.device in TEST_CURRENTS:
+        return TEST_CURRENTS[o.device]
     raise ConfigError("--current is required unless --device names a preset")
 
 
@@ -154,239 +246,182 @@ def _json_doc(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands; each receives the namespace :func:`resolve` returns.
 
 
-_SIMULATE_KEYS = {
-    "device", "ideal", "current", "vmin", "vmax", "rest", "rest-high",
-    "rest-low", "cycles", "steady-tol", "sample-period", "quantize", "out",
-}
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _SIMULATE_KEYS, "simulate")
-    device_name = _merged(args, config, "device", "10F")
-    device = _resolve_device(device_name, bool(_merged(args, config, "ideal", False)))
-    rest = float(_merged(args, config, "rest", 0.0))
+def cmd_simulate(o: argparse.Namespace) -> int:
+    device = _resolve_device(o.device, o.ideal)
     spec = CycleSpec(
-        i_c=_default_current(args, config, device_name),
-        v_min=float(_merged(args, config, "vmin", 0.0)),
-        v_max=float(_merged(args, config, "vmax", device.v_rated)),
-        rest_after_charge=float(_merged(args, config, "rest-high", rest)),
-        rest_after_discharge=float(_merged(args, config, "rest-low", rest)),
-        max_cycles=int(_merged(args, config, "cycles", 1)),
-        steady_tolerance=float(_merged(args, config, "steady-tol", 0.01)),
+        i_c=_default_current(o),
+        v_min=o.vmin,
+        v_max=device.v_rated if o.vmax is None else o.vmax,
+        rest_after_charge=o.rest if o.rest_high is None else o.rest_high,
+        rest_after_discharge=o.rest if o.rest_low is None else o.rest_low,
+        max_cycles=o.cycles,
+        steady_tolerance=o.steady_tol,
     )
-    acq = AcquisitionConfig(
-        sample_period=float(_merged(args, config, "sample-period", 0.1)),
-        quantize=bool(_merged(args, config, "quantize", False)),
-    )
-    out = _merged(args, config, "out")
-    if out is None:
-        raise ConfigError("simulate: --out trace path is required")
+    acq = AcquisitionConfig(sample_period=o.sample_period, quantize=o.quantize)
     trace = run_protocol(device, spec, acq)
-    out = Path(out)
+    out = Path(o.out)
     write_trace_csv(trace, out)
-    boundaries: list[CycleBoundary] = trace.meta["boundaries"]
     side = sidecar_path(out)
-    write_sidecar_csv(boundaries, side)
+    write_sidecar_csv(trace.meta["boundaries"], side)
     print(f"wrote {out} ({trace.t.size} samples, {spec.max_cycles} cycles)")
     print(f"wrote {side}")
     return 0
 
 
-_ANALYZE_KEYS = {"trace", "out", "threshold-frac", "min-segment", "steady-tol"}
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _ANALYZE_KEYS, "analyze")
-    trace_path = _merged(args, config, "trace")
-    if trace_path is None:
-        raise ConfigError("analyze: a trace CSV path is required")
-    trace = read_trace_csv(trace_path)
+def cmd_analyze(o: argparse.Namespace) -> int:
+    trace = read_trace_csv(o.trace)
     report = analyze_trace(
         trace,
-        i_threshold_frac=float(_merged(args, config, "threshold-frac", 0.05)),
-        min_segment=float(_merged(args, config, "min-segment", 1.0)),
-        steady_tol=float(_merged(args, config, "steady-tol", 0.01)),
+        i_threshold_frac=o.threshold_frac,
+        min_segment=o.min_segment,
+        steady_tol=o.steady_tol,
     )
-    _write_or_print(report.to_json(), _merged(args, config, "out"))
+    _write_or_print(report.to_json(), o.out)
     return 0
 
 
-_MAP_KEYS = {
-    "device", "ideal", "current", "method", "fixture", "rest", "levels",
-    "sim-cycles", "out",
-}
+_METHODS = {"closedform": GridMethod.CLOSED_FORM, "simulated": GridMethod.SIMULATED}
 
 
-def cmd_map(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _MAP_KEYS, "map")
-    out = _merged(args, config, "out")
-    if out is None:
-        raise ConfigError("map: --out file prefix is required")
-    fixture = _merged(args, config, "fixture")
-    device_name = _merged(args, config, "device", "100F")
-
-    if fixture is not None:
-        if fixture not in ("table2", "table4"):
+def cmd_map(o: argparse.Namespace) -> int:
+    if o.fixture is not None:
+        if o.device not in fixtures.DEVICES:
             raise ConfigError(
-                f"map: --fixture must be table2 or table4, got {fixture!r}"
+                f"map: fixture grids need a preset device name, got {o.device!r}"
             )
-        if device_name not in fixtures.DEVICES:
-            raise ConfigError(
-                f"map: fixture grids need a preset device name, got {device_name!r}"
-            )
-        grid = fixtures.measured_grid(device_name, rest=fixture == "table4")
+        grid = fixtures.measured_grid(o.device, rest=o.fixture == "table4")
     else:
-        device = _resolve_device(
-            device_name, bool(_merged(args, config, "ideal", False))
-        )
-        method_name = str(_merged(args, config, "method", "closedform"))
-        methods = {
-            "closedform": GridMethod.CLOSED_FORM,
-            "simulated": GridMethod.SIMULATED,
-        }
-        if method_name not in methods:
-            raise ConfigError(
-                f"map: --method must be closedform or simulated, got {method_name!r}"
-            )
-        rest_duration = _merged(args, config, "rest")
+        device = _resolve_device(o.device, o.ideal)
         rest = None
-        if rest_duration is not None:
+        if o.rest is not None:
             model = fit_self_discharge(fixtures.load_rest_voltage_rows())
-            rest = RestPlan(duration=float(rest_duration), model=model)
-        levels = _merged(args, config, "levels")
-        if levels is None:
-            levels_tuple = None
-        elif isinstance(levels, str):
-            levels_tuple = tuple(float(x) for x in levels.split(","))
-        else:
-            levels_tuple = tuple(float(x) for x in levels)
-        kwargs = {} if levels_tuple is None else {"levels": levels_tuple}
+            rest = RestPlan(duration=o.rest, model=model)
         grid = build_grid(
             device,
-            _default_current(args, config, device_name),
+            _default_current(o),
+            levels=o.levels,
             rest=rest,
-            method=methods[method_name],
-            sim_cycles=int(_merged(args, config, "sim-cycles", 20)),
-            **kwargs,
+            method=_METHODS[o.method],
+            sim_cycles=o.sim_cycles,
         )
-    csv_path, svg_path = render_map(grid, out)
+    csv_path, svg_path = render_map(grid, o.out)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     return 0
 
 
-_OPTIMIZE_KEYS = {"device", "ideal", "current", "min-energy", "rest", "out"}
-
-
-def cmd_optimize(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _OPTIMIZE_KEYS, "optimize")
-    min_energy = _merged(args, config, "min-energy")
-    if min_energy is None:
-        raise ConfigError("optimize: --min-energy fraction is required")
-    device_name = _merged(args, config, "device", "100F")
-    device = _resolve_device(device_name, bool(_merged(args, config, "ideal", True)))
-    with_rest = bool(_merged(args, config, "rest", False))
-    model = (
-        fit_self_discharge(fixtures.load_rest_voltage_rows()) if with_rest else None
-    )
+def cmd_optimize(o: argparse.Namespace) -> int:
+    device = _resolve_device(o.device, o.ideal)
+    model = fit_self_discharge(fixtures.load_rest_voltage_rows()) if o.rest else None
     objective = ClosedFormObjective(
-        device=device,
-        i_c=_default_current(args, config, device_name),
-        rest_model=model,
-        rest=with_rest,
+        device=device, i_c=_default_current(o), rest_model=model, rest=o.rest
     )
-    point = optimize_window(objective, float(min_energy))
-    doc = point.to_dict()
-    doc["rest"] = with_rest
-    _write_or_print(_json_doc(doc), _merged(args, config, "out"))
+    doc = optimize_window(objective, o.min_energy).to_dict()
+    doc["rest"] = o.rest
+    _write_or_print(_json_doc(doc), o.out)
     return 0
 
 
-_FIT_KEYS = {"rows", "out"}
-
-
-def _read_rest_rows(path: str) -> list[tuple[float, float, float, float]]:
-    """Parse a rest-drift CSV shaped like the embedded table3 file."""
-    rows = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise TraceParseError(
-                f"expected 5 columns (span_V, vm_V, vM_V, v_sd_mV, v_sc_mV), "
-                f"got {len(parts)}",
-                line_no=line_no,
-            )
-        try:
-            vm, vM = float(parts[1]), float(parts[2])
-            v_sd, v_sc = float(parts[3]) / 1000.0, float(parts[4]) / 1000.0
-        except ValueError as exc:
-            raise TraceParseError(str(exc), line_no=line_no) from exc
-        rows.append((vm, vM, v_sd, v_sc))
-    return rows
-
-
-def cmd_fit_selfdischarge(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _FIT_KEYS, "fit-selfdischarge")
-    rows_path = _merged(args, config, "rows")
-    if rows_path is None:
-        rows = fixtures.load_rest_voltage_rows()
-        source = "embedded"
-    else:
-        rows = _read_rest_rows(rows_path)
-        source = str(rows_path)
-    model = fit_self_discharge(rows)
-    doc = model.to_dict()
-    doc["source"] = source
-    _write_or_print(_json_doc(doc), _merged(args, config, "out"))
+def cmd_fit_selfdischarge(o: argparse.Namespace) -> int:
+    doc = fit_self_discharge(fixtures.load_rest_voltage_rows(o.rows)).to_dict()
+    doc["source"] = "embedded" if o.rows is None else o.rows
+    _write_or_print(_json_doc(doc), o.out)
     return 0
 
 
-_IEC_KEYS = {"r", "device", "target", "vmin-pu", "vmax-pu", "v-rated"}
-
-
-def cmd_iec_current(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, _IEC_KEYS, "iec-current")
-    r = _merged(args, config, "r")
-    device_name = _merged(args, config, "device")
-    if (r is None) == (device_name is None):
+def cmd_iec_current(o: argparse.Namespace) -> int:
+    if (o.r is None) == (o.device is None):
         raise ConfigError("iec-current: give exactly one of --r or --device")
-    if device_name is not None:
-        device = _resolve_device(device_name, ideal=False)
+    if o.device is not None:
+        device = _resolve_device(o.device, ideal=False)
     else:
-        device = DeviceParams(
-            c_main=1.0,  # capacitance does not enter the current inversion
-            r_series=float(r),
-            v_rated=float(_merged(args, config, "v-rated", 2.7)),
-        )
-    window = OperatingWindow(
-        vm_pu=float(_merged(args, config, "vmin-pu", 0.0)),
-        vM_pu=float(_merged(args, config, "vmax-pu", 1.0)),
-    )
-    current = test_current(device, float(_merged(args, config, "target", 0.95)), window)
-    print(f"{current:.9g}")
+        # capacitance does not enter the current inversion
+        device = DeviceParams(c_main=1.0, r_series=o.r, v_rated=o.v_rated)
+    window = OperatingWindow(vm_pu=o.vmin_pu, vM_pu=o.vmax_pu)
+    print(f"{test_current(device, o.target, window):.9g}")
     return 0
 
 
-def cmd_fixtures(args: argparse.Namespace) -> int:
-    for path in fixtures.export_all(args.out_dir):
+def cmd_fixtures(o: argparse.Namespace) -> int:
+    for path in fixtures.export_all(o.out_dir):
         print(f"wrote {path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# The option table and the parser built from it
 
+_DEVICE = "preset name or device JSON file"
+_JSON_OUT = "JSON path (default stdout)"
+_STEADY_TOL = "charge-balance tolerance"
 
-def _add_config(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; explicit flags win")
+COMMANDS = {
+    "simulate": Command(cmd_simulate, "run a cycling protocol to a trace CSV", (
+        Option("device", "str", "10F", "preset name (10F/50F/100F) or device JSON file"),
+        Option("ideal", "bool", False, "strip redistribution and leakage from the device"),
+        Option("current", "float", None, "test current in A"),
+        Option("vmin", "float", 0.0, "lower voltage limit in V"),
+        Option("vmax", "float", None, "upper voltage limit in V"),
+        Option("rest", "float", 0.0, "rest after each phase in s"),
+        Option("rest-high", "float", None, "rest after charge in s"),
+        Option("rest-low", "float", None, "rest after discharge in s"),
+        Option("cycles", "int", 1, "number of cycles (default 1)"),
+        Option("steady-tol", "float", 0.01, _STEADY_TOL),
+        Option("sample-period", "float", 0.1, "acquisition period in s"),
+        Option("quantize", "bool", False, "apply acquisition quantization"),
+        Option("out", "str", REQUIRED, "trace CSV path (sidecar written alongside)"),
+    )),
+    "analyze": Command(cmd_analyze, "analyze a trace CSV into a JSON report", (
+        Option("trace", "str", REQUIRED, "trace CSV path", positional=True),
+        Option("threshold-frac", "float", 0.05,
+               "active-current threshold as a fraction of max |i|"),
+        Option("min-segment", "float", 1.0, "shortest believable phase duration in s"),
+        Option("steady-tol", "float", 0.01, _STEADY_TOL),
+        Option("out", "str", None, "report JSON path (default stdout)"),
+    )),
+    "map": Command(cmd_map, "build an efficiency grid; write CSV + SVG", (
+        Option("device", "str", "100F", _DEVICE),
+        Option("ideal", "bool", False),
+        Option("current", "float"),
+        Option("method", "str", "closedform", choices=tuple(_METHODS)),
+        Option("fixture", "str", None, "render an embedded measured surface instead",
+               choices=("table2", "table4")),
+        Option("rest", "float", None, "rest duration in s; enables the with-rest model"),
+        Option("levels", "levels", PU_LEVELS, "comma-separated per-unit grid levels"),
+        Option("sim-cycles", "int", 20),
+        Option("out", "str", REQUIRED, "output file prefix"),
+    )),
+    "optimize": Command(cmd_optimize, "best window meeting an energy floor", (
+        Option("device", "str", "100F", _DEVICE),
+        Option("ideal", "bool", True),
+        Option("current", "float"),
+        Option("min-energy", "float", REQUIRED, "required usable-energy fraction in (0, 1]"),
+        Option("rest", "bool", False,
+               "optimize the with-rest model (fitted from embedded data)"),
+        Option("out", "str", None, _JSON_OUT),
+    )),
+    "fit-selfdischarge": Command(
+        cmd_fit_selfdischarge, "fit the linear rest-voltage model", (
+            Option("rows", "str", None, "rest-drift CSV (default: embedded data)"),
+            Option("out", "str", None, _JSON_OUT),
+        )),
+    "iec-current": Command(
+        cmd_iec_current, "test current that yields a target efficiency", (
+            Option("r", "float", None, "series resistance in ohms"),
+            Option("device", "str", None, _DEVICE),
+            Option("target", "float", 0.95, "target efficiency (default 0.95)"),
+            Option("vmin-pu", "float", 0.0, "window lower bound (default 0)"),
+            Option("vmax-pu", "float", 1.0, "window upper bound (default 1)"),
+            Option("v-rated", "float", 2.7, "rated voltage when --r is given (default 2.7)"),
+        )),
+    "fixtures": Command(cmd_fixtures, "export the embedded data tables", (
+        Option("out_dir", "str", REQUIRED, "destination directory", positional=True),
+    ), config=False),
+}
+"""Every command's options; their flags, config keys and types come from here."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,95 +430,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="supercapacitor cycling efficiency workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a cycling protocol to a trace CSV")
-    _add_config(p)
-    p.add_argument("--device", help="preset name (10F/50F/100F) or device JSON file")
-    p.add_argument("--ideal", action="store_true", default=None,
-                   help="strip redistribution and leakage from the device")
-    p.add_argument("--current", type=float, help="test current in A")
-    p.add_argument("--vmin", type=float, help="lower voltage limit in V")
-    p.add_argument("--vmax", type=float, help="upper voltage limit in V")
-    p.add_argument("--rest", type=float, help="rest after each phase in s")
-    p.add_argument("--rest-high", type=float, help="rest after charge in s")
-    p.add_argument("--rest-low", type=float, help="rest after discharge in s")
-    p.add_argument("--cycles", type=int, help="number of cycles (default 1)")
-    p.add_argument("--steady-tol", type=float, help="charge-balance tolerance")
-    p.add_argument("--sample-period", type=float, help="acquisition period in s")
-    p.add_argument("--quantize", action="store_true", default=None,
-                   help="apply acquisition quantization")
-    p.add_argument("--out", help="trace CSV path (sidecar written alongside)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("analyze", help="analyze a trace CSV into a JSON report")
-    _add_config(p)
-    p.add_argument("trace", nargs="?", help="trace CSV path")
-    p.add_argument("--threshold-frac", type=float,
-                   help="active-current threshold as a fraction of max |i|")
-    p.add_argument("--min-segment", type=float,
-                   help="shortest believable phase duration in s")
-    p.add_argument("--steady-tol", type=float, help="charge-balance tolerance")
-    p.add_argument("--out", help="report JSON path (default stdout)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("map", help="build an efficiency grid; write CSV + SVG")
-    _add_config(p)
-    p.add_argument("--device", help="preset name or device JSON file")
-    p.add_argument("--ideal", action="store_true", default=None)
-    p.add_argument("--current", type=float)
-    p.add_argument("--method", choices=("closedform", "simulated"))
-    p.add_argument("--fixture", choices=("table2", "table4"),
-                   help="render an embedded measured surface instead")
-    p.add_argument("--rest", type=float,
-                   help="rest duration in s; enables the with-rest model")
-    p.add_argument("--levels", help="comma-separated per-unit grid levels")
-    p.add_argument("--sim-cycles", type=int)
-    p.add_argument("--out", help="output file prefix")
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("optimize", help="best window meeting an energy floor")
-    _add_config(p)
-    p.add_argument("--device", help="preset name or device JSON file")
-    p.add_argument("--ideal", action="store_true", default=None)
-    p.add_argument("--current", type=float)
-    p.add_argument("--min-energy", type=float,
-                   help="required usable-energy fraction in (0, 1]")
-    p.add_argument("--rest", action="store_true", default=None,
-                   help="optimize the with-rest model (fitted from embedded data)")
-    p.add_argument("--out", help="JSON path (default stdout)")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("fit-selfdischarge",
-                       help="fit the linear rest-voltage model")
-    _add_config(p)
-    p.add_argument("--rows", help="rest-drift CSV (default: embedded data)")
-    p.add_argument("--out", help="JSON path (default stdout)")
-    p.set_defaults(func=cmd_fit_selfdischarge)
-
-    p = sub.add_parser("iec-current",
-                       help="test current that yields a target efficiency")
-    _add_config(p)
-    p.add_argument("--r", type=float, help="series resistance in ohms")
-    p.add_argument("--device", help="preset name or device JSON file")
-    p.add_argument("--target", type=float, help="target efficiency (default 0.95)")
-    p.add_argument("--vmin-pu", type=float, help="window lower bound (default 0)")
-    p.add_argument("--vmax-pu", type=float, help="window upper bound (default 1)")
-    p.add_argument("--v-rated", type=float,
-                   help="rated voltage when --r is given (default 2.7)")
-    p.set_defaults(func=cmd_iec_current)
-
-    p = sub.add_parser("fixtures", help="export the embedded data tables")
-    p.add_argument("out_dir", help="destination directory")
-    p.set_defaults(func=cmd_fixtures)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.config:
+            p.add_argument("--config", help="JSON config file; explicit flags win")
+        for o in command.options:
+            if o.positional:
+                # with a config file, the positional may come from there
+                p.add_argument(o.dest, nargs="?" if command.config else None, help=o.help)
+            elif o.kind == "bool":
+                p.add_argument(f"--{o.name}", action="store_true", default=None,
+                               help=o.help)
+            else:
+                metavar = "{" + ",".join(o.choices) + "}" if o.choices else None
+                p.add_argument(f"--{o.name}", metavar=metavar, help=o.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(resolve(args))
     except CapcycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -43,6 +43,9 @@ PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
 MIN_FIT_QUALITY = 0.95
 """Minimum coefficient of determination to use a rest-voltage model in predictions."""
 
+MAX_GRID_CELLS = 1 << 20
+"""Largest ``n * n`` efficiency array :func:`build_grid` evaluates (1024 levels, 8 MB)."""
+
 _BOUNDARY_SCAN_POINTS = 4096
 
 
@@ -180,6 +183,11 @@ def _validate_levels(levels) -> tuple[float, ...]:
     levels = tuple(float(x) for x in levels)
     if len(levels) < 2:
         raise ConfigError("need at least 2 grid levels")
+    if len(levels) ** 2 > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"{len(levels)} grid levels need {len(levels) ** 2:,} cells, more "
+            f"than the {MAX_GRID_CELLS:,} cap"
+        )
     if any(not 0 <= x <= 1 for x in levels):
         raise ConfigError(f"levels must lie in [0, 1], got {levels}")
     if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .effmap import PU_LEVELS, EfficiencyGrid, GridMethod
-from .errors import ConfigError
+from .errors import ConfigError, TraceParseError
 
 DEVICES = ("10F", "50F", "100F")
 
@@ -41,12 +41,32 @@ def load_current_sweep() -> list[tuple[float, float]]:
     return [(float(r[0]), float(r[1]) / 100.0) for r in _read_rows("table1")]
 
 
-def load_rest_voltage_rows() -> list[tuple[float, float, float, float]]:
-    """(vm, vM, v_sd, v_sc) in volts for the 50 F rest-drift measurements."""
-    return [
-        (float(r[1]), float(r[2]), float(r[3]) / 1000.0, float(r[4]) / 1000.0)
-        for r in _read_rows("table3")
-    ]
+def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, ...]]:
+    """(vm, vM, v_sd, v_sc) in volts from a rest-drift CSV shaped like ``table3``.
+
+    ``path`` defaults to the embedded 50 F measurements.  A malformed line
+    raises :class:`~capcycle.errors.TraceParseError` carrying its line number.
+    """
+    text = (data_path("table3") if path is None else Path(path)).read_text("utf-8")
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise TraceParseError(
+                f"expected 5 columns (span_V, vm_V, vM_V, v_sd_mV, v_sc_mV), "
+                f"got {len(parts)}",
+                line_no=line_no,
+            )
+        try:
+            vm, vM = float(parts[1]), float(parts[2])
+            v_sd, v_sc = float(parts[3]) / 1000.0, float(parts[4]) / 1000.0
+        except ValueError as exc:
+            raise TraceParseError(str(exc), line_no=line_no) from exc
+        rows.append((vm, vM, v_sd, v_sc))
+    return rows
 
 
 def measured_grid(device: str, rest: bool = False) -> EfficiencyGrid:

@@ -84,8 +84,9 @@ class CycleSpec:
             raise ConfigError(
                 f"spec.v_min must be < spec.v_max, got {self.v_min} >= {self.v_max}"
             )
-        if self.rest_after_charge < 0 or self.rest_after_discharge < 0:
-            raise ConfigError("spec rest durations must be >= 0")
+        rests = (self.rest_after_charge, self.rest_after_discharge)
+        if not all(0 <= r < float("inf") for r in rests):  # NaN fails too
+            raise ConfigError("spec rest durations must be finite and >= 0")
         if self.max_cycles < 1:
             raise ConfigError(f"spec.max_cycles must be >= 1, got {self.max_cycles}")
         if not 0 < self.steady_tolerance < 1:

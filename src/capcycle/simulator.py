@@ -34,6 +34,9 @@ TERMINATION_EPS = 1e-9
 BRANCH_STEPS_PER_TAU = 50
 """Minimum internal steps per redistribution time constant."""
 
+MAX_SAMPLES = 1 << 24
+"""Sample cap of :func:`run_protocol`, checked before allocating (~320 MB of buffers)."""
+
 _PHASE_SAFETY_FACTOR = 50
 _GUARD_LOW = -0.1
 _GUARD_HIGH = 1.2
@@ -190,6 +193,12 @@ def run_protocol(
         // n_sub
         + 64
     )
+    if est_samples > MAX_SAMPLES:
+        raise ConfigError(
+            f"the run needs about {est_samples:,} samples, more than the "
+            f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
+            "or fewer cycles"
+        )
     out_v = np.empty(int(est_samples * 1.2))
     out_i = np.empty_like(out_v)
 

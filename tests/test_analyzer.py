@@ -210,6 +210,19 @@ class TestEnergyBookkeeping:
             total = m.loss_charge + m.loss_rest + m.loss_discharge
             assert total == pytest.approx(m.e_in - m.e_out, abs=1e-6)
 
+    def test_rest_loss_rule_follows_capacitance_estimate(self, rest_trace, rest_segments):
+        # With a capacitance estimate rest losses are the stored-energy drop;
+        # without one, total loss is split by duration.
+        rests = [s for s in rest_segments[:4] if s.kind in (Phase.REST_HIGH, Phase.REST_LOW)]
+        assert len(rests) == 2
+        stored = cycle_metrics(rest_trace, rest_segments, c_est=10.0)[0]
+        drop = sum(0.5 * 10.0 * (s.v_start**2 - s.v_end**2) for s in rests)
+        assert stored.loss_rest == pytest.approx(drop, abs=1e-12)
+        timed = cycle_metrics(rest_trace, rest_segments)[0]
+        t_rest = sum(s.last_index - s.first_index + 1 for s in rests) * rest_trace.sample_period
+        share = t_rest / (timed.t_charge + timed.t_discharge + t_rest)
+        assert timed.loss_rest == pytest.approx((timed.e_in - timed.e_out) * share)
+
     def test_losses_nonnegative_for_single_branch(self, rest_trace):
         rep = analyze_trace(rest_trace)
         for m in rep.steady.per_cycle:

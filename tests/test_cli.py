@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, determinism, and end-to-end flows."""
 
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capcycle import efficiency_no_rest, preset, read_sidecar_csv
 from capcycle.cli import main
@@ -320,3 +324,205 @@ class TestConfigFile:
             capsys, "simulate", "--config", str(cfg), "--out", "x.csv",
         )
         assert code == 3
+
+
+# Config keys of every command with their kinds; flags are ``--<key>``.
+CONFIG_KEYS = {
+    "simulate": {
+        "device": "str", "ideal": "bool", "current": "float", "vmin": "float",
+        "vmax": "float", "rest": "float", "rest-high": "float",
+        "rest-low": "float", "cycles": "int", "steady-tol": "float",
+        "sample-period": "float", "quantize": "bool", "out": "str",
+    },
+    "analyze": {
+        "trace": "str", "threshold-frac": "float", "min-segment": "float",
+        "steady-tol": "float", "out": "str",
+    },
+    "map": {
+        "device": "str", "ideal": "bool", "current": "float", "method": "str",
+        "fixture": "str", "rest": "float", "levels": "levels",
+        "sim-cycles": "int", "out": "str",
+    },
+    "optimize": {
+        "device": "str", "ideal": "bool", "current": "float",
+        "min-energy": "float", "rest": "bool", "out": "str",
+    },
+    "fit-selfdischarge": {"rows": "str", "out": "str"},
+    "iec-current": {
+        "r": "float", "device": "str", "target": "float", "vmin-pu": "float",
+        "vmax-pu": "float", "v-rated": "float",
+    },
+}
+
+def required_config(command, tmp_path):
+    """Config values that satisfy ``command``'s required options."""
+    return {
+        "simulate": {"out": str(tmp_path / "x.csv")},
+        "analyze": {"trace": str(tmp_path / "x.csv")},
+        "map": {"out": str(tmp_path / "m")},
+        "optimize": {"min-energy": 0.5},
+    }.get(command, {})
+
+
+def write_config(tmp_path, doc, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema_version": 1, **doc}))
+    return str(path)
+
+
+def assert_rejected(code, err, field):
+    assert code == 2, err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert field in err
+    assert "Traceback" not in err
+
+
+class TestOptionTable:
+    def test_keys_and_flags_per_command(self):
+        from capcycle.cli import COMMANDS
+
+        for command, keys in CONFIG_KEYS.items():
+            options = COMMANDS[command].options
+            assert {o.name: o.kind for o in options} == keys
+        assert set(COMMANDS) == {*CONFIG_KEYS, "fixtures"}
+        assert sum(map(len, CONFIG_KEYS.values())) == 41
+
+    @pytest.mark.parametrize("kind, value, expected", [
+        ("float", 2, 2.0),
+        ("float", "1e-3", 1e-3),
+        ("int", "3", 3),
+        ("int", 3.0, 3),
+        ("bool", False, False),
+        ("levels", "0, 0.5,1", (0.0, 0.5, 1.0)),
+        ("levels", [0, "0.5", 1], (0.0, 0.5, 1.0)),
+    ])
+    def test_coercion_accepts(self, kind, value, expected):
+        from capcycle.cli import coerce
+
+        result = coerce(kind, value, "x")
+        assert result == expected and type(result) is type(expected)
+
+    def test_null_falls_back_to_default(self, capsys, tmp_path):
+        nulls = {k: None for k in CONFIG_KEYS["simulate"] if k != "out"}
+        cfg = write_config(tmp_path, {**nulls, "out": str(tmp_path / "a.csv")})
+        assert run(capsys, "simulate", "--config", cfg)[0] == 0
+        assert run(capsys, "simulate", "--out", str(tmp_path / "b.csv"))[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+_DEVICE = {"c_main": 10.0, "r_series": 0.03,
+           "redistribution": {"c_branch": 2.0, "r_branch": 5.0}}
+
+
+# Each input once ended in a raw traceback (exit 1) or was silently misread.
+@pytest.mark.parametrize("argv, config, device, field", [
+    (["simulate", "--out", "x.csv"], {"cycles": "abc"}, None, "cycles"),
+    (["simulate", "--out", "x.csv"], {"device": 5}, None, "device"),
+    (["analyze"], {"trace": 5}, None, "trace"),
+    (["simulate"], {"out": ["a"]}, None, "out"),
+    (["map", "--out", "m"], {"levels": 5}, None, "levels"),
+    (["map", "--out", "m", "--levels", "0,0.5,abc"], None, None, "levels"),
+    (["simulate", "--out", "x.csv"], {"ideal": "false"}, None, "ideal"),
+    (["optimize", "--min-energy", "0.5"], {"rest": "yes"}, None, "rest"),
+    (["simulate", "--out", "x.csv"], {"cycles": 2.5}, None, "cycles"),
+    (["simulate", "--current", "0.4", "--out", "x.csv"], None,
+     {"c_main": "x", "r_series": 0.03}, "c_main"),
+    (["simulate", "--current", "0.4", "--out", "x.csv"], None,
+     {**_DEVICE, "redistribution": {"c_branch": "q", "r_branch": 5.0}}, "c_branch"),
+])
+def test_bad_option_value_exit_2(capsys, tmp_path, monkeypatch, argv, config, device, field):
+    monkeypatch.chdir(tmp_path)
+    argv = list(argv)
+    if config is not None:
+        argv += ["--config", write_config(tmp_path, config)]
+    if device is not None:
+        (tmp_path / "dev.json").write_text(json.dumps(device))
+        argv += ["--device", "dev.json"]
+    code, _, err = run(capsys, *argv)
+    assert_rejected(code, err, field)
+    assert not (tmp_path / "x.csv").exists()
+
+
+_TEXT = st.text(alphabet="xyz ", min_size=1, max_size=4)
+_NOT_NUMBER = st.one_of(
+    st.booleans(), _TEXT, st.lists(st.integers(), max_size=2),
+    st.dictionaries(_TEXT, st.integers(), max_size=2),
+    st.sampled_from([math.inf, -math.inf, math.nan, "nan", "-inf"]),
+)
+_WRONG = {
+    "float": _NOT_NUMBER,
+    "int": st.one_of(
+        _NOT_NUMBER, st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+    ),
+    "bool": st.one_of(st.integers(), st.floats(allow_nan=False), _TEXT,
+                      st.lists(st.booleans(), max_size=2)),
+    "str": st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
+                     st.lists(_TEXT, max_size=2),
+                     st.dictionaries(_TEXT, _TEXT, max_size=2)),
+    "levels": st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
+                        st.dictionaries(_TEXT, st.integers(), max_size=2),
+                        st.lists(st.one_of(st.booleans(), _TEXT), min_size=1,
+                                 max_size=3)),
+}
+_CONFIG_CASES = [(c, k) for c, keys in CONFIG_KEYS.items() for k in keys]
+_DEVICE_FIELDS = ["c_main", "r_series", "v_rated", "r_leak",
+                  "redistribution.c_branch", "redistribution.r_branch"]
+_FUZZ = settings(max_examples=200, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(case=st.sampled_from(_CONFIG_CASES), data=st.data())
+def test_fuzz_wrong_typed_config_value_exit_2(capsys, tmp_path, case, data):
+    command, key = case
+    value = data.draw(_WRONG[CONFIG_KEYS[command][key]], label=key)
+    cfg = write_config(tmp_path, {**required_config(command, tmp_path), key: value})
+    code, _, err = run(capsys, command, "--config", cfg)
+    assert_rejected(code, err, f"{key}:")
+
+
+@_FUZZ
+@given(field=st.sampled_from(_DEVICE_FIELDS), value=_NOT_NUMBER)
+def test_fuzz_wrong_typed_device_field_exit_2(capsys, tmp_path, field, value):
+    doc = json.loads(json.dumps(_DEVICE))
+    parent, _, key = field.rpartition(".")
+    (doc[parent] if parent else doc)[key] = value
+    device = tmp_path / "dev.json"
+    device.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "simulate", "--device", str(device),
+                       "--current", "0.4", "--out", str(tmp_path / "x.csv"))
+    assert_rejected(code, err, f"{key}:")
+
+
+@_FUZZ
+@given(value=st.one_of(st.booleans(), st.integers(), _TEXT,
+                       st.lists(st.integers(), max_size=2)))
+def test_fuzz_wrong_typed_redistribution_exit_2(capsys, tmp_path, value):
+    device = tmp_path / "dev.json"
+    device.write_text(json.dumps({**_DEVICE, "redistribution": value}))
+    code, _, err = run(capsys, "simulate", "--device", str(device),
+                       "--current", "0.4", "--out", str(tmp_path / "x.csv"))
+    assert_rejected(code, err, "redistribution")
+
+
+class TestBudgets:
+    def test_sample_budget_refused_before_allocation(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # Without the preflight check this run asks for ~9 GB of buffers; the
+        # guard turns any such request into a test failure instead.
+        empty = np.empty
+
+        def guarded(shape, *args, **kwargs):
+            assert np.prod(shape) <= 1 << 26, f"tried to allocate {shape}"
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", guarded)
+        code, _, err = run(capsys, "simulate", "--sample-period", "1e-7",
+                           "--out", str(tmp_path / "x.csv"))
+        assert_rejected(code, err, "samples")
+
+    def test_grid_level_budget(self, capsys, tmp_path):
+        levels = ",".join(f"{k / 1024:g}" for k in range(1025))
+        code, _, err = run(capsys, "map", "--levels", levels,
+                           "--out", str(tmp_path / "m"))
+        assert_rejected(code, err, "1025 grid levels")

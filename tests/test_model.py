@@ -294,6 +294,9 @@ class TestValidation:
             CycleSpec(i_c=1.0, v_min=0.5, v_max=2.5, max_cycles=0)
         with pytest.raises(ConfigError):
             CycleSpec(i_c=1.0, v_min=0.5, v_max=2.5, steady_tolerance=1.0)
+        for rest in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="rest durations"):
+                CycleSpec(i_c=1.0, v_min=0.5, v_max=2.5, rest_after_discharge=rest)
 
     def test_window_invariants(self):
         with pytest.raises(ConfigError):
