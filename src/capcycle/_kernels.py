@@ -83,16 +83,14 @@ def run_phase(
     step still writes its sample when one falls due, carrying the active
     current.  ``countdown`` is the number of steps until the next sample.
 
-    Returns ``(v_main, v_branch, steps, out_next, countdown, crossed)``;
-    ``steps == -1`` signals output-capacity exhaustion (caller grows buffers
-    and retries from its saved state).
+    Returns ``(v_main, v_branch, steps, out_next, countdown, crossed)``.
+    The caller sizes ``out_v`` and ``out_i`` for every sample of the phase.
     """
     block = min(TABLE_CAP, max(1, max_steps)) if mode == MODE_FIXED else RAMP_BLOCK
     table = _power_table((a11, a12, a21, a22, b1, b2), block)
     z = np.array([v_main, v_branch, 1.0])
     v_offset = i_applied * r_series
     k = out_start
-    cap = out_v.shape[0]
     steps = 0
     crossed = False
     while steps < max_steps and not crossed:
@@ -107,8 +105,6 @@ def run_phase(
                 crossed = True
         # Samples fall on this block's steps countdown, countdown + n_sub, ...
         sampled = states[countdown - 1 : b : n_sub, 0]
-        if k + sampled.size > cap:
-            return float(z[0]), float(z[1]), -1, k, countdown, False
         out_v[k : k + sampled.size] = sampled + v_offset
         out_i[k : k + sampled.size] = i_applied
         k += sampled.size

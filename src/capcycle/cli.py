@@ -45,7 +45,13 @@ from .model import (
 )
 from .presets import PRESET_NAMES, TEST_CURRENTS, preset
 from .simulator import AcquisitionConfig, run_protocol
-from .trace import read_trace_csv, sidecar_path, write_sidecar_csv, write_trace_csv
+from .trace import (
+    read_trace_csv,
+    read_utf8,
+    sidecar_path,
+    write_sidecar_csv,
+    write_trace_csv,
+)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -123,7 +129,7 @@ def _load_config(path: str | None, allowed: set[str], command: str) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"config {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -186,7 +192,7 @@ _BRANCH_FIELDS = {"c_branch": REQUIRED, "r_branch": REQUIRED}
 def _device_from_json(path: Path) -> DeviceParams:
     where = f"device file {path}"
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -314,7 +320,8 @@ def cmd_map(o: argparse.Namespace) -> int:
 
 
 def cmd_optimize(o: argparse.Namespace) -> int:
-    device = _resolve_device(o.device, o.ideal)
+    # the closed-form objective reads only c_main, r_series and v_rated
+    device = _resolve_device(o.device, ideal=True)
     model = fit_self_discharge(fixtures.load_rest_voltage_rows()) if o.rest else None
     objective = ClosedFormObjective(
         device=device, i_c=_default_current(o), rest_model=model, rest=o.rest
@@ -396,7 +403,6 @@ COMMANDS = {
     )),
     "optimize": Command(cmd_optimize, "best window meeting an energy floor", (
         Option("device", "str", "100F", _DEVICE),
-        Option("ideal", "bool", True),
         Option("current", "float"),
         Option("min-energy", "float", REQUIRED, "required usable-energy fraction in (0, 1]"),
         Option("rest", "bool", False,

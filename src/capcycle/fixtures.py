@@ -18,6 +18,7 @@ import numpy as np
 
 from .effmap import PU_LEVELS, EfficiencyGrid, GridMethod
 from .errors import ConfigError, TraceParseError
+from .trace import read_utf8
 
 DEVICES = ("10F", "50F", "100F")
 
@@ -47,7 +48,7 @@ def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, 
     ``path`` defaults to the embedded 50 F measurements.  A malformed line
     raises :class:`~capcycle.errors.TraceParseError` carrying its line number.
     """
-    text = (data_path("table3") if path is None else Path(path)).read_text("utf-8")
+    text = read_utf8(data_path("table3") if path is None else path)
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -245,8 +245,6 @@ def run_protocol(
             out_i,
             out_next,
         )
-        if steps < 0:  # pragma: no cover - capacity is pre-grown above
-            raise RuntimeError("internal error: sample buffer exhausted")
         global_step += steps
         if mode != MODE_FIXED and not crossed:
             raise DynamicsDiverged(

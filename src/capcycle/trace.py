@@ -9,7 +9,9 @@ boundaries with header ``cycle,phase,t_start_s,t_end_s``.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,22 +78,75 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+WRITE_BLOCK_ROWS = 4096
+"""Rows formatted by one ``%`` operation in :func:`write_trace_csv`."""
+
+_ROW_FORMAT = "%.9g,%.9g,%.9g\n"
+
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     """Write the trace in the canonical CSV format; returns the path."""
     path = Path(path)
-    lines = [TRACE_HEADER]
-    lines.extend(
-        f"{_fmt(t)},{_fmt(v)},{_fmt(i)}"
-        for t, v, i in zip(trace.t, trace.v, trace.i)
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = np.column_stack((trace.t, trace.v, trace.i))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for start in range(0, len(rows), WRITE_BLOCK_ROWS):
+            block = rows[start : start + WRITE_BLOCK_ROWS]
+            fh.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
     return path
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file, line endings untranslated.
+
+    Bytes that are not UTF-8 raise :class:`TraceParseError` naming the path
+    and the line (ended by LF, CRLF or a lone CR) that holds the first of them.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        breaks = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise TraceParseError(
+            f"{path} is not UTF-8 ({exc.reason}: 0x{data[exc.start]:02x})",
+            line_no=breaks + 1,
+        ) from None
+
+
 def read_trace_csv(path: str | Path) -> Trace:
-    """Parse and validate a trace CSV; errors carry the offending line number."""
+    """Parse and validate a trace CSV; errors carry the offending line number.
+
+    A file whose every row holds three finite numbers is parsed by
+    ``np.loadtxt``; anything else goes to the line parser, which decides
+    whether the file is valid and reports where it is not.
+    """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    # np.loadtxt strips these separators around a number; float() refuses them
+    raw = path.read_bytes()
+    if any(sep in raw for sep in _SEPARATORS):
+        return _read_trace_csv_lines(path)
+    del raw  # not held while np.loadtxt parses
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if fh.readline().rstrip("\r\n") != TRACE_HEADER:
+                return _read_trace_csv_lines(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # an unparseable field, or bytes that are not UTF-8
+        return _read_trace_csv_lines(path)
+    if data.shape[1] != 3 or len(data) < 2 or not np.isfinite(data).all():
+        return _read_trace_csv_lines(path)
+    t, v, i = data.T.copy()
+    return _validated(path, t, v, i)
+
+
+def _read_trace_csv_lines(path: Path) -> Trace:
+    """The line-by-line trace parser: slow, but it names the offending line."""
+    with io.StringIO(read_utf8(path), newline="") as fh:
         header = fh.readline().rstrip("\r\n")
         if header != TRACE_HEADER:
             raise TraceParseError(
@@ -121,9 +176,11 @@ def read_trace_csv(path: str | Path) -> Trace:
             i_list.append(i)
     if len(t_list) < 2:
         raise TraceParseError("trace needs at least 2 samples")
-    t_arr = np.array(t_list)
-    period = float(t_arr[1] - t_arr[0])
-    trace = Trace(t=t_arr, v=np.array(v_list), i=np.array(i_list), sample_period=period)
+    return _validated(path, np.array(t_list), np.array(v_list), np.array(i_list))
+
+
+def _validated(path: Path, t: np.ndarray, v: np.ndarray, i: np.ndarray) -> Trace:
+    trace = Trace(t=t, v=v, i=i, sample_period=float(t[1] - t[0]))
     trace.validate()
     trace.meta["source"] = str(path)
     return trace
@@ -147,7 +204,7 @@ def write_sidecar_csv(boundaries: list[CycleBoundary], path: str | Path) -> Path
 def read_sidecar_csv(path: str | Path) -> list[CycleBoundary]:
     path = Path(path)
     out: list[CycleBoundary] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_utf8(path), newline="") as fh:
         header = fh.readline().rstrip("\r\n")
         if header != SIDECAR_HEADER:
             raise TraceParseError(

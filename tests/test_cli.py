@@ -222,6 +222,16 @@ class TestOptimize:
         assert doc["rest"] is True
         assert doc["energy_fraction"] >= 0.5 - 1e-12
 
+    def test_ideal_is_not_an_option(self, capsys, tmp_path):
+        # ideal changed nothing: the objective reads c_main, r_series, v_rated
+        cfg = write_config(tmp_path, {"ideal": False, "min-energy": 0.5})
+        code, _, err = run(capsys, "optimize", "--config", cfg)
+        assert code == 2
+        assert "unknown keys for optimize: ['ideal']" in err
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "optimize", "--min-energy", "0.5", "--ideal")
+        assert exc.value.code == 2
+
 
 class TestFitSelfDischarge:
     def test_embedded_fit(self, capsys):
@@ -344,8 +354,8 @@ CONFIG_KEYS = {
         "sim-cycles": "int", "out": "str",
     },
     "optimize": {
-        "device": "str", "ideal": "bool", "current": "float",
-        "min-energy": "float", "rest": "bool", "out": "str",
+        "device": "str", "current": "float", "min-energy": "float",
+        "rest": "bool", "out": "str",
     },
     "fit-selfdischarge": {"rows": "str", "out": "str"},
     "iec-current": {
@@ -385,7 +395,7 @@ class TestOptionTable:
             options = COMMANDS[command].options
             assert {o.name: o.kind for o in options} == keys
         assert set(COMMANDS) == {*CONFIG_KEYS, "fixtures"}
-        assert sum(map(len, CONFIG_KEYS.values())) == 41
+        assert sum(map(len, CONFIG_KEYS.values())) == 40
 
     @pytest.mark.parametrize("kind, value, expected", [
         ("float", 2, 2.0),
@@ -526,3 +536,46 @@ class TestBudgets:
         code, _, err = run(capsys, "map", "--levels", levels,
                            "--out", str(tmp_path / "m"))
         assert_rejected(code, err, "1025 grid levels")
+
+
+# Each file kind once ended in a raw UnicodeDecodeError traceback (exit 1).
+_UTF8_FILES = {
+    "trace": "t_s,v_V,i_A\n0.1,0.5,0.4\n0.2,0.6,0.4\n",
+    "config": '{\n"schema_version": 1,\n"cycles": 1\n}\n',
+    "device": '{\n"c_main": 10.0,\n"r_series": 0.03\n}\n',
+    "rows": "# span_V, vm_V, vM_V, v_sd_mV, v_sc_mV\n0.27,2.43,2.70,21,14\n",
+}
+
+
+def _argv(kind, path, tmp_path):
+    out = str(tmp_path / "x.csv")
+    return {
+        "trace": ["analyze", path],
+        "config": ["simulate", "--config", path, "--out", out],
+        "device": ["simulate", "--device", path, "--current", "0.4", "--out", out],
+        "rows": ["fit-selfdischarge", "--rows", path],
+    }[kind]
+
+
+@settings(_FUZZ, max_examples=80)
+@given(kind=st.sampled_from(sorted(_UTF8_FILES)), data=st.data(),
+       bad=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"]))
+def test_fuzz_non_utf8_file_exit_3(capsys, tmp_path, kind, data, bad):
+    content = _UTF8_FILES[kind].encode()
+    at = data.draw(st.integers(0, len(content)), label="at")
+    path = tmp_path / f"{kind}.in"
+    path.write_bytes(content[:at] + bad + content[at:])
+    code, _, err = run(capsys, *_argv(kind, str(path), tmp_path))
+    line_no = content[:at].count(b"\n") + 1
+    assert code == 3, err
+    assert err.startswith(f"error: line {line_no}: {path} is not UTF-8 (")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_sidecar_names_path(tmp_path):
+    from capcycle.errors import TraceParseError
+
+    path = tmp_path / "run.cycles.csv"
+    path.write_bytes(b"cycle,phase,t_start_s,t_end_s\n1,charge\xff,0,1\n")
+    with pytest.raises(TraceParseError, match=f"line 2: {path} is not UTF-8"):
+        read_sidecar_csv(path)

@@ -1,0 +1,244 @@
+"""Trace CSV I/O: the loadtxt reader against the line parser, the block writer
+against the per-value writer it replaced, and the round trip."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from capcycle.cli import main
+from capcycle.errors import TraceParseError
+from capcycle.trace import (
+    TRACE_HEADER,
+    WRITE_BLOCK_ROWS,
+    Trace,
+    _read_trace_csv_lines,
+    read_trace_csv,
+    write_trace_csv,
+)
+
+_SETTINGS = settings(max_examples=150, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# ---------------------------------------------------------------------------
+# Reader: well-formed files and their mutations
+
+# Tokens that float() and np.loadtxt may read differently, or not at all.
+_ODD_FIELDS = [
+    "", " ", "nan", "inf", "-Infinity", "1e400", "1_0", "１", "١",
+    "\x00", '"1"', "#1", "0x1p3", " 0.5", "\t2", "+1", ".5", "2e0", "1 ",
+    "3\x0c", "3\x1c", "3\x85", "3 ", "1;2", "--1", "1e", "٫5",
+]
+# Characters for drawn fields; a fixed alphabet keeps generation fast.
+_FIELD_CHARS = "0123456789.eE+-_ ,;\t\r\n#\"'xnaif\x00\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028１١٫"
+_ODD_LINES = ["", " ", "\t", "#", "# comment", '"1","2","3"', "1,2,3,", ",,", "\x00"]
+_BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf", b"\xef\xbb\xbf"]
+
+
+@st.composite
+def trace_files(draw) -> bytes:
+    """A well-formed trace CSV, often mutated into a malformed one."""
+    n = draw(st.integers(0, 8))
+    period = draw(st.sampled_from([0.1, 0.5, 1.0, 0.02]))
+    current = draw(st.sampled_from([0.4, 2.0]))
+    rows = [
+        [
+            f"{k * period:.9g}",
+            f"{draw(st.floats(0.0, 2.7)):.9g}",
+            f"{current * draw(st.sampled_from([1, 0, -1])):.9g}",
+        ]
+        for k in range(1, n + 1)
+    ]
+    lines = [TRACE_HEADER] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(
+            ["field", "count", "column", "time", "swap", "line", "truncate"]))
+        if kind == "truncate":
+            lines = lines[: draw(st.integers(1, 3))]
+            continue
+        if kind == "line":
+            at = draw(st.integers(1, len(lines)))
+            lines.insert(at, draw(st.sampled_from(_ODD_LINES)))
+            continue
+        if kind == "column":  # every row one field short, or one too many
+            extra = draw(st.sampled_from(["", ",1"]))
+            lines[1:] = [line.rpartition(",")[0] if not extra else line + extra
+                         for line in lines[1:]]
+            continue
+        if len(lines) < 2:
+            continue
+        r = draw(st.integers(1, len(lines) - 1))
+        fields = lines[r].split(",")
+        if kind == "field":
+            c = draw(st.integers(0, len(fields) - 1))
+            fields[c] = draw(st.one_of(st.sampled_from(_ODD_FIELDS),
+                                       st.text(_FIELD_CHARS, max_size=3)))
+        elif kind == "count":
+            if draw(st.booleans()) and len(fields) > 1:
+                fields.pop()
+            else:
+                fields.append(draw(st.sampled_from(["", "1"])))
+        elif kind == "time":
+            fields[0] = f"{draw(st.floats(-1.0, 1.0)):.9g}"
+        else:
+            s = draw(st.integers(1, len(lines) - 1))
+            lines[r], lines[s] = lines[s], lines[r]
+            continue
+        lines[r] = ",".join(fields)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    content = text.encode("utf-8", "surrogatepass")
+    if draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(st.sampled_from(_BAD_BYTES)) + content[at:]
+    return content
+
+
+def _outcome(reader, path):
+    try:
+        trace = reader(path)
+    except TraceParseError as exc:
+        return "error", str(exc), exc.line_no
+    assert all(a.flags.c_contiguous for a in (trace.t, trace.v, trace.i))
+    return ("trace", trace.t.tobytes(), trace.v.tobytes(), trace.i.tobytes(),
+            trace.sample_period, trace.meta)
+
+
+_PINNED = [
+    # np.loadtxt refuses these, so the line parser decides
+    b"t_s,v_V,i_A\n1_0,1,2\n20,1,2\n",
+    "t_s,v_V,i_A\n１,1,2\n2,1,2\n".encode(),
+    b"t_s,v_V,i_A\n1,1,2\n   \n2,1,2\n",
+    b"t_s,v_V,i_A\n1,1,2,\n2,1,2,\n",
+    b"t_s,v_V,i_A\n1,1,2\n#\n2,1,2\n",
+    b't_s,v_V,i_A\n"1",1,2\n"2",1,2\n',
+    b"t_s,v_V,i_A\n1,\x00,2\n2,1,2\n",
+    b"t_s,v_V,i_A\n1,1,2\n",
+    b"t_s,v_V,i_A\n1,1\n2,1\n",
+    b"t_s,v_V,i_A\n1,1,2,3\n2,1,2,3\n",
+    # np.loadtxt takes these, float() does not
+    b"t_s,v_V,i_A\n1\x1c,1,2\n2,1,2\n",
+    b"t_s,v_V,i_A\n1,\x1f1,2\n2,1,2\n",
+    # both read these
+    b"t_s,v_V,i_A\n 1, 1,2\n 2,1, 2\n",
+    b"t_s,v_V,i_A\n\t1,1,2\n2\t,1,2\n",
+    b"t_s,v_V,i_A\n+1,.5,2e0\n2,+.5,-2e0\n",
+    b"t_s,v_V,i_A\r\n1,1,2\r\n2,1,2\r\n",
+    b"t_s,v_V,i_A\r1,1,2\r2,1,2\r",
+    # neither
+    b"t_s,v_V,i_A\n\xff,1,2\n",
+    b"\xef\xbb\xbft_s,v_V,i_A\n1,1,2\n2,1,2\n",
+    b"t_s,v_V,i_A\n1,nan,2\n2,1,2\n",
+    b"t_s,v_V,i_A\n2,1,2\n1,1,2\n",
+    b"t_s,v_V,i_A\n",
+]
+
+
+def _pin(examples):
+    def deco(fn):
+        for content in examples:
+            fn = example(content=content)(fn)
+        return fn
+    return deco
+
+
+@_SETTINGS
+@_pin(_PINNED)
+@given(content=trace_files())
+def test_fast_reader_agrees_with_line_parser(capsys, tmp_path, content):
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    fast = _outcome(read_trace_csv, path)
+    assert fast == _outcome(_read_trace_csv_lines, path)
+
+    code = main(["analyze", str(path), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 3, 4) and "Traceback" not in err, err
+    if fast[0] == "error":
+        assert (code, err) == (3, f"error: {fast[1]}\n")
+
+
+def test_non_utf8_error_names_line_and_path(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t_s,v_V,i_A\r\n1,1,2\r2,1,2\n3,\xe2\x82,2\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_trace_csv(path)
+    assert exc.value.line_no == 4
+    assert str(exc.value) == f"line 4: {path} is not UTF-8 (invalid continuation byte: 0xe2)"
+
+
+# ---------------------------------------------------------------------------
+# Writer: byte identity with the per-value writer, and the round trip
+
+
+def _write_per_value(trace: Trace, path) -> None:
+    """The writer the block writer replaced, kept as its oracle."""
+    lines = [TRACE_HEADER]
+    lines.extend(
+        f"{t:.9g},{v:.9g},{i:.9g}" for t, v, i in zip(trace.t, trace.v, trace.i)
+    )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+            1e-300, -1e-300, 1.0, -7.0, 123456789.0, 1234567891.0, 2.0**53, 1e16,
+            0.1, 2.7, float("nan"), float("inf"), -float("inf")]
+_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_ROW_COUNTS = st.one_of(
+    st.sampled_from([0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
+                     WRITE_BLOCK_ROWS + 1, 2 * WRITE_BLOCK_ROWS + 1]),
+    st.integers(1, 40),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_block_writer_matches_per_value_writer(tmp_path, data):
+    n = data.draw(_ROW_COUNTS, label="rows")
+    columns = data.draw(arrays(np.float64, (3, n), elements=_VALUES))
+    trace = Trace(t=columns[0], v=columns[1], i=columns[2], sample_period=0.1)
+    write_trace_csv(trace, tmp_path / "block.csv")
+    _write_per_value(trace, tmp_path / "oracle.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
+                               WRITE_BLOCK_ROWS + 1])
+def test_block_edges(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+    trace = Trace(t=columns[0], v=columns[1], i=columns[2], sample_period=0.1)
+    write_trace_csv(trace, tmp_path / "block.csv")
+    _write_per_value(trace, tmp_path / "oracle.csv")
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert written.count(b"\n") == n + 1
+
+
+_FINITE = st.one_of(
+    st.sampled_from([v for v in _SPECIAL if np.isfinite(v)] + [np.finfo(float).max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(2, 60),
+    period=st.sampled_from([0.02, 0.1, 0.25, 1.0, 3.7]),
+    data=st.data(),
+)
+def test_round_trip(tmp_path, n, period, data):
+    v = data.draw(arrays(np.float64, n, elements=_FINITE), label="v")
+    i = data.draw(arrays(np.float64, n, elements=_FINITE), label="i")
+    trace = Trace(t=np.arange(1, n + 1) * period, v=v, i=i, sample_period=period)
+    first = write_trace_csv(trace, tmp_path / "a.csv")
+    back = read_trace_csv(first)
+    for read, wrote in ((back.t, trace.t), (back.v, v), (back.i, i)):
+        expected = np.array([float(f"{x:.9g}") for x in wrote.tolist()])
+        assert read.tobytes() == expected.tobytes()
+    second = write_trace_csv(back, tmp_path / "b.csv")
+    assert second.read_bytes() == first.read_bytes()
