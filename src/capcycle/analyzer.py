@@ -281,44 +281,30 @@ class _Cycle:
 
 
 def _group_cycles(segments: list[Segment]) -> tuple[list[_Cycle], list[str]]:
+    """Complete cycles (those with a discharge) and warnings for what was dropped."""
     cycles: list[_Cycle] = []
-    warnings: list[str] = []
-    current: _Cycle | None = None
     leading = 0
     for seg in segments:
         if seg.kind is Phase.CHARGE:
-            if current is not None:
-                if current.discharge is None:
-                    warnings.append(
-                        f"cycle starting at t={current.charge.t_start:g}s has no "
-                        "discharge phase; excluded"
-                    )
-                else:
-                    cycles.append(current)
-            current = _Cycle(charge=seg)
-        elif current is None:
+            cycles.append(_Cycle(charge=seg))
+        elif not cycles:
             leading += 1
         elif seg.kind is Phase.REST_HIGH:
-            current.rest_high = seg
+            cycles[-1].rest_high = seg
         elif seg.kind is Phase.DISCHARGE:
-            current.discharge = seg
+            cycles[-1].discharge = seg
         elif seg.kind is Phase.REST_LOW:
-            current.rest_low = seg
-    if current is not None:
-        if current.discharge is None:
-            warnings.append(
-                f"cycle starting at t={current.charge.t_start:g}s has no "
-                "discharge phase; excluded"
-            )
-        else:
-            cycles.append(current)
+            cycles[-1].rest_low = seg
+    warnings = [
+        f"cycle starting at t={c.charge.t_start:g}s has no discharge phase; excluded"
+        for c in cycles
+        if c.discharge is None
+    ]
     if leading:
         warnings.append(
             f"{leading} segment(s) before the first charge phase ignored"
         )
-    for w in warnings:
-        logger.warning(w)
-    return cycles, warnings
+    return [c for c in cycles if c.discharge is not None], warnings
 
 
 def cycle_metrics(
@@ -528,6 +514,8 @@ def analyze_trace(
     trace.validate()
     segs = segment(trace, i_threshold_frac, min_segment)
     grouped, warnings = _group_cycles(segs)
+    for w in warnings:
+        logger.warning(w)
     if not grouped:
         raise NoCyclesFound("no complete charge-discharge cycle in the trace")
 

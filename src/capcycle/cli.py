@@ -151,19 +151,21 @@ def _load_config(path: str | None, allowed: set[str], command: str) -> dict:
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Typed values of every option: the flag, else the config, else the default.
 
-    A config value of ``null`` counts as not given.
+    A config value of ``null`` counts as not given.  ``given`` holds the names
+    of the options that came from the flags or the config.
     """
     command = COMMANDS[args.command]
     path = getattr(args, "config", None)
     config = _load_config(path, {o.name for o in command.options}, args.command)
-    resolved = argparse.Namespace()
+    resolved = argparse.Namespace(given=set())
     for o in command.options:
         flag = o.name if o.positional else f"--{o.name}"
-        value = getattr(args, o.dest)
+        value, where = getattr(args, o.dest), flag
+        if value is None:
+            value, where = config.get(o.name), f"config {path}: {o.name}"
         if value is not None:
-            value = coerce(o.kind, value, flag, o.choices)
-        elif config.get(o.name) is not None:
-            value = coerce(o.kind, config[o.name], f"config {path}: {o.name}", o.choices)
+            value = coerce(o.kind, value, where, o.choices)
+            resolved.given.add(o.name)
         elif o.default is REQUIRED:
             raise ConfigError(f"{args.command}: {flag} is required")
         else:
@@ -292,8 +294,18 @@ def cmd_analyze(o: argparse.Namespace) -> int:
 _METHODS = {"closedform": GridMethod.CLOSED_FORM, "simulated": GridMethod.SIMULATED}
 
 
+def _refuse_ignored(o: argparse.Namespace, names: tuple[str, ...], by: str) -> None:
+    ignored = [f"--{name}" for name in names if name in o.given]
+    if ignored:
+        raise ConfigError(f"map: {by} ignores {', '.join(ignored)}; leave it out")
+
+
 def cmd_map(o: argparse.Namespace) -> int:
     if o.fixture is not None:
+        _refuse_ignored(
+            o, ("levels", "method", "rest", "ideal", "current", "sim-cycles"),
+            "--fixture (a measured grid)",
+        )
         if o.device not in fixtures.DEVICES:
             raise ConfigError(
                 f"map: fixture grids need a preset device name, got {o.device!r}"
@@ -301,16 +313,25 @@ def cmd_map(o: argparse.Namespace) -> int:
         grid = fixtures.measured_grid(o.device, rest=o.fixture == "table4")
     else:
         device = _resolve_device(o.device, o.ideal)
-        rest = None
-        if o.rest is not None:
-            model = fit_self_discharge(fixtures.load_rest_voltage_rows())
-            rest = RestPlan(duration=o.rest, model=model)
+        method = _METHODS[o.method]
+        model = None
+        if method is GridMethod.CLOSED_FORM:
+            _refuse_ignored(o, ("sim-cycles",), "the closed-form method")
+            if o.rest is not None:
+                if o.rest != fixtures.REST_DURATION_S:
+                    raise ConfigError(
+                        f"map: the closed-form rest model is fitted to "
+                        f"{fixtures.REST_DURATION_S:g}-s rests, got --rest {o.rest:g}; "
+                        "use --method simulated for other durations"
+                    )
+                model = fit_self_discharge(fixtures.load_rest_voltage_rows())
+        rest = None if o.rest is None else RestPlan(duration=o.rest, model=model)
         grid = build_grid(
             device,
             _default_current(o),
             levels=o.levels,
             rest=rest,
-            method=_METHODS[o.method],
+            method=method,
             sim_cycles=o.sim_cycles,
         )
     csv_path, svg_path = render_map(grid, o.out)
@@ -324,7 +345,7 @@ def cmd_optimize(o: argparse.Namespace) -> int:
     device = _resolve_device(o.device, ideal=True)
     model = fit_self_discharge(fixtures.load_rest_voltage_rows()) if o.rest else None
     objective = ClosedFormObjective(
-        device=device, i_c=_default_current(o), rest_model=model, rest=o.rest
+        device=device, i_c=_default_current(o), rest_model=model
     )
     doc = optimize_window(objective, o.min_energy).to_dict()
     doc["rest"] = o.rest

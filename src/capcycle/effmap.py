@@ -33,7 +33,6 @@ from .model import (
     charge_duration,
     efficiency_no_rest,
     efficiency_with_rest,
-    usable_energy_fraction,
 )
 from .simulator import AcquisitionConfig, run_protocol
 
@@ -59,9 +58,9 @@ class GridMethod(Enum):
 class SelfDischargeModel:
     """Linear rest-voltage model: v in mV against the window span in volts.
 
-    ``slope_*`` are mV per volt of span, ``intercept_*`` mV; ``fit_quality``
-    is the smaller of the two per-response coefficients of determination.
-    Predictions are clamped at zero.
+    ``slope_*`` are mV per volt of span, ``intercept_*`` mV, ``fit_quality_*``
+    the per-response coefficients of determination.  Predictions are clamped
+    at zero.
     """
 
     slope_sd: float
@@ -70,7 +69,6 @@ class SelfDischargeModel:
     intercept_sc: float
     fit_quality_sd: float
     fit_quality_sc: float
-    fit_quality: float
     n_rows: int
 
     def __post_init__(self) -> None:
@@ -79,6 +77,11 @@ class SelfDischargeModel:
                 "fitted rest-voltage slopes are negative; the linear-in-span "
                 "model does not describe this data"
             )
+
+    @property
+    def fit_quality(self) -> float:
+        """The smaller of the two coefficients of determination."""
+        return min(self.fit_quality_sd, self.fit_quality_sc)
 
     def predict(self, dv: float) -> RestVoltages:
         """Rest voltages (volts) for a window span ``dv`` volts."""
@@ -139,7 +142,6 @@ def fit_self_discharge(rows) -> SelfDischargeModel:
         intercept_sc=icpt_sc,
         fit_quality_sd=r2_sd,
         fit_quality_sc=r2_sc,
-        fit_quality=min(r2_sd, r2_sc),
         n_rows=int(data.shape[0]),
     )
 
@@ -160,11 +162,11 @@ class RestPlan:
 class EfficiencyGrid:
     """Efficiency over a per-unit (vm, vM) grid; NaN marks undefined cells.
 
-    ``eta`` has one row per vM level and one column per vm level.
+    ``eta`` has one row per vM level and one column per vm level; both axes
+    take the same ``levels``.
     """
 
-    vm_levels: tuple[float, ...]
-    vM_levels: tuple[float, ...]
+    levels: tuple[float, ...]
     eta: np.ndarray
     method: GridMethod
     rest: bool
@@ -174,9 +176,7 @@ class EfficiencyGrid:
 
     def value(self, vm: float, vM: float) -> float:
         """Grid efficiency at exact levels (NaN if the cell is undefined)."""
-        j = self.vm_levels.index(vm)
-        r = self.vM_levels.index(vM)
-        return float(self.eta[r, j])
+        return float(self.eta[self.levels.index(vM), self.levels.index(vm)])
 
 
 def _validate_levels(levels) -> tuple[float, ...]:
@@ -195,6 +195,36 @@ def _validate_levels(levels) -> tuple[float, ...]:
     return levels
 
 
+@dataclass(frozen=True)
+class ClosedFormObjective:
+    """Closed-form efficiency of per-unit windows, with rests when a model is given.
+
+    ``rest_model`` supplies each window's rest voltages at its span; a model
+    whose fit quality is below :data:`MIN_FIT_QUALITY` is refused.
+    """
+
+    device: DeviceParams
+    i_c: float
+    rest_model: SelfDischargeModel | None = None
+
+    def __post_init__(self) -> None:
+        m = self.rest_model
+        if m is not None and m.fit_quality < MIN_FIT_QUALITY:
+            raise ConfigError(
+                f"rest-voltage model fit quality {m.fit_quality:.4f} is "
+                f"below the {MIN_FIT_QUALITY} gate; use the simulated method instead"
+            )
+
+    def eta(self, vm_pu: float, vM_pu: float) -> float:
+        """Efficiency at a per-unit window; raises for infeasible windows."""
+        v_rated = self.device.v_rated
+        s = CycleSpec(i_c=self.i_c, v_min=vm_pu * v_rated, v_max=vM_pu * v_rated)
+        if self.rest_model is None:
+            return efficiency_no_rest(self.device, s)
+        rv = self.rest_model.predict((vM_pu - vm_pu) * v_rated)
+        return efficiency_with_rest(self.device, s, rv)
+
+
 def build_grid(
     p: DeviceParams,
     i_c: float,
@@ -206,9 +236,9 @@ def build_grid(
 ) -> EfficiencyGrid:
     """Evaluate efficiency for every level pair ``vm < vM``.
 
-    Closed-form cells use the algebraic expressions (with rest voltages from
-    ``rest.model`` at the cell's span, gated on its fit quality); simulated
-    cells run the full protocol and take the steady-window mean efficiency.
+    Closed-form cells are :meth:`ClosedFormObjective.eta` (with rest voltages
+    from ``rest.model``); simulated cells run the full protocol, with
+    ``rest.duration`` rests, and take the steady-window mean efficiency.
     Infeasible windows (narrower than the resistive drops, or with rest losses
     exceeding delivery) are marked undefined, not errors.
     """
@@ -217,36 +247,29 @@ def build_grid(
         raise ConfigError(
             "measured grids are built from the embedded data files, not evaluated"
         )
-    if method is GridMethod.CLOSED_FORM and rest is not None:
-        if rest.model is None:
+    if method is GridMethod.CLOSED_FORM:
+        if rest is not None and rest.model is None:
             raise ConfigError("closed-form rest grids need a rest-voltage model")
-        if rest.model.fit_quality < MIN_FIT_QUALITY:
-            raise ConfigError(
-                f"rest-voltage model fit quality {rest.model.fit_quality:.4f} is "
-                f"below the {MIN_FIT_QUALITY} gate; use the simulated method instead"
-            )
+        objective = ClosedFormObjective(p, i_c, rest.model if rest else None)
+    rest_s = rest.duration if rest else 0.0
     n = len(levels)
     eta = np.full((n, n), np.nan)
     for r, vM in enumerate(levels):
         for j, vm in enumerate(levels):
             if vm >= vM:
                 continue
-            s = CycleSpec(
-                i_c=i_c,
-                v_min=vm * p.v_rated,
-                v_max=vM * p.v_rated,
-                rest_after_charge=rest.duration if rest else 0.0,
-                rest_after_discharge=rest.duration if rest else 0.0,
-                max_cycles=sim_cycles,
-            )
             try:
                 if method is GridMethod.CLOSED_FORM:
-                    if rest is None:
-                        value = efficiency_no_rest(p, s)
-                    else:
-                        rv = rest.model.predict((vM - vm) * p.v_rated)
-                        value = efficiency_with_rest(p, s, rv)
+                    value = objective.eta(vm, vM)
                 else:
+                    s = CycleSpec(
+                        i_c=i_c,
+                        v_min=vm * p.v_rated,
+                        v_max=vM * p.v_rated,
+                        rest_after_charge=rest_s,
+                        rest_after_discharge=rest_s,
+                        max_cycles=sim_cycles,
+                    )
                     trace = run_protocol(p, s, acq)
                     # A narrow window's ramps can be shorter than the default
                     # 1-s glitch filter, which would merge them away.
@@ -264,11 +287,7 @@ def build_grid(
                 )
             eta[r, j] = value
     return EfficiencyGrid(
-        vm_levels=levels,
-        vM_levels=levels,
-        eta=eta,
-        method=method,
-        rest=rest is not None,
+        levels=levels, eta=eta, method=method, rest=rest is not None
     )
 
 
@@ -289,28 +308,31 @@ class OperatingPoint:
         }
 
 
-@dataclass(frozen=True)
-class ClosedFormObjective:
-    """Continuous efficiency objective for the window optimizer."""
+def _boundary_windows(
+    objective: ClosedFormObjective, f: float
+) -> list[tuple[float, float, float]]:
+    """``(vm, vM, eta)`` of the feasible windows on the boundary ``vM² − vm² = f``.
 
-    device: DeviceParams
-    i_c: float
-    rest_model: SelfDischargeModel | None = None
-    rest: bool = False
-
-    def eta(self, vm_pu: float, vM_pu: float) -> float:
-        """Efficiency at a per-unit window; raises for infeasible windows."""
-        s = CycleSpec(
-            i_c=self.i_c,
-            v_min=vm_pu * self.device.v_rated,
-            v_max=vM_pu * self.device.v_rated,
-        )
-        if self.rest:
-            if self.rest_model is None:
-                raise ConfigError("rest objective needs a rest-voltage model")
-            rv = self.rest_model.predict((vM_pu - vm_pu) * self.device.v_rated)
-            return efficiency_with_rest(self.device, s, rv)
-        return efficiency_no_rest(self.device, s)
+    Without rest the analytic point ``vM = 1`` is the optimum whenever it is
+    feasible; otherwise a dense scan of the boundary stands in.
+    """
+    if objective.rest_model is None:
+        vm = math.sqrt(max(0.0, 1.0 - f))
+        try:
+            return [(vm, 1.0, objective.eta(vm, 1.0))]
+        except WindowTooNarrow:
+            pass  # analytic point infeasible for this current; scan the boundary
+    windows = []
+    for vM in np.linspace(math.sqrt(f), 1.0, _BOUNDARY_SCAN_POINTS):
+        vM = float(vM)
+        vm = math.sqrt(max(0.0, vM * vM - f))
+        if vm >= vM:
+            continue
+        try:
+            windows.append((vm, vM, objective.eta(vm, vM)))
+        except (WindowTooNarrow, LossesExceedDelivery):
+            continue
+    return windows
 
 
 def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
@@ -334,68 +356,35 @@ def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
         raise ConfigError(f"energy_fraction_min must lie in (0, 1], got {f}")
 
     if isinstance(target, EfficiencyGrid):
-        best = None
-        for r, vM in enumerate(target.vM_levels):
-            for j, vm in enumerate(target.vm_levels):
-                value = target.eta[r, j]
-                if np.isnan(value):
-                    continue
-                frac = vM * vM - vm * vm
-                if frac < f - 1e-12:
-                    continue
-                key = (value, frac, vm)
-                if best is None or key > best[0]:
-                    best = (key, vm, vM, float(value), frac)
-        if best is None:
-            raise InfeasibleEnergyRequirement(
-                f"no defined grid cell reaches energy fraction {f}"
-            )
-        _, vm, vM, value, frac = best
-        return OperatingPoint(
-            window=OperatingWindow(vm_pu=vm, vM_pu=vM),
-            eta=value,
-            energy_fraction=frac,
+        levels = target.levels
+        candidates = [
+            (levels[j], levels[r], float(target.eta[r, j]))
+            for r, j in zip(*np.nonzero(target.defined_mask()))
+        ]
+        none_found = f"no defined grid cell reaches energy fraction {f}"
+    elif isinstance(target, ClosedFormObjective):
+        candidates = _boundary_windows(target, f)
+        none_found = (
+            f"no window on the energy-fraction boundary {f} is feasible "
+            "for this device and current"
         )
-
-    if not isinstance(target, ClosedFormObjective):
+    else:
         raise ConfigError(
             f"optimize_window target must be EfficiencyGrid or ClosedFormObjective, "
             f"got {type(target).__name__}"
         )
 
-    if not target.rest:
-        vm = math.sqrt(max(0.0, 1.0 - f))
-        try:
-            value = target.eta(vm, 1.0)
-            return OperatingPoint(
-                window=OperatingWindow(vm_pu=vm, vM_pu=1.0),
-                eta=value,
-                energy_fraction=1.0 - vm * vm,
-            )
-        except WindowTooNarrow:
-            pass  # analytic point infeasible for this current; scan the boundary
-
     best = None
-    vM_lo = math.sqrt(f)
-    for vM in np.linspace(vM_lo, 1.0, _BOUNDARY_SCAN_POINTS):
-        vM = float(vM)
-        vm = math.sqrt(max(0.0, vM * vM - f))
-        if vm >= vM:
-            continue
-        try:
-            value = target.eta(vm, vM)
-        except (WindowTooNarrow, LossesExceedDelivery):
-            continue
+    for vm, vM, value in candidates:
         frac = vM * vM - vm * vm
+        if frac < f - 1e-12:
+            continue
         key = (value, frac, vm)
         if best is None or key > best[0]:
-            best = (key, vm, vM, value, frac)
+            best = (key, vM)
     if best is None:
-        raise InfeasibleEnergyRequirement(
-            f"no window on the energy-fraction boundary {f} is feasible "
-            "for this device and current"
-        )
-    _, vm, vM, value, frac = best
+        raise InfeasibleEnergyRequirement(none_found)
+    (value, frac, vm), vM = best
     return OperatingPoint(
         window=OperatingWindow(vm_pu=vm, vM_pu=vM),
         eta=value,
@@ -449,11 +438,11 @@ def render_map(grid: EfficiencyGrid, out: str | Path) -> tuple[Path, Path]:
     csv_path = out.with_suffix(".csv")
     svg_path = out.with_suffix(".svg")
 
-    lines = ["vmpu\\vMpu," + ",".join(_fmt_level(v) for v in grid.vm_levels)]
-    for r, vM in enumerate(grid.vM_levels):
+    lines = ["vmpu\\vMpu," + ",".join(_fmt_level(v) for v in grid.levels)]
+    for r, vM in enumerate(grid.levels):
         cells = [
             _fmt_pct(grid.eta[r, j]) if defined[r, j] else ""
-            for j in range(len(grid.vm_levels))
+            for j in range(len(grid.levels))
         ]
         lines.append(_fmt_level(vM) + "," + ",".join(cells))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -465,7 +454,7 @@ def render_map(grid: EfficiencyGrid, out: str | Path) -> tuple[Path, Path]:
 def _render_svg(grid: EfficiencyGrid, defined: np.ndarray) -> str:
     cw, ch = 66, 44
     left, top = 78, 46
-    ncols, nrows = len(grid.vm_levels), len(grid.vM_levels)
+    ncols = nrows = len(grid.levels)
     legend_w = 130
     width = left + ncols * cw + legend_w + 20
     height = top + nrows * ch + 64
@@ -503,13 +492,13 @@ def _render_svg(grid: EfficiencyGrid, defined: np.ndarray) -> str:
                     f'<rect x="{x}" y="{y}" width="{cw}" height="{ch}" '
                     f'fill="#f2f2f2" stroke="#ffffff"/>'
                 )
-    for j, vm in enumerate(grid.vm_levels):
+    for j, vm in enumerate(grid.levels):
         parts.append(
             f'<text x="{left + j * cw + cw // 2}" y="{top + nrows * ch + 20}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle" '
             f'fill="#000000">{_fmt_level(vm)}</text>'
         )
-    for r, vM in enumerate(grid.vM_levels):
+    for r, vM in enumerate(grid.levels):
         y = top + (nrows - 1 - r) * ch + ch // 2 + 4
         parts.append(
             f'<text x="{left - 10}" y="{y}" font-family="sans-serif" '

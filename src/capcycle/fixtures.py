@@ -24,6 +24,9 @@ DEVICES = ("10F", "50F", "100F")
 
 TABLE_NAMES = ("table1", "table2", "table3", "table4")
 
+REST_DURATION_S = 1800.0
+"""Length of each rest in the with-rest measurements (``table3``, ``table4``), s."""
+
 
 def data_path(name: str) -> Path:
     """Filesystem path of a packaged data file (e.g. ``"table2"``)."""
@@ -84,11 +87,7 @@ def measured_grid(device: str, rest: bool = False) -> EfficiencyGrid:
         vm, vM = float(r[0]), float(r[1])
         eta[PU_LEVELS.index(vM), PU_LEVELS.index(vm)] = float(r[col]) / 100.0
     return EfficiencyGrid(
-        vm_levels=PU_LEVELS,
-        vM_levels=PU_LEVELS,
-        eta=eta,
-        method=GridMethod.MEASURED,
-        rest=rest,
+        levels=PU_LEVELS, eta=eta, method=GridMethod.MEASURED, rest=rest
     )
 
 

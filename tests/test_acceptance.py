@@ -194,11 +194,11 @@ def test_criterion_4_fixture_surface_properties():
     for device in ("10F", "50F", "100F"):
         g0 = measured_grid(device, rest=False)
         g1 = measured_grid(device, rest=True)
-        for rr, vM in enumerate(g0.vM_levels):
-            row = [g0.eta[rr, j] for j, vm in enumerate(g0.vm_levels) if vm < vM]
+        for rr, vM in enumerate(g0.levels):
+            row = [g0.eta[rr, j] for j, vm in enumerate(g0.levels) if vm < vM]
             row = [x for x in row if not math.isnan(x)]
             monotone = monotone and row == sorted(row)
-        for j in range(len(g0.vm_levels)):
+        for j in range(len(g0.levels)):
             col = g0.eta[:, j]
             if (~np.isnan(col)).any():
                 peak_at_full = peak_at_full and int(np.nanargmax(col)) == 5

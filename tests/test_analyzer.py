@@ -1,6 +1,7 @@
 """Trace analyzer: segmentation, energy bookkeeping, and identification."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -377,6 +378,19 @@ class TestAnalyzeTrace:
         rep = analyze_trace(tr)
         assert len(rep.steady.per_cycle) == 2
         assert any("discharge" in w for w in rep.warnings)
+
+    def test_each_warning_logged_once(self, rest_trace, caplog):
+        # cycle_metrics regroups the cycles; the warning must not log twice
+        b = rest_trace.meta["boundaries"][-3]
+        sp = rest_trace.sample_period
+        cut = int(round(b.t_start / sp)) + 30
+        tr = _mk_trace(rest_trace.t[:cut], rest_trace.v[:cut], rest_trace.i[:cut], sp)
+        with caplog.at_level(logging.WARNING, logger="capcycle.analyzer"):
+            rep = analyze_trace(tr)
+        logged = [r.getMessage() for r in caplog.records]
+        assert len(logged) == 1
+        assert "no discharge phase" in logged[0]
+        assert logged[0] in rep.warnings
 
     def test_no_complete_cycle_raises(self):
         sp = 0.1

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and end-to-end flows."""
 
+import hashlib
 import json
 import math
 
@@ -196,6 +197,83 @@ class TestMap:
         excess = float(row.split(",")[1]) / 100 - efficiency_no_rest(p, spec)
         assert -5e-5 <= excess <= d_v / swing + 5e-5
 
+    # Every option a measured grid ignores, with a value for its flag and its
+    # config key; each was once accepted and silently dropped.
+    _FIXTURE_IGNORES = {
+        "levels": (["--levels", "0,1"], [0, 1]),
+        "method": (["--method", "simulated"], "simulated"),
+        "rest": (["--rest", "1800"], 1800),
+        "ideal": (["--ideal"], True),
+        "current": (["--current", "4.7"], 4.7),
+        "sim-cycles": (["--sim-cycles", "20"], 20),
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", list(_FIXTURE_IGNORES))
+    def test_fixture_refuses_ignored_option(self, capsys, tmp_path, name, source):
+        flag_argv, config_value = self._FIXTURE_IGNORES[name]
+        argv = ["map", "--fixture", "table2", "--device", "100F",
+                "--out", str(tmp_path / "m")]
+        if source == "flag":
+            argv += flag_argv
+        else:
+            argv += ["--config", write_config(tmp_path, {name: config_value})]
+        code, _, err = run(capsys, *argv)
+        assert_rejected(code, err, f"--{name}")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_fixture_null_config_keys_not_given(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {name: None for name in self._FIXTURE_IGNORES})
+        for out, extra in (("a", ["--config", cfg]), ("b", [])):
+            code, _, err = run(
+                capsys, "map", "--fixture", "table4", "--device", "50F",
+                "--out", str(tmp_path / out), *extra,
+            )
+            assert code == 0, err
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_closed_form_refuses_sim_cycles(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "map", "--sim-cycles", "5", "--out", str(tmp_path / "m"),
+        )
+        assert_rejected(code, err, "--sim-cycles")
+
+    def test_closed_form_rest_other_than_measured_duration_refused(self, capsys, tmp_path):
+        # the closed-form rest model is the table3 fit, measured with 30-min rests
+        code, _, err = run(
+            capsys, "map", "--device", "100F", "--rest", "600",
+            "--out", str(tmp_path / "m"),
+        )
+        assert_rejected(code, err, "--method simulated")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_closed_form_rest_measured_duration_unchanged(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "map", "--device", "100F", "--rest", "1800",
+            "--out", str(tmp_path / "m"),
+        )
+        assert code == 0
+        digests = {
+            suffix: hashlib.sha256((tmp_path / f"m.{suffix}").read_bytes()).hexdigest()
+            for suffix in ("csv", "svg")
+        }
+        assert digests == {
+            "csv": "49573d2f86bfb4c73321f440288d57b1174f73a2e24602ee893baed444dbc83b",
+            "svg": "4bc7e1dd996b1581f95e4c2222da45d96401c373eb2f37e2f0a2bf5e175bcd88",
+        }
+
+    def test_simulated_rest_map_fits_no_model(self, capsys, tmp_path, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("a simulated map fitted the rest-voltage model")
+
+        monkeypatch.setattr("capcycle.cli.fit_self_discharge", refuse)
+        code, _, err = run(
+            capsys, "map", "--device", "10F", "--method", "simulated",
+            "--rest", "20", "--levels", "0,0.5,1", "--sim-cycles", "2",
+            "--out", str(tmp_path / "m"),
+        )
+        assert code == 0, err
+
 
 class TestOptimize:
     def test_analytic_result(self, capsys):
@@ -221,6 +299,24 @@ class TestOptimize:
         doc = json.loads(out.read_text())
         assert doc["rest"] is True
         assert doc["energy_fraction"] >= 0.5 - 1e-12
+
+    def test_boundary_scan_when_analytic_point_infeasible(self, capsys):
+        # at 15 A the 10F device's drops rule out vM = 1 at this fraction, so
+        # the optimizer falls back to scanning the energy-fraction boundary
+        code, stdout, err = run(
+            capsys, "optimize", "--device", "10F", "--current", "15",
+            "--min-energy", "0.3",
+        )
+        assert code == 0, err
+        doc = json.loads(stdout)
+        assert doc["vm_pu"] == 0.2702983815708894
+        assert doc["vM_pu"] == 0.6107873730520648
+        code, _, err = run(
+            capsys, "optimize", "--device", "10F", "--current", "15",
+            "--min-energy", "0.1",
+        )
+        assert code == 4
+        assert "no window on the energy-fraction boundary 0.1 is feasible" in err
 
     def test_ideal_is_not_an_option(self, capsys, tmp_path):
         # ideal changed nothing: the objective reads c_main, r_series, v_rated

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capcycle import (
     ClosedFormObjective,
@@ -13,6 +15,7 @@ from capcycle import (
     EfficiencyGrid,
     GridMethod,
     InfeasibleEnergyRequirement,
+    LossesExceedDelivery,
     OperatingWindow,
     RankDeficientFit,
     RestPlan,
@@ -27,8 +30,9 @@ from capcycle import (
     preset,
     render_map,
     usable_energy_fraction,
+    WindowTooNarrow,
 )
-from capcycle.effmap import PU_LEVELS, SelfDischargeModel
+from capcycle.effmap import MIN_FIT_QUALITY, PU_LEVELS, SelfDischargeModel
 
 # Frozen regression constants for the embedded 50 F rest-drift table,
 # computed beforehand with an independent least-squares oracle.
@@ -43,7 +47,7 @@ R2_SC = 0.977772
 def _model(**kw):
     base = dict(
         slope_sd=50.0, intercept_sd=5.0, slope_sc=40.0, intercept_sc=3.0,
-        fit_quality_sd=1.0, fit_quality_sc=1.0, fit_quality=1.0, n_rows=15,
+        fit_quality_sd=1.0, fit_quality_sc=1.0, n_rows=15,
     )
     base.update(kw)
     return SelfDischargeModel(**base)
@@ -93,6 +97,11 @@ class TestSelfDischargeFit:
         assert rv.v_sd == 0.0
         assert rv.v_sc == 0.0
 
+    def test_fit_quality_is_the_worse_response(self):
+        assert _model(fit_quality_sd=0.97, fit_quality_sc=0.99).fit_quality == 0.97
+        with pytest.raises(TypeError):
+            _model(fit_quality=1.0)
+
     def test_predict_units(self):
         rv = _model().predict(2.0)
         assert rv.v_sd == pytest.approx(0.105)  # (50*2 + 5) mV
@@ -108,8 +117,8 @@ class TestBuildGridClosedForm:
 
     def test_undefined_exactly_lower_triangle(self):
         g = build_grid(preset("100F", ideal=True), 4.7)
-        for r, vM in enumerate(g.vM_levels):
-            for j, vm in enumerate(g.vm_levels):
+        for r, vM in enumerate(g.levels):
+            for j, vm in enumerate(g.levels):
                 assert np.isnan(g.eta[r, j]) == (vm >= vM)
 
     def test_cells_match_direct_evaluation(self):
@@ -144,7 +153,7 @@ class TestBuildGridClosedForm:
         assert not math.isnan(g.value(0.0, 1.0))
 
     def test_low_quality_model_gated(self):
-        m = _model(fit_quality=0.8, fit_quality_sd=0.8)
+        m = _model(fit_quality_sd=0.8)
         with pytest.raises(ConfigError, match="fit quality"):
             build_grid(preset("100F", ideal=True), 4.7, rest=RestPlan(model=m))
 
@@ -164,6 +173,46 @@ class TestBuildGridClosedForm:
             build_grid(d, 4.7, levels=(0.5, 0.5))
         with pytest.raises(ConfigError):
             build_grid(d, 4.7, levels=(0.0, 1.5))
+
+
+_MODELS = st.builds(
+    SelfDischargeModel,
+    slope_sd=st.floats(0.0, 200.0),
+    intercept_sd=st.floats(-50.0, 50.0),
+    slope_sc=st.floats(0.0, 200.0),
+    intercept_sc=st.floats(-50.0, 50.0),
+    fit_quality_sd=st.floats(MIN_FIT_QUALITY, 1.0),
+    fit_quality_sc=st.floats(MIN_FIT_QUALITY, 1.0),
+    n_rows=st.just(15),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    device=st.builds(
+        DeviceParams,
+        c_main=st.floats(0.1, 500.0),
+        r_series=st.floats(0.0, 0.5),
+        v_rated=st.floats(1.0, 5.0),
+    ),
+    i_c=st.floats(0.01, 50.0),
+    levels=st.lists(st.integers(0, 1000), min_size=2, max_size=6, unique=True).map(
+        lambda xs: tuple(x / 1000 for x in sorted(xs))
+    ),
+    model=st.none() | _MODELS,
+)
+def test_closed_form_cells_are_the_objective(device, i_c, levels, model):
+    rest = None if model is None else RestPlan(model=model)
+    g = build_grid(device, i_c, levels=levels, rest=rest)
+    obj = ClosedFormObjective(device, i_c, model)
+    for r, vM in enumerate(levels):
+        for j, vm in enumerate(levels):
+            try:
+                expect = obj.eta(vm, vM) if vm < vM else math.nan
+            except (WindowTooNarrow, LossesExceedDelivery):
+                expect = math.nan
+            got = g.eta[r, j]
+            assert got == expect or (math.isnan(got) and math.isnan(expect))
 
 
 class TestBuildGridSimulated:
@@ -189,15 +238,15 @@ class TestMeasuredGrids:
     def test_no_rest_surface_monotone_in_vm_and_peaks_at_full_vM(self):
         for device in ("10F", "50F", "100F"):
             g = measured_grid(device)
-            for r, vM in enumerate(g.vM_levels):
-                row = [g.eta[r, j] for j, vm in enumerate(g.vm_levels) if vm < vM]
+            for r, vM in enumerate(g.levels):
+                row = [g.eta[r, j] for j, vm in enumerate(g.levels) if vm < vM]
                 row = [x for x in row if not math.isnan(x)]
                 assert row == sorted(row), (device, vM)
-            for j, vm in enumerate(g.vm_levels):
+            for j, vm in enumerate(g.levels):
                 col = g.eta[:, j]
                 defined = ~np.isnan(col)
                 if defined.any():
-                    assert np.nanargmax(col) == len(g.vM_levels) - 1, (device, vm)
+                    assert np.nanargmax(col) == len(g.levels) - 1, (device, vm)
 
     def test_rest_surface_below_no_rest_cell_wise(self):
         for device in ("10F", "50F", "100F"):
@@ -250,8 +299,8 @@ class TestOptimizer:
         f = 0.4
         pt = optimize_window(g, f)
         assert pt.energy_fraction >= f
-        for r, vM in enumerate(g.vM_levels):
-            for j, vm in enumerate(g.vm_levels):
+        for r, vM in enumerate(g.levels):
+            for j, vm in enumerate(g.levels):
                 if np.isnan(g.eta[r, j]) or vM * vM - vm * vm < f:
                     continue
                 assert pt.eta >= g.eta[r, j]
@@ -259,12 +308,17 @@ class TestOptimizer:
     def test_rest_model_result_dominates_naive_point(self):
         m = fit_self_discharge(load_rest_voltage_rows())
         obj = ClosedFormObjective(
-            device=preset("50F", ideal=True), i_c=3.95, rest_model=m, rest=True
+            device=preset("50F", ideal=True), i_c=3.95, rest_model=m
         )
         pt = optimize_window(obj, 0.5)
         naive = obj.eta(1.0 / math.sqrt(2.0), 1.0)
         assert pt.eta >= naive
         assert pt.energy_fraction >= 0.5 - 1e-12
+
+    def test_low_quality_model_refused_by_objective(self):
+        m = _model(fit_quality_sc=MIN_FIT_QUALITY - 0.01)
+        with pytest.raises(ConfigError, match="fit quality"):
+            ClosedFormObjective(preset("50F", ideal=True), 3.95, m)
 
     def test_consistency_invariant(self):
         obj = ClosedFormObjective(device=preset("50F", ideal=True), i_c=3.95)
@@ -279,7 +333,7 @@ class TestOptimizer:
         eta[3, 0] = 0.9   # (vm=0,   vM=1):   fraction 1.0
         eta[3, 1] = 0.9   # (vm=0.6, vM=1):   fraction 0.64
         eta[2, 0] = 0.9   # (vm=0,   vM=0.8): fraction 0.64
-        g = EfficiencyGrid(levels, levels, eta, GridMethod.MEASURED, False)
+        g = EfficiencyGrid(levels, eta, GridMethod.MEASURED, False)
         pt = optimize_window(g, 0.2)
         assert (pt.window.vm_pu, pt.window.vM_pu) == (0.0, 1.0)  # largest fraction
         # dyadic levels make the two fractions exactly equal (both 9/64)
@@ -287,7 +341,7 @@ class TestOptimizer:
         eta2 = np.full((4, 4), np.nan)
         eta2[1, 0] = 0.9  # (vm=0,   vM=0.375)
         eta2[3, 2] = 0.9  # (vm=0.5, vM=0.625)
-        g2 = EfficiencyGrid(levels2, levels2, eta2, GridMethod.MEASURED, False)
+        g2 = EfficiencyGrid(levels2, eta2, GridMethod.MEASURED, False)
         pt2 = optimize_window(g2, 0.1)
         assert pt2.window.vm_pu == 0.5  # equal fractions: larger vm wins
 
@@ -326,7 +380,7 @@ class TestRenderMap:
         levels = (0.0, 1.0)
         eta = np.full((2, 2), np.nan)
         eta[1, 0] = 0.9  # a single defined cell
-        g = EfficiencyGrid(levels, levels, eta, GridMethod.MEASURED, False)
+        g = EfficiencyGrid(levels, eta, GridMethod.MEASURED, False)
         with pytest.raises(ConfigError):
             render_map(g, tmp_path / "tiny")
 
