@@ -82,11 +82,9 @@ from .presets import (
 from .simulator import (
     AcquisitionConfig,
     Phase,
-    SimState,
     branch_time_constant,
     quantize_trace,
     run_protocol,
-    step_dynamics,
 )
 from .trace import (
     CycleBoundary,

@@ -266,7 +266,6 @@ def cmd_simulate(o: argparse.Namespace) -> int:
         rest_after_charge=o.rest if o.rest_high is None else o.rest_high,
         rest_after_discharge=o.rest if o.rest_low is None else o.rest_low,
         max_cycles=o.cycles,
-        steady_tolerance=o.steady_tol,
     )
     acq = AcquisitionConfig(sample_period=o.sample_period, quantize=o.quantize)
     trace = run_protocol(device, spec, acq)
@@ -316,7 +315,7 @@ def cmd_map(o: argparse.Namespace) -> int:
         method = _METHODS[o.method]
         model = None
         if method is GridMethod.CLOSED_FORM:
-            _refuse_ignored(o, ("sim-cycles",), "the closed-form method")
+            _refuse_ignored(o, ("ideal", "sim-cycles"), "the closed-form method")
             if o.rest is not None:
                 if o.rest != fixtures.REST_DURATION_S:
                     raise ConfigError(
@@ -384,7 +383,6 @@ def cmd_fixtures(o: argparse.Namespace) -> int:
 
 _DEVICE = "preset name or device JSON file"
 _JSON_OUT = "JSON path (default stdout)"
-_STEADY_TOL = "charge-balance tolerance"
 
 COMMANDS = {
     "simulate": Command(cmd_simulate, "run a cycling protocol to a trace CSV", (
@@ -397,7 +395,6 @@ COMMANDS = {
         Option("rest-high", "float", None, "rest after charge in s"),
         Option("rest-low", "float", None, "rest after discharge in s"),
         Option("cycles", "int", 1, "number of cycles (default 1)"),
-        Option("steady-tol", "float", 0.01, _STEADY_TOL),
         Option("sample-period", "float", 0.1, "acquisition period in s"),
         Option("quantize", "bool", False, "apply acquisition quantization"),
         Option("out", "str", REQUIRED, "trace CSV path (sidecar written alongside)"),
@@ -407,7 +404,7 @@ COMMANDS = {
         Option("threshold-frac", "float", 0.05,
                "active-current threshold as a fraction of max |i|"),
         Option("min-segment", "float", 1.0, "shortest believable phase duration in s"),
-        Option("steady-tol", "float", 0.01, _STEADY_TOL),
+        Option("steady-tol", "float", 0.01, "charge-balance tolerance"),
         Option("out", "str", None, "report JSON path (default stdout)"),
     )),
     "map": Command(cmd_map, "build an efficiency grid; write CSV + SVG", (

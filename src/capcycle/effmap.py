@@ -218,6 +218,11 @@ class ClosedFormObjective:
     def eta(self, vm_pu: float, vM_pu: float) -> float:
         """Efficiency at a per-unit window; raises for infeasible windows."""
         v_rated = self.device.v_rated
+        if vm_pu < vM_pu and vm_pu * v_rated == vM_pu * v_rated:
+            raise WindowTooNarrow(
+                f"window ({vm_pu!r}, {vM_pu!r}) p.u. has no width in volts",
+                min_window=2.0 * self.i_c * self.device.r_series,
+            )
         s = CycleSpec(i_c=self.i_c, v_min=vm_pu * v_rated, v_max=vM_pu * v_rated)
         if self.rest_model is None:
             return efficiency_no_rest(self.device, s)
@@ -308,16 +313,30 @@ class OperatingPoint:
         }
 
 
+def _floor_vm(vM: float, f: float) -> float:
+    """``sqrt(vM² − f)``, stepped down until ``vM*vM - vm*vm >= f`` in floats.
+
+    Rounding in the square root and the squares can leave the window's
+    fraction one ulp short of ``f``; a short fraction is returned only when
+    even ``vm = 0`` falls short.
+    """
+    vm = math.sqrt(max(0.0, vM * vM - f))
+    while vm > 0 and vM * vM - vm * vm < f:
+        vm = math.nextafter(vm, 0.0)
+    return vm
+
+
 def _boundary_windows(
     objective: ClosedFormObjective, f: float
 ) -> list[tuple[float, float, float]]:
     """``(vm, vM, eta)`` of the feasible windows on the boundary ``vM² − vm² = f``.
 
+    Each window's ``vM² − vm²`` is at least ``f`` as computed in floats.
     Without rest the analytic point ``vM = 1`` is the optimum whenever it is
     feasible; otherwise a dense scan of the boundary stands in.
     """
     if objective.rest_model is None:
-        vm = math.sqrt(max(0.0, 1.0 - f))
+        vm = _floor_vm(1.0, f)
         try:
             return [(vm, 1.0, objective.eta(vm, 1.0))]
         except WindowTooNarrow:
@@ -325,8 +344,8 @@ def _boundary_windows(
     windows = []
     for vM in np.linspace(math.sqrt(f), 1.0, _BOUNDARY_SCAN_POINTS):
         vM = float(vM)
-        vm = math.sqrt(max(0.0, vM * vM - f))
-        if vm >= vM:
+        vm = _floor_vm(vM, f)
+        if vM * vM - vm * vm < f:
             continue
         try:
             windows.append((vm, vM, objective.eta(vm, vM)))

@@ -12,18 +12,35 @@ that ends there, with terminal voltage ``v_main + i * r_series``.  A phase's
 boundary sample therefore still carries the active current, which is what a
 real acquisition chain integrating over the preceding interval reports, and
 what makes the interruption voltage jump cleanly visible to the analyzer.
+
+Phase propagation uses blocked exact powers.  Within one phase the circuit is
+linear and time-invariant, so on the augmented state
+``z = (v_main, v_branch, 1)`` one internal step is ``z+ = M z`` with
+
+    M = [[a11, a12, b1],
+         [a21, a22, b2],
+         [  0,   0,  1]]
+
+and the state after ``k`` steps is ``M^k z``.  A table of ``M^1 .. M^B``
+(built by doubling, cached per coefficient tuple) turns a block of ``B`` steps
+into one matrix-vector product: only the two state rows of each power are
+kept, stacked into a ``(2B, 3)`` array, so ``table[:2b] @ z`` yields the
+``b`` successive states interleaved.  Rest phases run in blocks of up to
+``TABLE_CAP`` steps; charge and discharge phases run in ``RAMP_BLOCK``-step
+blocks and stop at the first step whose terminal voltage crosses the limit.
+See Van Loan (1978), "Computing integrals involving the matrix exponential".
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.linalg import expm
 
-from ._kernels import MODE_CHARGE, MODE_DISCHARGE, MODE_FIXED, run_phase
 from .errors import ConfigError, DynamicsDiverged
 from .model import CycleSpec, DeviceParams, charge_duration
 from .trace import CycleBoundary, Trace
@@ -35,7 +52,18 @@ BRANCH_STEPS_PER_TAU = 50
 """Minimum internal steps per redistribution time constant."""
 
 MAX_SAMPLES = 1 << 24
-"""Sample cap of :func:`run_protocol`, checked before allocating (~320 MB of buffers)."""
+"""Sample cap of :func:`run_protocol`, checked before simulating (~400 MB of t, v, i)."""
+
+# Phase-loop modes of :func:`run_phase`.
+MODE_CHARGE = 0      # terminate when terminal voltage rises to v_stop
+MODE_DISCHARGE = 1   # terminate when terminal voltage falls to v_stop
+MODE_FIXED = 2       # run exactly max_steps (rest phases)
+
+TABLE_CAP = 1 << 15
+"""Most powers kept in one table (1.5 MB); longer phases loop over blocks."""
+
+RAMP_BLOCK = 256
+"""Block length of charge and discharge phases, which stop at a crossing."""
 
 _PHASE_SAFETY_FACTOR = 50
 _GUARD_LOW = -0.1
@@ -47,17 +75,6 @@ class Phase(Enum):
     REST_HIGH = "rest_high"
     DISCHARGE = "discharge"
     REST_LOW = "rest_low"
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Instantaneous circuit state during a protocol run."""
-
-    v_main: float
-    v_branch: float
-    t: float
-    phase: Phase
-    cycle_index: int
 
 
 @dataclass(frozen=True)
@@ -119,24 +136,6 @@ def branch_time_constant(p: DeviceParams) -> float | None:
     return r.r_branch * p.c_main * r.c_branch / (p.c_main + r.c_branch)
 
 
-def step_dynamics(
-    p: DeviceParams, state: SimState, i_applied: float, dt: float
-) -> SimState:
-    """Advance the circuit state by one exact step under constant current."""
-    if not dt > 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    ad, bd = _discretize(p, dt)
-    x = np.array([state.v_main, state.v_branch])
-    x_new = ad @ x + bd * i_applied
-    if not np.all(np.isfinite(x_new)):
-        raise DynamicsDiverged(
-            f"state became non-finite after step from t={state.t!r}"
-        )
-    return replace(
-        state, v_main=float(x_new[0]), v_branch=float(x_new[1]), t=state.t + dt
-    )
-
-
 def _internal_substeps(p: DeviceParams, sample_period: float) -> int:
     tau = branch_time_constant(p)
     if tau is None:
@@ -145,12 +144,77 @@ def _internal_substeps(p: DeviceParams, sample_period: float) -> int:
     return max(1, math.ceil(sample_period / finest))
 
 
-def _grow(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
-    if buf.size >= needed:
-        return buf
-    new = np.empty(int(needed * 1.25) + 64)
-    new[:used] = buf[:used]
-    return new
+@functools.lru_cache(maxsize=8)
+def _power_table(coeffs: tuple[float, ...], n: int) -> np.ndarray:
+    """State rows of ``M^1 .. M^n`` as a read-only ``(2n, 3)`` array."""
+    a11, a12, a21, a22, b1, b2 = coeffs
+    # The last row of every power is (0, 0, 1), so the state rows of M^j
+    # times the whole of M^k give the state rows of M^(j+k).
+    rows = np.empty((n, 2, 3))
+    rows[0] = ((a11, a12, b1), (a21, a22, b2))
+    k = 1
+    while k < n:  # rows[:k] holds M^1..M^k
+        c = min(k, n - k)
+        rows[k : k + c] = rows[:c] @ np.vstack((rows[k - 1], (0.0, 0.0, 1.0)))
+        k += c
+    table = rows.reshape(2 * n, 3)
+    table.flags.writeable = False
+    return table
+
+
+def run_phase(
+    v_main,
+    v_branch,
+    a11,
+    a12,
+    a21,
+    a22,
+    b1,
+    b2,
+    i_applied,
+    r_series,
+    mode,
+    v_stop,
+    eps,
+    max_steps,
+    n_sub,
+    countdown,
+):
+    """Advance one protocol phase, sampling every ``n_sub`` internal steps.
+
+    The state update is ``x+ = Ad x + bd`` with ``bd`` already scaled by the
+    phase current.  A sample is the terminal voltage ``v_main + i*R`` at the
+    end of an internal step; the termination test applies to every step
+    (sample or not), and the crossing step still yields its sample when one
+    falls due.  ``countdown`` is the number of steps until the next sample.
+
+    Returns ``(v_main, v_branch, steps, samples, countdown, crossed)``, where
+    ``samples`` holds the phase's sampled terminal voltages in order.
+    ``max_steps`` must be positive.
+    """
+    block = min(TABLE_CAP, max_steps) if mode == MODE_FIXED else RAMP_BLOCK
+    table = _power_table((a11, a12, a21, a22, b1, b2), block)
+    z = np.array([v_main, v_branch, 1.0])
+    v_offset = i_applied * r_series
+    parts = []
+    steps = 0
+    crossed = False
+    while steps < max_steps and not crossed:
+        b = min(block, max_steps - steps)
+        states = (table[: 2 * b] @ z).reshape(b, 2)
+        vt = states[:, 0] + v_offset
+        if mode != MODE_FIXED:
+            hit = vt >= v_stop - eps if mode == MODE_CHARGE else vt <= v_stop + eps
+            first = int(np.argmax(hit))
+            if hit[first]:
+                b = first + 1
+                crossed = True
+        # Samples fall on this block's steps countdown, countdown + n_sub, ...
+        parts.append(vt[countdown - 1 : b : n_sub])
+        countdown = (countdown - b - 1) % n_sub + 1
+        steps += b
+        z[:2] = states[b - 1]
+    return float(z[0]), float(z[1]), steps, np.concatenate(parts), countdown, crossed
 
 
 def run_protocol(
@@ -199,32 +263,28 @@ def run_protocol(
             f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
             "or fewer cycles"
         )
-    out_v = np.empty(int(est_samples * 1.2))
-    out_i = np.empty_like(out_v)
 
     v_main = s.v_min + s.i_c * p.r_series
     v_branch = v_main
     countdown = n_sub
-    out_next = 0
     global_step = 0
     guard_low = _GUARD_LOW * p.v_rated
     guard_high = _GUARD_HIGH * p.v_rated
 
     boundaries: list[CycleBoundary] = []
+    phase_v: list[np.ndarray] = []
+    phase_i: list[float] = []
     q_in: list[float] = []
     q_out: list[float] = []
     t_charge: list[float] = []
     t_discharge: list[float] = []
 
     def run_one(phase: Phase, mode: int, i_sig: float, v_stop: float, max_steps: int) -> int:
-        nonlocal v_main, v_branch, countdown, out_next, global_step, out_v, out_i
+        nonlocal v_main, v_branch, countdown, global_step
         if max_steps <= 0:
             return 0
-        need = out_next + max_steps // n_sub + 2
-        out_v = _grow(out_v, out_next, need)
-        out_i = _grow(out_i, out_next, need)
         t_start = global_step * dt_int
-        v_main, v_branch, steps, out_next, countdown, crossed = run_phase(
+        v_main, v_branch, steps, samples, countdown, crossed = run_phase(
             v_main,
             v_branch,
             a11,
@@ -241,10 +301,9 @@ def run_protocol(
             max_steps,
             n_sub,
             countdown,
-            out_v,
-            out_i,
-            out_next,
         )
+        phase_v.append(samples)
+        phase_i.append(i_sig)
         global_step += steps
         if mode != MODE_FIXED and not crossed:
             raise DynamicsDiverged(
@@ -281,11 +340,11 @@ def run_protocol(
             steady_internal = c + 1  # 1-based cycle index
             break
 
-    n = out_next
+    v = np.concatenate(phase_v)
     trace = Trace(
-        t=np.arange(1, n + 1) * acq.sample_period,
-        v=out_v[:n].copy(),
-        i=out_i[:n].copy(),
+        t=np.arange(1, v.size + 1) * acq.sample_period,
+        v=v,
+        i=np.repeat(phase_i, [a.size for a in phase_v]),
         sample_period=acq.sample_period,
         meta={
             "boundaries": boundaries,

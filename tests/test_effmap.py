@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capcycle import (
@@ -17,6 +17,7 @@ from capcycle import (
     InfeasibleEnergyRequirement,
     LossesExceedDelivery,
     OperatingWindow,
+    PRESET_NAMES,
     RankDeficientFit,
     RestPlan,
     RestVoltages,
@@ -313,7 +314,25 @@ class TestOptimizer:
         pt = optimize_window(obj, 0.5)
         naive = obj.eta(1.0 / math.sqrt(2.0), 1.0)
         assert pt.eta >= naive
-        assert pt.energy_fraction >= 0.5 - 1e-12
+        assert pt.energy_fraction >= 0.5
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(PRESET_NAMES),
+        i_c=st.floats(0.5, 20.0),
+        f=st.floats(0.0, 1.0, exclude_min=True),
+        rest=st.booleans(),
+    )
+    @example(name="50F", i_c=3.95, f=0.5, rest=False)
+    @example(name="50F", i_c=3.95, f=0.3, rest=True)
+    def test_reported_fraction_never_below_floor(self, name, i_c, f, rest):
+        model = fit_self_discharge(load_rest_voltage_rows()) if rest else None
+        obj = ClosedFormObjective(preset(name, ideal=True), i_c, rest_model=model)
+        try:
+            pt = optimize_window(obj, f)
+        except InfeasibleEnergyRequirement:
+            return  # no feasible window on the boundary at this current
+        assert pt.energy_fraction >= f
 
     def test_low_quality_model_refused_by_objective(self):
         m = _model(fit_quality_sc=MIN_FIT_QUALITY - 0.01)

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capcycle import (
     AcquisitionConfig,
     CycleSpec,
     DeviceParams,
     DynamicsDiverged,
-    Phase,
     Redistribution,
-    SimState,
+    analyze_trace,
     branch_time_constant,
     charge_duration,
     efficiency_no_rest,
@@ -20,9 +21,8 @@ from capcycle import (
     quantize_trace,
     run_protocol,
     simulator,
-    step_dynamics,
 )
-from capcycle._kernels import (
+from capcycle.simulator import (
     MODE_CHARGE,
     MODE_DISCHARGE,
     MODE_FIXED,
@@ -42,29 +42,31 @@ TWO_BRANCH = DeviceParams(
 )
 
 
-def _state(v=0.0):
-    return SimState(v_main=v, v_branch=v, t=0.0, phase=Phase.CHARGE, cycle_index=1)
+def _step(p, v_main, v_branch, i_applied, dt):
+    """One exact step of ``simulator._discretize``'s update: ``(v_main, v_branch)``."""
+    ad, bd = simulator._discretize(p, dt)
+    return ad @ np.array([v_main, v_branch]) + bd * i_applied
 
 
 class TestStepDynamics:
+    """The zero-order-hold step against the circuit's analytic solutions."""
+
     def test_pure_integrator_without_branch(self):
         # dv/dt = i/C exactly, for any step size
-        s = step_dynamics(DEV, _state(1.0), 0.4, 25.0)
-        assert s.v_main == pytest.approx(1.0 + 0.4 * 25.0 / 10.0, rel=1e-14)
-        assert s.t == 25.0
+        v, _ = _step(DEV, 1.0, 1.0, 0.4, 25.0)
+        assert v == pytest.approx(1.0 + 0.4 * 25.0 / 10.0, rel=1e-14)
 
     def test_leak_only_analytic(self):
         d = DeviceParams(c_main=10.0, r_series=0.0, v_rated=2.7, r_leak=100.0)
         tau = 100.0 * 10.0
-        s = step_dynamics(d, _state(2.0), 0.0, 37.0)
-        assert s.v_main == pytest.approx(2.0 * math.exp(-37.0 / tau), rel=1e-12)
+        v, _ = _step(d, 2.0, 2.0, 0.0, 37.0)
+        assert v == pytest.approx(2.0 * math.exp(-37.0 / tau), rel=1e-12)
 
     def test_two_step_composition_equals_one_big_step(self):
-        a = step_dynamics(TWO_BRANCH, _state(1.5), 2.0, 7.0)
-        a = step_dynamics(TWO_BRANCH, a, 2.0, 7.0)
-        b = step_dynamics(TWO_BRANCH, _state(1.5), 2.0, 14.0)
-        assert a.v_main == pytest.approx(b.v_main, rel=1e-12)
-        assert a.v_branch == pytest.approx(b.v_branch, rel=1e-12)
+        a = _step(TWO_BRANCH, *_step(TWO_BRANCH, 1.5, 1.5, 2.0, 7.0), 2.0, 7.0)
+        b = _step(TWO_BRANCH, 1.5, 1.5, 2.0, 14.0)
+        assert a[0] == pytest.approx(b[0], rel=1e-12)
+        assert a[1] == pytest.approx(b[1], rel=1e-12)
 
     def test_branch_relaxation_matches_closed_form(self):
         # no leak: two capacitors through r_branch relax exponentially to the
@@ -79,11 +81,10 @@ class TestStepDynamics:
         assert tau == pytest.approx(4.0 * 50 * 5 / 55, rel=1e-14)
         v0, vb0 = 2.7, 2.2
         v_eq = (50 * v0 + 5 * vb0) / 55
-        st = SimState(v_main=v0, v_branch=vb0, t=0.0, phase=Phase.REST_HIGH, cycle_index=1)
         for t in (0.5, 3.0, 20.0, 120.0):
-            s = step_dynamics(d, st, 0.0, t)
+            v, _ = _step(d, v0, vb0, 0.0, t)
             expect = v_eq + (v0 - v_eq) * math.exp(-t / tau)
-            assert s.v_main == pytest.approx(expect, rel=1e-12)
+            assert v == pytest.approx(expect, rel=1e-12)
 
     def test_charge_conserved_during_redistribution(self):
         d = DeviceParams(
@@ -92,16 +93,9 @@ class TestStepDynamics:
             v_rated=2.7,
             redistribution=Redistribution(c_branch=5.0, r_branch=4.0),
         )
-        st = SimState(v_main=2.7, v_branch=1.0, t=0.0, phase=Phase.REST_HIGH, cycle_index=1)
-        q0 = 50 * st.v_main + 5 * st.v_branch
-        s = step_dynamics(d, st, 0.0, 300.0)
-        assert 50 * s.v_main + 5 * s.v_branch == pytest.approx(q0, rel=1e-12)
-
-    def test_bad_dt_rejected(self):
-        from capcycle import ConfigError
-
-        with pytest.raises(ConfigError):
-            step_dynamics(DEV, _state(), 0.4, 0.0)
+        q0 = 50 * 2.7 + 5 * 1.0
+        v, vb = _step(d, 2.7, 1.0, 0.0, 300.0)
+        assert 50 * v + 5 * vb == pytest.approx(q0, rel=1e-12)
 
 
 class TestRunProtocolIdeal:
@@ -266,10 +260,10 @@ class TestAcquisition:
 
 def _scalar_phase_loop(
     v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
-    v_stop, eps, max_steps, n_sub, countdown, out_v, out_i, out_start,
+    v_stop, eps, max_steps, n_sub, countdown,
 ):
     """Reference recurrence: ``run_phase``'s contract, one step at a time."""
-    k = out_start
+    samples = []
     steps = 0
     crossed = False
     while steps < max_steps:
@@ -280,9 +274,7 @@ def _scalar_phase_loop(
         steps += 1
         countdown -= 1
         if countdown == 0:
-            out_v[k] = v_main + i_applied * r_series
-            out_i[k] = i_applied
-            k += 1
+            samples.append(v_main + i_applied * r_series)
             countdown = n_sub
         vt = v_main + i_applied * r_series
         if mode == MODE_CHARGE and vt >= v_stop - eps:
@@ -291,7 +283,7 @@ def _scalar_phase_loop(
         if mode == MODE_DISCHARGE and vt <= v_stop + eps:
             crossed = True
             break
-    return v_main, v_branch, steps, k, countdown, crossed
+    return v_main, v_branch, steps, np.array(samples), countdown, crossed
 
 
 class TestBlockedPropagation:
@@ -339,17 +331,13 @@ class TestBlockedPropagation:
         ad, _ = simulator._discretize(TWO_BRANCH, 0.05)
         # coefficients, zero current, zero R, fixed mode, n_sub=3, countdown=2
         args = (*ad.ravel(), 0.0, 0.0, 0.0, 0.0, MODE_FIXED, 0.0, 1e-9, steps, 3, 2)
-        outs = []
-        for kernel in (run_phase, _scalar_phase_loop):
-            out_v, out_i = np.zeros(steps // 3 + 2), np.zeros(steps // 3 + 2)
-            res = kernel(2.5, 2.0, *args, out_v, out_i, 0)
-            outs.append((res, out_v, out_i))
-        (got, gv, gi), (exp, ev, ei) = outs
-        assert got[2:5] == exp[2:5]  # steps, out_next, countdown
+        got = run_phase(2.5, 2.0, *args)
+        exp = _scalar_phase_loop(2.5, 2.0, *args)
+        assert (got[2], got[4], got[5]) == (exp[2], exp[4], exp[5])
         assert got[0] == pytest.approx(exp[0], abs=1e-10)
         assert got[1] == pytest.approx(exp[1], abs=1e-10)
-        assert np.max(np.abs(gv - ev)) <= 1e-10
-        assert np.array_equal(gi, ei)
+        assert got[3].shape == exp[3].shape == ((steps - 2) // 3 + 1,)
+        assert np.max(np.abs(got[3] - exp[3])) <= 1e-10
 
     def test_leaky_charge_that_never_reaches_v_max_diverges(self):
         # Leakage settles the capacitor at i*R_leak = 2.0 V, below v_max:
@@ -358,3 +346,61 @@ class TestBlockedPropagation:
         spec = CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5)
         with pytest.raises(DynamicsDiverged, match="charge phase did not reach"):
             run_protocol(leaky, spec)
+
+
+@st.composite
+def _protocols(draw, min_cycles=1):
+    """A device (ideal, leaky or two-branch), a feasible cycling spec, an acquisition."""
+    kind = draw(st.sampled_from(["ideal", "leaky", "two-branch"]))
+    c_main = draw(st.floats(1.0, 20.0))
+    r_series = draw(st.floats(0.005, 0.1))
+    r_leak = None if kind == "ideal" else draw(st.floats(2000.0, 20000.0))
+    branch = None
+    if kind == "two-branch":
+        branch = Redistribution(c_branch=0.1 * c_main, r_branch=draw(st.floats(0.5, 20.0)))
+    p = DeviceParams(c_main=c_main, r_series=r_series, v_rated=2.7,
+                     redistribution=branch, r_leak=r_leak)
+    v_min = draw(st.floats(0.0, 1.5))
+    v_max = draw(st.floats(v_min + 1.0, 2.7))
+    # The current that gives an ideal charge of `duration` seconds.
+    duration = draw(st.floats(5.0, 60.0))
+    i_c = c_main * (v_max - v_min) / (duration + 2 * r_series * c_main)
+    s = CycleSpec(
+        i_c=i_c, v_min=v_min, v_max=v_max,
+        rest_after_charge=draw(st.floats(0.0, 120.0)),
+        rest_after_discharge=draw(st.floats(0.0, 120.0)),
+        max_cycles=draw(st.integers(min_cycles, 3)),
+    )
+    acq = AcquisitionConfig(sample_period=draw(st.sampled_from([0.1, 0.5, 1.0])))
+    return p, s, acq
+
+
+class TestProtocolProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_protocols())
+    def test_deterministic(self, case):
+        a, b = run_protocol(*case), run_protocol(*case)
+        for x, y in ((a.t, b.t), (a.v, b.v), (a.i, b.i)):
+            assert np.array_equal(x, y)
+        assert a.meta == b.meta
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_protocols())
+    def test_matches_scalar_recurrence(self, case):
+        blocked = run_protocol(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "run_phase", _scalar_phase_loop)
+            ref = run_protocol(*case)
+        assert np.array_equal(blocked.t, ref.t)
+        assert np.array_equal(blocked.i, ref.i)
+        for key in ("boundaries", "q_in", "q_out"):
+            assert blocked.meta[key] == ref.meta[key]
+        assert np.max(np.abs(blocked.v - ref.v)) <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_protocols(min_cycles=2))  # steady detection needs two cycles
+    def test_analyzed_losses_balance_energy(self, case):
+        report = analyze_trace(run_protocol(*case))
+        for m in report.steady.per_cycle:
+            losses = m.loss_charge + m.loss_rest + m.loss_discharge
+            assert abs(losses - (m.e_in - m.e_out)) <= 1e-9 * m.e_in

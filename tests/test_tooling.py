@@ -5,16 +5,25 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from capcycle import AcquisitionConfig, CycleSpec, cli, preset
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_perfbench_patch_targets_exist(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_patch_targets_exist(tracing):
     # A renamed target makes the harness skip its patch and report the
     # layer's metrics as missing, so each (module, attribute) must resolve.
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
-    spec.loader.exec_module(tracing)
     assert tracing.PATCHES
     missing = [
         f"{module}.{attr}"
@@ -22,3 +31,28 @@ def test_perfbench_patch_targets_exist(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_perfbench_reads_kernel_counts(tracing):
+    # The harness names kernel spans from run_phase's mode argument and counts
+    # steps from its result, by position; a moved argument or result slot
+    # would file the counts under the wrong metric.
+    spec = CycleSpec(i_c=3.95, v_min=0.5, v_max=2.7, rest_after_charge=20.0,
+                     rest_after_discharge=10.0, max_cycles=2)
+    tracer = tracing.Tracer()
+    with tracing.Patches(tracer) as patches:
+        # the harness wraps run_protocol under the attribute the CLI calls
+        trace = cli.run_protocol(preset("50F"), spec, AcquisitionConfig(sample_period=1.0))
+    assert trace.meta["n_sub"] > 1
+    steps = {"ramp": 0, "fixed": 0}
+    for b in trace.meta["boundaries"]:
+        kind = "fixed" if b.phase.startswith("rest") else "ramp"
+        steps[kind] += round((b.t_end - b.t_start) / trace.meta["dt_internal"])
+    values = tracing.layer_values(tracer, patches.missing)
+    expected = {
+        "kernels.fixed_steps": steps["fixed"],
+        "kernels.ramp_steps": steps["ramp"],
+        "kernels.calls": len(trace.meta["boundaries"]),
+        "simulator.samples": trace.t.size,
+    }
+    assert {name: values[name] for name in expected} == expected
