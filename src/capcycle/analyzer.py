@@ -404,8 +404,8 @@ def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyRep
     to the last 4 cycles and is flagged.
     """
     n = len(per_cycle)
-    if n < 2:
-        raise InsufficientData(f"steady detection needs >= 2 cycles, got {n}")
+    if n == 0:
+        raise InsufficientData("steady detection needs at least 1 cycle, got 0")
     if not 0 < tol < 1:
         raise ConfigError(f"tol must lie in (0, 1), got {tol}")
     steady_from = _steady_from([(m.q_in, m.q_out) for m in per_cycle], tol)

@@ -34,7 +34,7 @@ from .model import (
     efficiency_no_rest,
     efficiency_with_rest,
 )
-from .simulator import AcquisitionConfig, run_protocol
+from .simulator import run_protocol
 
 PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
 """Default per-unit grid levels of the test campaign."""
@@ -236,7 +236,6 @@ def build_grid(
     levels=PU_LEVELS,
     rest: RestPlan | None = None,
     method: GridMethod = GridMethod.CLOSED_FORM,
-    acq: AcquisitionConfig | None = None,
     sim_cycles: int = 20,
 ) -> EfficiencyGrid:
     """Evaluate efficiency for every level pair ``vm < vM``.
@@ -275,7 +274,7 @@ def build_grid(
                         rest_after_discharge=rest_s,
                         max_cycles=sim_cycles,
                     )
-                    trace = run_protocol(p, s, acq)
+                    trace = run_protocol(p, s)
                     # A narrow window's ramps can be shorter than the default
                     # 1-s glitch filter, which would merge them away.
                     min_segment = min(1.0, 0.5 * charge_duration(p, s))
@@ -404,10 +403,12 @@ def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
     if best is None:
         raise InfeasibleEnergyRequirement(none_found)
     (value, frac, vm), vM = best
+    # Cells are admitted up to 1e-12 short of the floor, so that decimal
+    # levels can meet a decimal floor; such a cell reports the floor itself.
     return OperatingPoint(
         window=OperatingWindow(vm_pu=vm, vM_pu=vM),
         eta=value,
-        energy_fraction=frac,
+        energy_fraction=max(frac, f),
     )
 
 

@@ -29,6 +29,13 @@ kept, stacked into a ``(2B, 3)`` array, so ``table[:2b] @ z`` yields the
 ``TABLE_CAP`` steps; charge and discharge phases run in ``RAMP_BLOCK``-step
 blocks and stop at the first step whose terminal voltage crosses the limit.
 See Van Loan (1978), "Computing integrals involving the matrix exponential".
+
+``M`` is the exponential of the augmented continuous-time matrix, computed
+in numpy by scaling and squaring of a truncated Taylor series: Moler and Van
+Loan, "Nineteen dubious ways to compute the exponential of a matrix,
+twenty-five years later", SIAM Review 45(1), 2003; Higham, "The scaling and
+squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
+Appl. 26(4), 2005.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DynamicsDiverged
 from .model import CycleSpec, DeviceParams, charge_duration
@@ -118,13 +124,23 @@ def _discretize(p: DeviceParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization over one step of length dt.
 
     Exponentiates the (A, b) pair on an augmented matrix, which handles
-    singular A (the ideal integrator) without special-casing.
+    singular A (the ideal integrator) without special-casing.  The exponential
+    is scaling and squaring: ``m / 2**s`` has ∞-norm below 0.5 (never 0, since
+    ``b·dt > 0``), where the order-18 Taylor sum is exact to double precision,
+    and ``s`` squarings undo the scaling.
     """
     a, b = _continuous_system(p)
     m = np.zeros((3, 3))
     m[:2, :2] = a * dt
     m[:2, 2] = b * dt
-    phi = expm(m)
+    s = max(0, math.frexp(np.linalg.norm(m, np.inf))[1] + 1)
+    x = m / 2.0**s
+    phi = term = np.eye(3)
+    for k in range(1, 19):
+        term = term @ x / k
+        phi = phi + term
+    for _ in range(s):
+        phi = phi @ phi
     return phi[:2, :2], phi[:2, 2]
 
 

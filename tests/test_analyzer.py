@@ -307,7 +307,7 @@ class TestSteadyDetection:
 
     def test_too_few_cycles(self):
         with pytest.raises(InsufficientData):
-            detect_steady([_metrics(1, 1.0, 1.0)])
+            detect_steady([])
 
     def test_bad_tolerance(self):
         per = [_metrics(1, 1.0, 1.0), _metrics(2, 1.0, 1.0)]

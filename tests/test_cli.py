@@ -119,6 +119,17 @@ class TestAnalyze:
         assert doc["steady"]["window_last"] == 20
         assert doc["steady"]["window_rule"] == "cycles-17-20"
 
+    def test_analyzes_simulate_default_single_cycle(self, capsys, tmp_path):
+        # `simulate` runs one cycle by default; `analyze` must accept it.
+        out = tmp_path / "one.csv"
+        code, _, _ = run(capsys, "simulate", "--device", "10F", "--out", str(out))
+        assert code == 0
+        code, stdout, err = run(capsys, "analyze", str(out))
+        assert code == 0, err
+        doc = json.loads(stdout)
+        assert len(doc["cycles"]) == 1
+        assert (doc["steady"]["window_first"], doc["steady"]["window_last"]) == (1, 1)
+
     def test_parse_error_exit_3_names_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t_s,v_V,i_A\n0.1,0.5,0.4\nnot,a,number\n")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capcycle import (
@@ -268,6 +268,35 @@ class TestMeasuredGrids:
             measured_grid("25F")
 
 
+@st.composite
+def _objective_floors(draw):
+    """A closed-form objective, with or without rests, and a floor."""
+    rest = draw(st.booleans())
+    model = fit_self_discharge(load_rest_voltage_rows()) if rest else None
+    target = ClosedFormObjective(preset(draw(st.sampled_from(PRESET_NAMES)), ideal=True),
+                                 draw(st.floats(0.5, 20.0)), rest_model=model)
+    return target, draw(st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _grid_floors(draw):
+    """A closed-form grid on decimal levels, floored at a cell's rounded fraction.
+
+    Decimal levels square to decimal fractions that floats can miss by an
+    ulp, which the optimizer's admission tolerance lets through.
+    """
+    picks = draw(st.lists(st.integers(0, 20), min_size=2, max_size=8, unique=True))
+    levels = tuple(k / 20 for k in sorted(picks))
+    grid = build_grid(preset(draw(st.sampled_from(PRESET_NAMES))),
+                      draw(st.floats(0.5, 20.0)), levels=levels)
+    cells = [(levels[j], levels[r]) for r, j in zip(*np.nonzero(grid.defined_mask()))]
+    assume(cells)
+    vm, vM = draw(st.sampled_from(cells))
+    f = round(vM * vM - vm * vm, 2)
+    assume(f > 0)
+    return grid, f
+
+
 class TestOptimizer:
     def test_closed_form_analytic_three_quarters(self):
         obj = ClosedFormObjective(device=preset("100F", ideal=True), i_c=4.7)
@@ -317,21 +346,18 @@ class TestOptimizer:
         assert pt.energy_fraction >= 0.5
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        name=st.sampled_from(PRESET_NAMES),
-        i_c=st.floats(0.5, 20.0),
-        f=st.floats(0.0, 1.0, exclude_min=True),
-        rest=st.booleans(),
-    )
-    @example(name="50F", i_c=3.95, f=0.5, rest=False)
-    @example(name="50F", i_c=3.95, f=0.3, rest=True)
-    def test_reported_fraction_never_below_floor(self, name, i_c, f, rest):
-        model = fit_self_discharge(load_rest_voltage_rows()) if rest else None
-        obj = ClosedFormObjective(preset(name, ideal=True), i_c, rest_model=model)
+    @given(case=st.one_of(_objective_floors(), _grid_floors()))
+    @example(case=(ClosedFormObjective(preset("50F", ideal=True), 3.95), 0.5))
+    @example(case=(ClosedFormObjective(preset("50F", ideal=True), 3.95,
+                                       fit_self_discharge(load_rest_voltage_rows())), 0.3))
+    @example(case=(measured_grid("100F"), 0.19))
+    @example(case=(build_grid(preset("100F"), 0.5, levels=(0.1, 0.3)), 0.08))
+    def test_reported_fraction_never_below_floor(self, case):
+        target, f = case
         try:
-            pt = optimize_window(obj, f)
+            pt = optimize_window(target, f)
         except InfeasibleEnergyRequirement:
-            return  # no feasible window on the boundary at this current
+            return  # no feasible window reaches the floor
         assert pt.energy_fraction >= f
 
     def test_low_quality_model_refused_by_objective(self):

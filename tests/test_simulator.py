@@ -86,6 +86,30 @@ class TestStepDynamics:
             expect = v_eq + (v0 - v_eq) * math.exp(-t / tau)
             assert v == pytest.approx(expect, rel=1e-12)
 
+    def test_matches_scipy_expm(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        devices = [preset(n, ideal=ideal) for n in ("10F", "50F", "100F")
+                   for ideal in (True, False)]
+        devices += [DeviceParams(c_main=10.0, r_series=0.0, v_rated=2.7, r_leak=100.0),
+                    TWO_BRANCH]
+        for p in devices:
+            a, b = simulator._continuous_system(p)
+            for dt in np.logspace(-3, math.log10(1800.0), 40):
+                m = np.zeros((3, 3))
+                m[:2, :2] = a * dt
+                m[:2, 2] = b * dt
+                ref = expm(m)[:2]
+                ad, bd = simulator._discretize(p, dt)
+                dev = np.max(np.abs(np.column_stack((ad, bd)) - ref))
+                assert dev <= 1e-12 * np.max(np.abs(ref)), (p, dt)
+
+    def test_ideal_integrator_is_exact(self):
+        for name in ("10F", "50F", "100F"):
+            for dt in np.logspace(-3, math.log10(1800.0), 40):
+                ad, bd = simulator._discretize(preset(name, ideal=True), dt)
+                assert np.array_equal(ad, np.eye(2))
+                assert bd[1] == 0.0
+
     def test_charge_conserved_during_redistribution(self):
         d = DeviceParams(
             c_main=50.0,
@@ -349,7 +373,7 @@ class TestBlockedPropagation:
 
 
 @st.composite
-def _protocols(draw, min_cycles=1):
+def _protocols(draw):
     """A device (ideal, leaky or two-branch), a feasible cycling spec, an acquisition."""
     kind = draw(st.sampled_from(["ideal", "leaky", "two-branch"]))
     c_main = draw(st.floats(1.0, 20.0))
@@ -369,9 +393,25 @@ def _protocols(draw, min_cycles=1):
         i_c=i_c, v_min=v_min, v_max=v_max,
         rest_after_charge=draw(st.floats(0.0, 120.0)),
         rest_after_discharge=draw(st.floats(0.0, 120.0)),
-        max_cycles=draw(st.integers(min_cycles, 3)),
+        max_cycles=draw(st.integers(1, 3)),
     )
     acq = AcquisitionConfig(sample_period=draw(st.sampled_from([0.1, 0.5, 1.0])))
+    return p, s, acq
+
+
+@st.composite
+def _ideal_protocols(draw):
+    """An ideal device with a no-rest window of at least 14 samples per phase."""
+    p = DeviceParams(c_main=draw(st.floats(1.0, 100.0)),
+                     r_series=draw(st.floats(0.005, 0.1)), v_rated=2.7)
+    acq = AcquisitionConfig(sample_period=draw(st.sampled_from([0.1, 0.5, 1.0])))
+    v_min = draw(st.floats(0.0, 2.5))
+    v_max = draw(st.floats(v_min + 0.05, 2.7))
+    # The current whose ideal phase lasts `samples` sample periods.
+    samples = draw(st.integers(14, 300))
+    i_c = p.c_main * (v_max - v_min) / (samples * acq.sample_period + 2 * p.r_series * p.c_main)
+    s = CycleSpec(i_c=i_c, v_min=v_min, v_max=v_max,
+                  max_cycles=draw(st.integers(2, 3)))
     return p, s, acq
 
 
@@ -398,9 +438,24 @@ class TestProtocolProperties:
         assert np.max(np.abs(blocked.v - ref.v)) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
-    @given(case=_protocols(min_cycles=2))  # steady detection needs two cycles
+    @given(case=_protocols())
     def test_analyzed_losses_balance_energy(self, case):
         report = analyze_trace(run_protocol(*case))
         for m in report.steady.per_cycle:
             losses = m.loss_charge + m.loss_rest + m.loss_discharge
             assert abs(losses - (m.e_in - m.e_out)) <= 1e-9 * m.e_in
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=_ideal_protocols())
+    def test_ideal_efficiency_within_closed_form_bound(self, case):
+        # perfbench/README.md, "The rampmap bound": the discrete phases and the
+        # trapezoid across each current reversal put the simulated efficiency
+        # of an ideal device between the closed form and ΔV/S above it.
+        p, s, acq = case
+        trace = run_protocol(p, s, acq)
+        min_segment = min(1.0, 0.5 * charge_duration(p, s))
+        eta = analyze_trace(trace, min_segment=min_segment).steady.mean.eta
+        dv = s.i_c * acq.sample_period / p.c_main
+        swing = s.v_max - s.v_min - 2 * s.i_c * p.r_series
+        assert 0.0 <= eta - efficiency_no_rest(p, s) <= dv / swing + 1e-12
+

@@ -1,7 +1,10 @@
-"""The benchmark harness under ``perfbench/`` still finds what it wraps."""
+"""Packaging and harness checks: capcycle imports numpy alone, and the
+benchmark harness under ``perfbench/`` still finds what it wraps."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +12,23 @@ import pytest
 
 from capcycle import AcquisitionConfig, CycleSpec, cli, preset
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; a fresh interpreter shows whether
+    # anything on the CLI's import path pulls it in.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, capcycle.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture
