@@ -66,9 +66,7 @@ from .model import (
     efficiency_no_rest,
     efficiency_with_rest,
     energy_in,
-    energy_in_with_rest,
     energy_out,
-    energy_out_with_rest,
     test_current,
     usable_energy_fraction,
     window_to_volts,

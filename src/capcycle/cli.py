@@ -257,7 +257,17 @@ def _json_doc(doc: dict) -> str:
 # Subcommands; each receives the namespace :func:`resolve` returns.
 
 
+def _refuse_ignored(
+    o: argparse.Namespace, command: str, names: tuple[str, ...], by: str
+) -> None:
+    ignored = [f"--{name}" for name in names if name in o.given]
+    if ignored:
+        raise ConfigError(f"{command}: {by} ignores {', '.join(ignored)}; leave it out")
+
+
 def cmd_simulate(o: argparse.Namespace) -> int:
+    if {"rest-high", "rest-low"} <= o.given:
+        _refuse_ignored(o, "simulate", ("rest",), "--rest-high with --rest-low")
     device = _resolve_device(o.device, o.ideal)
     spec = CycleSpec(
         i_c=_default_current(o),
@@ -293,16 +303,10 @@ def cmd_analyze(o: argparse.Namespace) -> int:
 _METHODS = {"closedform": GridMethod.CLOSED_FORM, "simulated": GridMethod.SIMULATED}
 
 
-def _refuse_ignored(o: argparse.Namespace, names: tuple[str, ...], by: str) -> None:
-    ignored = [f"--{name}" for name in names if name in o.given]
-    if ignored:
-        raise ConfigError(f"map: {by} ignores {', '.join(ignored)}; leave it out")
-
-
 def cmd_map(o: argparse.Namespace) -> int:
     if o.fixture is not None:
         _refuse_ignored(
-            o, ("levels", "method", "rest", "ideal", "current", "sim-cycles"),
+            o, "map", ("levels", "method", "rest", "ideal", "current", "sim-cycles"),
             "--fixture (a measured grid)",
         )
         if o.device not in fixtures.DEVICES:
@@ -315,7 +319,7 @@ def cmd_map(o: argparse.Namespace) -> int:
         method = _METHODS[o.method]
         model = None
         if method is GridMethod.CLOSED_FORM:
-            _refuse_ignored(o, ("ideal", "sim-cycles"), "the closed-form method")
+            _refuse_ignored(o, "map", ("ideal", "sim-cycles"), "the closed-form method")
             if o.rest is not None:
                 if o.rest != fixtures.REST_DURATION_S:
                     raise ConfigError(
@@ -363,6 +367,7 @@ def cmd_iec_current(o: argparse.Namespace) -> int:
     if (o.r is None) == (o.device is None):
         raise ConfigError("iec-current: give exactly one of --r or --device")
     if o.device is not None:
+        _refuse_ignored(o, "iec-current", ("v-rated",), "--device (its own rating)")
         device = _resolve_device(o.device, ideal=False)
     else:
         # capacitance does not enter the current inversion

@@ -73,7 +73,6 @@ class CycleSpec:
     rest_after_charge: float = 0.0
     rest_after_discharge: float = 0.0
     max_cycles: int = 1
-    steady_tolerance: float = 0.01
 
     def __post_init__(self) -> None:
         if not self.i_c > 0:
@@ -89,10 +88,6 @@ class CycleSpec:
             raise ConfigError("spec rest durations must be finite and >= 0")
         if self.max_cycles < 1:
             raise ConfigError(f"spec.max_cycles must be >= 1, got {self.max_cycles}")
-        if not 0 < self.steady_tolerance < 1:
-            raise ConfigError(
-                f"spec.steady_tolerance must lie in (0, 1), got {self.steady_tolerance}"
-            )
 
     def validate_against(self, device: DeviceParams) -> None:
         """Cross-check the window against the device rating."""
@@ -192,43 +187,33 @@ def efficiency_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> flo
     return numerator / (vsum + rv.v_sc + drop)
 
 
-def energy_in(p: DeviceParams, s: CycleSpec) -> float:
+def energy_in(p: DeviceParams, s: CycleSpec, rv: RestVoltages | None = None) -> float:
     """Energy supplied during one steady charge phase, in joules.
 
     Mean terminal voltage during charge is ``(v_max + v_min)/2 + i*R``; times
-    current and duration gives ``i*(v_max + v_min + 2*i*R)/2 * dt``.
+    current and duration gives ``i*(v_max + v_min + 2*i*R)/2 * dt``.  A
+    post-discharge rebound ``rv.v_sc`` shortens nothing (the window sets the
+    duration) but raises the mean: ``i*(v_max + v_min + v_sc + 2*i*R)/2 * dt``.
     """
     drop = _require_feasible_window(p, s)
     dt = p.c_main * (s.v_max - s.v_min - drop) / s.i_c
-    return s.i_c * (s.v_max + s.v_min + drop) / 2.0 * dt
+    v_sc = 0.0 if rv is None else rv.v_sc
+    return s.i_c * (s.v_max + s.v_min + v_sc + drop) / 2.0 * dt
 
 
-def energy_out(p: DeviceParams, s: CycleSpec) -> float:
-    """Energy delivered during one steady discharge phase, in joules."""
-    drop = _require_feasible_window(p, s)
-    dt = p.c_main * (s.v_max - s.v_min - drop) / s.i_c
-    return s.i_c * (s.v_max + s.v_min - drop) / 2.0 * dt
+def energy_out(p: DeviceParams, s: CycleSpec, rv: RestVoltages | None = None) -> float:
+    """Energy delivered during one steady discharge phase, in joules.
 
-
-def energy_in_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> float:
-    """Energy supplied per cycle when the post-discharge rest rebounds by v_sc.
-
-    The rebound shortens nothing (the duration is set by the same window) but
-    raises the mean charging voltage: ``i*(v_max + v_min + v_sc + 2*i*R)/2 * dt``.
+    A post-charge sag ``rv.v_sd`` lowers the mean discharge voltage:
+    ``i*(v_max + v_min - v_sd - 2*i*R)/2 * dt``.
     """
     drop = _require_feasible_window(p, s)
     dt = p.c_main * (s.v_max - s.v_min - drop) / s.i_c
-    return s.i_c * (s.v_max + s.v_min + rv.v_sc + drop) / 2.0 * dt
-
-
-def energy_out_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> float:
-    """Energy delivered per cycle when the post-charge rest sags by v_sd."""
-    drop = _require_feasible_window(p, s)
-    dt = p.c_main * (s.v_max - s.v_min - drop) / s.i_c
-    numerator = s.v_max + s.v_min - rv.v_sd - drop
+    v_sd = 0.0 if rv is None else rv.v_sd
+    numerator = s.v_max + s.v_min - v_sd - drop
     if not numerator > 0:
         raise LossesExceedDelivery(
-            f"self-discharge {rv.v_sd:.6g} V plus resistive drop {drop:.6g} V "
+            f"self-discharge {v_sd:.6g} V plus resistive drop {drop:.6g} V "
             f"consume the whole window sum {s.v_max + s.v_min:.6g} V"
         )
     return s.i_c * numerator / 2.0 * dt

@@ -71,6 +71,12 @@ TABLE_CAP = 1 << 15
 RAMP_BLOCK = 256
 """Block length of charge and discharge phases, which stop at a crossing."""
 
+V_QUANTUM = 0.093e-3
+"""Voltage resolution of the emulated acquisition chain, in V."""
+
+I_QUANTUM = 0.93e-3
+"""Current resolution of the emulated acquisition chain, in A."""
+
 _PHASE_SAFETY_FACTOR = 50
 _GUARD_LOW = -0.1
 _GUARD_HIGH = 1.2
@@ -88,8 +94,6 @@ class AcquisitionConfig:
     """Sampling and quantization of the emulated acquisition chain."""
 
     sample_period: float = 0.1
-    v_quantum: float = 0.093e-3
-    i_quantum: float = 0.93e-3
     quantize: bool = False
 
     def __post_init__(self) -> None:
@@ -97,8 +101,6 @@ class AcquisitionConfig:
             raise ConfigError(
                 f"acquisition.sample_period must be > 0, got {self.sample_period}"
             )
-        if not self.v_quantum > 0 or not self.i_quantum > 0:
-            raise ConfigError("acquisition quanta must be > 0")
 
 
 def _continuous_system(p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
@@ -245,10 +247,9 @@ def run_protocol(
 
     Trace ``meta`` carries ground truth: per-phase boundaries (``boundaries``,
     a list of :class:`~capcycle.trace.CycleBoundary`), per-cycle supplied and
-    extracted charge (exact internal accounting), charge/discharge durations,
-    and ``steady_cycle_internal`` — the first cycle from which the charge
-    balance criterion held for two consecutive cycles (never truncates the
-    run; all ``max_cycles`` cycles are always simulated).
+    extracted charge (exact internal accounting) and charge/discharge
+    durations.  Whether a cycle is steady is the analyzer's judgement, made
+    on the samples; the simulator makes none.
     """
     if acq is None:
         acq = AcquisitionConfig()
@@ -349,13 +350,6 @@ def run_protocol(
         t_charge.append(n_c * dt_int)
         t_discharge.append(n_d * dt_int)
 
-    steady_internal = None
-    ratios = [abs(qi - qo) / qi for qi, qo in zip(q_in, q_out)]
-    for c in range(len(ratios) - 1):
-        if ratios[c] < s.steady_tolerance and ratios[c + 1] < s.steady_tolerance:
-            steady_internal = c + 1  # 1-based cycle index
-            break
-
     v = np.concatenate(phase_v)
     trace = Trace(
         t=np.arange(1, v.size + 1) * acq.sample_period,
@@ -368,38 +362,20 @@ def run_protocol(
             "q_out": q_out,
             "t_charge": t_charge,
             "t_discharge": t_discharge,
-            "steady_cycle_internal": steady_internal,
             "dt_internal": dt_int,
             "n_sub": n_sub,
-            "device": {
-                "c_main": p.c_main,
-                "r_series": p.r_series,
-                "v_rated": p.v_rated,
-                "c_branch": p.redistribution.c_branch if p.redistribution else None,
-                "r_branch": p.redistribution.r_branch if p.redistribution else None,
-                "r_leak": p.r_leak,
-            },
-            "spec": {
-                "i_c": s.i_c,
-                "v_min": s.v_min,
-                "v_max": s.v_max,
-                "rest_after_charge": s.rest_after_charge,
-                "rest_after_discharge": s.rest_after_discharge,
-                "max_cycles": s.max_cycles,
-                "steady_tolerance": s.steady_tolerance,
-            },
             "quantized": acq.quantize,
         },
     )
     if acq.quantize:
-        trace = quantize_trace(trace, acq)
+        trace = quantize_trace(trace)
     return trace
 
 
-def quantize_trace(trace: Trace, acq: AcquisitionConfig) -> Trace:
-    """Round voltage and current to the acquisition quanta (idempotent)."""
-    v = np.round(trace.v / acq.v_quantum) * acq.v_quantum
-    i = np.round(trace.i / acq.i_quantum) * acq.i_quantum
+def quantize_trace(trace: Trace) -> Trace:
+    """Round voltage and current to ``V_QUANTUM`` and ``I_QUANTUM`` (idempotent)."""
+    v = np.round(trace.v / V_QUANTUM) * V_QUANTUM
+    i = np.round(trace.i / I_QUANTUM) * I_QUANTUM
     meta = dict(trace.meta)
     meta["quantized"] = True
     return Trace(

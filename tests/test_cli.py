@@ -85,6 +85,29 @@ class TestSimulate:
         second_line = out.read_text().splitlines()[1]
         assert second_line.endswith(",3.95")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_refuses_rest_overridden_by_both_rests(self, capsys, tmp_path, source):
+        # with both per-phase rests given, --rest used to be dropped silently
+        argv = ["simulate", "--device", "10F", "--rest-high", "10", "--rest-low", "10",
+                "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            argv += ["--rest", "50"]
+        else:
+            argv += ["--config", write_config(tmp_path, {"rest": 50})]
+        code, _, err = run(capsys, *argv)
+        assert_rejected(code, err, "--rest")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rest_with_one_phase_rest_and_null_rest_accepted(self, capsys, tmp_path):
+        # --rest still fills the phase whose own rest is not given, and a
+        # config null counts as not given
+        cfg = write_config(tmp_path, {"rest": None})
+        for argv in (["--rest", "50", "--rest-high", "10"],
+                     ["--config", cfg, "--rest-high", "10", "--rest-low", "10"]):
+            code, _, err = run(capsys, "simulate", "--device", "10F", *argv,
+                               "--out", str(tmp_path / "x.csv"))
+            assert code == 0, err
+
 
 class TestAnalyze:
     def test_roundtrip_recovers_closed_form(self, capsys, tmp_path):
@@ -391,6 +414,18 @@ class TestIecCurrent:
         code, stdout, _ = run(capsys, "iec-current", "--device", "50F")
         assert code == 0
         assert float(stdout) == pytest.approx(3.95, rel=1e-9)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_device_refuses_v_rated(self, capsys, tmp_path, source):
+        # the device's own rating wins, so --v-rated used to change nothing
+        argv = ["iec-current", "--device", "10F"]
+        if source == "flag":
+            argv += ["--v-rated", "5"]
+        else:
+            argv += ["--config", write_config(tmp_path, {"v-rated": 5})]
+        code, stdout, err = run(capsys, *argv)
+        assert_rejected(code, err, "--v-rated")
+        assert stdout == ""
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, _ = run(capsys, "iec-current")

@@ -19,9 +19,7 @@ from capcycle import (
     efficiency_no_rest,
     efficiency_with_rest,
     energy_in,
-    energy_in_with_rest,
     energy_out,
-    energy_out_with_rest,
     usable_energy_fraction,
     window_to_volts,
 )
@@ -155,18 +153,22 @@ class TestEnergies:
     def test_rest_variants_share_duration_and_shift_brackets(self):
         rv = RestVoltages(v_sd=0.15, v_sc=0.12)
         dt = charge_duration(DEV, SPEC_04)
-        assert energy_in_with_rest(DEV, SPEC_04, rv) == pytest.approx(
+        assert energy_in(DEV, SPEC_04, rv) == pytest.approx(
             0.4 * (3.0 + 0.12 + 2 * 0.4 * 0.0922) / 2 * dt, rel=1e-12
         )
-        assert energy_out_with_rest(DEV, SPEC_04, rv) == pytest.approx(
+        assert energy_out(DEV, SPEC_04, rv) == pytest.approx(
             0.4 * (3.0 - 0.15 - 2 * 0.4 * 0.0922) / 2 * dt, rel=1e-12
         )
-        ratio = energy_out_with_rest(DEV, SPEC_04, rv) / energy_in_with_rest(
-            DEV, SPEC_04, rv
-        )
+        ratio = energy_out(DEV, SPEC_04, rv) / energy_in(DEV, SPEC_04, rv)
         assert ratio == pytest.approx(
             efficiency_with_rest(DEV, SPEC_04, rv), rel=1e-12
         )
+
+    def test_zero_rest_voltages_are_bit_identical_to_no_rest(self):
+        zero = RestVoltages(0.0, 0.0)
+        for s in (SPEC_04, CycleSpec(i_c=1.7, v_min=0.0, v_max=2.7)):
+            assert energy_in(DEV, s, zero) == energy_in(DEV, s)
+            assert energy_out(DEV, s, zero) == energy_out(DEV, s)
 
 
 class TestSecondForm:
@@ -292,8 +294,6 @@ class TestValidation:
             CycleSpec(i_c=1.0, v_min=1.0, v_max=1.0)  # degenerate window
         with pytest.raises(ConfigError):
             CycleSpec(i_c=1.0, v_min=0.5, v_max=2.5, max_cycles=0)
-        with pytest.raises(ConfigError):
-            CycleSpec(i_c=1.0, v_min=0.5, v_max=2.5, steady_tolerance=1.0)
         for rest in (-1.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="rest durations"):
                 CycleSpec(i_c=1.0, v_min=0.5, v_max=2.5, rest_after_discharge=rest)
