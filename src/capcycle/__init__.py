@@ -24,8 +24,8 @@ from .effmap import (
     EfficiencyGrid,
     GridMethod,
     OperatingPoint,
-    RestPlan,
     SelfDischargeModel,
+    SimulatedObjective,
     build_grid,
     fit_self_discharge,
     optimize_window,

@@ -4,7 +4,8 @@ Integration convention: the interval between consecutive samples belongs to
 the segment of its **right** endpoint, because each sample carries the current
 of the step that ends on it.  Segment energy is then
 ``sum (v[k-1]+v[k])/2 * i[k] * dt`` (trapezoidal in voltage, exact for
-piecewise-constant current) and charge is ``sum |i[k]| * dt``.  Slicing the
+piecewise-constant current), charge is ``sum |i[k]| * dt`` and the
+resistive-dissipation weight is ``sum i[k]^2 * dt``.  Slicing the
 trapezoids strictly inside each segment instead would drop one boundary
 interval per phase and bias the recovered efficiency by several tenths of a
 percentage point at a 0.1 s sample period.
@@ -24,6 +25,7 @@ from .errors import (
     MalformedProtocol,
     NoCyclesFound,
     NoJumpFound,
+    NumericError,
 )
 from .simulator import Phase
 from .trace import Trace
@@ -259,17 +261,14 @@ def segment(
     ]
 
 
-def _segment_energy_charge(trace: Trace, seg: Segment) -> tuple[float, float]:
-    """(signed energy, unsigned charge) of one segment under right-endpoint attribution."""
-    a, b = seg.first_index, seg.last_index
-    k = np.arange(max(a, 1), b + 1)
-    if k.size == 0:
-        return 0.0, 0.0
+def _integrate(trace: Trace, seg: Segment) -> tuple[float, float, float]:
+    """(signed energy, unsigned charge, dissipation weight) of one segment."""
+    a, b = max(seg.first_index, 1), seg.last_index + 1
     dt = trace.sample_period
-    v, i = trace.v, trace.i
-    energy = float(np.sum((v[k - 1] + v[k]) * 0.5 * i[k]) * dt)
-    charge = float(np.sum(np.abs(i[k])) * dt)
-    return energy, charge
+    v, i = trace.v, trace.i[a:b]
+    energy = float(np.sum((v[a - 1 : b - 1] + v[a:b]) * 0.5 * i) * dt)
+    charge = float(np.sum(np.abs(i)) * dt)
+    return energy, charge, float(np.sum(i**2) * dt)
 
 
 @dataclass
@@ -308,54 +307,44 @@ def _group_cycles(segments: list[Segment]) -> tuple[list[_Cycle], list[str]]:
 
 
 def cycle_metrics(
-    trace: Trace,
-    segments: list[Segment],
-    c_est: float | None = None,
-    r_est: float | None = None,
+    trace: Trace, segments: list[Segment], c_est: float | None = None
 ) -> list[CycleMetrics]:
     """Per-cycle charges, energies, rest voltages, efficiency, loss breakdown.
 
-    The loss split is balance-exact by construction: rest losses use the
-    stored-energy drop ``0.5*C*(v_start^2 - v_end^2)`` when a capacitance
-    estimate is available, and the remaining ``e_in - e_out`` is apportioned
-    between charge and discharge by their resistive-dissipation share (or by
-    duration when no resistance estimate exists).
+    The loss split is balance-exact by construction: rest losses are the
+    stored-energy drop ``0.5*C*(v_start^2 - v_end^2)`` given a capacitance
+    estimate, else the rests' share of the cycle's duration; charge and
+    discharge split the rest of ``e_in - e_out`` by dissipation weight.
+    A cycle that takes in no energy raises :class:`NumericError`.
     """
     grouped, _ = _group_cycles(segments)
     out: list[CycleMetrics] = []
     dt = trace.sample_period
     for n, cyc in enumerate(grouped, start=1):
-        e_in, q_in = _segment_energy_charge(trace, cyc.charge)
-        e_dis, q_out = _segment_energy_charge(trace, cyc.discharge)
+        e_in, q_in, w_c = _integrate(trace, cyc.charge)
+        e_dis, q_out, w_d = _integrate(trace, cyc.discharge)
         e_out = -e_dis
+        if not (e_in > 0 and w_c + w_d > 0):
+            raise NumericError(
+                f"cycle {n} (t={cyc.charge.t_start:g}s): energy in {e_in!r} J and "
+                f"sum(i^2)*dt {w_c + w_d!r} A^2*s must be positive"
+            )
         t_charge = (cyc.charge.last_index - cyc.charge.first_index + 1) * dt
         t_discharge = (cyc.discharge.last_index - cyc.discharge.first_index + 1) * dt
         v_sd = cyc.rest_high.v_start - cyc.rest_high.v_end if cyc.rest_high else 0.0
         v_sc = cyc.rest_low.v_end - cyc.rest_low.v_start if cyc.rest_low else 0.0
-        eta = e_out / e_in if e_in > 0 else float("nan")
 
         total_loss = e_in - e_out
         rests = [s for s in (cyc.rest_high, cyc.rest_low) if s is not None]
         if rests and c_est is None:
-            t_rest = sum(
-                (s.last_index - s.first_index + 1) * dt for s in rests
-            )
-            w_sum = t_charge + t_discharge + t_rest
-            loss_charge = total_loss * t_charge / w_sum
-            loss_rest = total_loss * t_rest / w_sum
-            loss_discharge = total_loss - loss_charge - loss_rest
+            t_rest = sum((s.last_index - s.first_index + 1) * dt for s in rests)
+            loss_rest = total_loss * t_rest / (t_charge + t_discharge + t_rest)
         else:
             loss_rest = sum(
                 (0.5 * c_est * (s.v_start**2 - s.v_end**2) for s in rests), 0.0
             )
-            remainder = total_loss - loss_rest
-            if r_est is not None:
-                w_c = _dissipation_weight(trace, cyc.charge)
-                w_d = _dissipation_weight(trace, cyc.discharge)
-            else:
-                w_c, w_d = t_charge, t_discharge
-            loss_charge = remainder * w_c / (w_c + w_d)
-            loss_discharge = remainder - loss_charge
+        remainder = total_loss - loss_rest
+        loss_charge = remainder * w_c / (w_c + w_d)
 
         out.append(
             CycleMetrics(
@@ -368,19 +357,13 @@ def cycle_metrics(
                 t_discharge=t_discharge,
                 v_sd=v_sd,
                 v_sc=v_sc,
-                eta=eta,
+                eta=e_out / e_in,
                 loss_charge=loss_charge,
                 loss_rest=loss_rest,
-                loss_discharge=loss_discharge,
+                loss_discharge=remainder - loss_charge,
             )
         )
     return out
-
-
-def _dissipation_weight(trace: Trace, seg: Segment) -> float:
-    a, b = seg.first_index, seg.last_index
-    k = np.arange(max(a, 1), b + 1)
-    return float(np.sum(trace.i[k] ** 2) * trace.sample_period)
 
 
 def _steady_from(charges: list[tuple[float, float]], tol: float) -> int | None:
@@ -520,7 +503,7 @@ def analyze_trace(
         raise NoCyclesFound("no complete charge-discharge cycle in the trace")
 
     charges = [
-        tuple(_segment_energy_charge(trace, seg)[1] for seg in (c.charge, c.discharge))
+        (_integrate(trace, c.charge)[1], _integrate(trace, c.discharge)[1])
         for c in grouped
     ]
     steady0 = _steady_from(charges, steady_tol)
@@ -537,9 +520,9 @@ def analyze_trace(
     ]
 
     try:
-        r_est = identify_resistance(trace, steady_segs)
+        r_series = identify_resistance(trace, steady_segs)
     except NoJumpFound as exc:
-        r_est = None
+        r_series = None
         warnings.append(f"resistance not identified: {exc}")
     try:
         c_est = identify_capacitance(trace, steady_segs)
@@ -547,17 +530,12 @@ def analyze_trace(
         c_est = None
         warnings.append(f"capacitance not identified: {exc}")
 
-    metrics = cycle_metrics(
-        trace,
-        segs,
-        c_est=c_est.value if c_est else None,
-        r_est=r_est.value if r_est else None,
-    )
+    metrics = cycle_metrics(trace, segs, c_est=c_est.value if c_est else None)
     steady = detect_steady(metrics, steady_tol)
     return AnalysisReport(
         segments=segs,
         steady=steady,
-        r_series=r_est,
+        r_series=r_series,
         c_main=c_est,
         sample_period=trace.sample_period,
         n_samples=len(trace),

@@ -28,8 +28,7 @@ from .analyzer import analyze_trace
 from .effmap import (
     PU_LEVELS,
     ClosedFormObjective,
-    GridMethod,
-    RestPlan,
+    SimulatedObjective,
     build_grid,
     fit_self_discharge,
     optimize_window,
@@ -300,9 +299,6 @@ def cmd_analyze(o: argparse.Namespace) -> int:
     return 0
 
 
-_METHODS = {"closedform": GridMethod.CLOSED_FORM, "simulated": GridMethod.SIMULATED}
-
-
 def cmd_map(o: argparse.Namespace) -> int:
     if o.fixture is not None:
         _refuse_ignored(
@@ -316,10 +312,12 @@ def cmd_map(o: argparse.Namespace) -> int:
         grid = fixtures.measured_grid(o.device, rest=o.fixture == "table4")
     else:
         device = _resolve_device(o.device, o.ideal)
-        method = _METHODS[o.method]
-        model = None
-        if method is GridMethod.CLOSED_FORM:
+        i_c = _default_current(o)
+        if o.method == "simulated":
+            objective = SimulatedObjective(device, i_c, o.rest or 0.0, o.sim_cycles)
+        else:
             _refuse_ignored(o, "map", ("ideal", "sim-cycles"), "the closed-form method")
+            model = None
             if o.rest is not None:
                 if o.rest != fixtures.REST_DURATION_S:
                     raise ConfigError(
@@ -328,15 +326,8 @@ def cmd_map(o: argparse.Namespace) -> int:
                         "use --method simulated for other durations"
                     )
                 model = fit_self_discharge(fixtures.load_rest_voltage_rows())
-        rest = None if o.rest is None else RestPlan(duration=o.rest, model=model)
-        grid = build_grid(
-            device,
-            _default_current(o),
-            levels=o.levels,
-            rest=rest,
-            method=method,
-            sim_cycles=o.sim_cycles,
-        )
+            objective = ClosedFormObjective(device, i_c, model)
+        grid = build_grid(objective, levels=o.levels)
     csv_path, svg_path = render_map(grid, o.out)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
@@ -416,7 +407,7 @@ COMMANDS = {
         Option("device", "str", "100F", _DEVICE),
         Option("ideal", "bool", False),
         Option("current", "float"),
-        Option("method", "str", "closedform", choices=tuple(_METHODS)),
+        Option("method", "str", "closedform", choices=("closedform", "simulated")),
         Option("fixture", "str", None, "render an embedded measured surface instead",
                choices=("table2", "table4")),
         Option("rest", "float", None, "rest duration in s; enables the with-rest model"),

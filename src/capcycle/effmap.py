@@ -1,8 +1,8 @@
 """Efficiency surfaces over per-unit voltage windows, and their optimization.
 
 A grid evaluates round-trip efficiency for every pair ``vm < vM`` of per-unit
-levels, either from the closed forms (optionally with a fitted rest-voltage
-model), by full simulate-and-analyze runs, or from embedded measured data.
+levels through an objective (the closed forms, optionally with a fitted
+rest-voltage model, or full simulate-and-analyze runs) or from embedded data.
 Rendering is deterministic: the same grid always produces byte-identical CSV
 and SVG output.
 """
@@ -10,7 +10,7 @@ and SVG output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -146,18 +146,6 @@ def fit_self_discharge(rows) -> SelfDischargeModel:
     )
 
 
-@dataclass(frozen=True)
-class RestPlan:
-    """Rest configuration for a grid: duration plus (for closed form) a model."""
-
-    duration: float = 1800.0
-    model: SelfDischargeModel | None = None
-
-    def __post_init__(self) -> None:
-        if not self.duration > 0:
-            raise ConfigError(f"rest duration must be > 0, got {self.duration}")
-
-
 @dataclass
 class EfficiencyGrid:
     """Efficiency over a per-unit (vm, vM) grid; NaN marks undefined cells.
@@ -203,6 +191,7 @@ class ClosedFormObjective:
     whose fit quality is below :data:`MIN_FIT_QUALITY` is refused.
     """
 
+    method = GridMethod.CLOSED_FORM
     device: DeviceParams
     i_c: float
     rest_model: SelfDischargeModel | None = None
@@ -214,6 +203,10 @@ class ClosedFormObjective:
                 f"rest-voltage model fit quality {m.fit_quality:.4f} is "
                 f"below the {MIN_FIT_QUALITY} gate; use the simulated method instead"
             )
+
+    @property
+    def with_rest(self) -> bool:
+        return self.rest_model is not None
 
     def eta(self, vm_pu: float, vM_pu: float) -> float:
         """Efficiency at a per-unit window; raises for infeasible windows."""
@@ -230,32 +223,50 @@ class ClosedFormObjective:
         return efficiency_with_rest(self.device, s, rv)
 
 
-def build_grid(
-    p: DeviceParams,
-    i_c: float,
-    levels=PU_LEVELS,
-    rest: RestPlan | None = None,
-    method: GridMethod = GridMethod.CLOSED_FORM,
-    sim_cycles: int = 20,
-) -> EfficiencyGrid:
-    """Evaluate efficiency for every level pair ``vm < vM``.
+@dataclass(frozen=True)
+class SimulatedObjective:
+    """Efficiency of per-unit windows by simulating the protocol and analyzing it.
 
-    Closed-form cells are :meth:`ClosedFormObjective.eta` (with rest voltages
-    from ``rest.model``); simulated cells run the full protocol, with
-    ``rest.duration`` rests, and take the steady-window mean efficiency.
+    Each window runs ``cycles`` full cycles with ``rest`` seconds of rest
+    after each phase and takes the analyzer's steady-window mean efficiency.
+    """
+
+    method = GridMethod.SIMULATED
+    device: DeviceParams
+    i_c: float
+    rest: float = 0.0
+    cycles: int = 20
+    # Held until the next window's trace is built, so the C heap does not shrink
+    # and page-fault back in between windows (+40% time on 1800-s-rest maps).
+    _last_trace: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @property
+    def with_rest(self) -> bool:
+        return self.rest > 0
+
+    def eta(self, vm_pu: float, vM_pu: float) -> float:
+        """Steady-window mean efficiency at a per-unit window."""
+        p = self.device
+        s = CycleSpec(i_c=self.i_c, v_min=vm_pu * p.v_rated, v_max=vM_pu * p.v_rated,
+                      rest_after_charge=self.rest, rest_after_discharge=self.rest,
+                      max_cycles=self.cycles)
+        trace = run_protocol(p, s)
+        self._last_trace[:] = [trace]
+        # A narrow window's ramps can be shorter than the default
+        # 1-s glitch filter, which would merge them away.
+        min_segment = min(1.0, 0.5 * charge_duration(p, s))
+        return analyze_trace(trace, min_segment=min_segment).steady.mean.eta
+
+
+def build_grid(
+    objective: ClosedFormObjective | SimulatedObjective, levels=PU_LEVELS
+) -> EfficiencyGrid:
+    """Evaluate ``objective.eta`` for every level pair ``vm < vM``.
+
     Infeasible windows (narrower than the resistive drops, or with rest losses
     exceeding delivery) are marked undefined, not errors.
     """
     levels = _validate_levels(levels)
-    if method is GridMethod.MEASURED:
-        raise ConfigError(
-            "measured grids are built from the embedded data files, not evaluated"
-        )
-    if method is GridMethod.CLOSED_FORM:
-        if rest is not None and rest.model is None:
-            raise ConfigError("closed-form rest grids need a rest-voltage model")
-        objective = ClosedFormObjective(p, i_c, rest.model if rest else None)
-    rest_s = rest.duration if rest else 0.0
     n = len(levels)
     eta = np.full((n, n), np.nan)
     for r, vM in enumerate(levels):
@@ -263,23 +274,7 @@ def build_grid(
             if vm >= vM:
                 continue
             try:
-                if method is GridMethod.CLOSED_FORM:
-                    value = objective.eta(vm, vM)
-                else:
-                    s = CycleSpec(
-                        i_c=i_c,
-                        v_min=vm * p.v_rated,
-                        v_max=vM * p.v_rated,
-                        rest_after_charge=rest_s,
-                        rest_after_discharge=rest_s,
-                        max_cycles=sim_cycles,
-                    )
-                    trace = run_protocol(p, s)
-                    # A narrow window's ramps can be shorter than the default
-                    # 1-s glitch filter, which would merge them away.
-                    min_segment = min(1.0, 0.5 * charge_duration(p, s))
-                    report = analyze_trace(trace, min_segment=min_segment)
-                    value = report.steady.mean.eta
+                value = objective.eta(vm, vM)
             except (WindowTooNarrow, LossesExceedDelivery):
                 continue
             if 1.0 < value < 1.0 + 1e-9:
@@ -290,9 +285,7 @@ def build_grid(
                     "outside (0, 1]"
                 )
             eta[r, j] = value
-    return EfficiencyGrid(
-        levels=levels, eta=eta, method=method, rest=rest is not None
-    )
+    return EfficiencyGrid(levels, eta, objective.method, objective.with_rest)
 
 
 @dataclass(frozen=True)

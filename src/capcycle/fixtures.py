@@ -48,8 +48,9 @@ def load_current_sweep() -> list[tuple[float, float]]:
 def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, ...]]:
     """(vm, vM, v_sd, v_sc) in volts from a rest-drift CSV shaped like ``table3``.
 
-    ``path`` defaults to the embedded 50 F measurements.  A malformed line
-    raises :class:`~capcycle.errors.TraceParseError` carrying its line number.
+    ``path`` defaults to the embedded 50 F measurements.  A malformed line,
+    or one holding a non-finite value, raises
+    :class:`~capcycle.errors.TraceParseError` carrying its line number.
     """
     text = read_utf8(data_path("table3") if path is None else path)
     rows = []
@@ -65,11 +66,12 @@ def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, 
                 line_no=line_no,
             )
         try:
-            vm, vM = float(parts[1]), float(parts[2])
-            v_sd, v_sc = float(parts[3]) / 1000.0, float(parts[4]) / 1000.0
+            vm, vM, v_sd, v_sc = (float(x) for x in parts[1:])
         except ValueError as exc:
             raise TraceParseError(str(exc), line_no=line_no) from exc
-        rows.append((vm, vM, v_sd, v_sc))
+        if not np.isfinite((vm, vM, v_sd, v_sc)).all():
+            raise TraceParseError("non-finite value", line_no=line_no)
+        rows.append((vm, vM, v_sd / 1000.0, v_sc / 1000.0))
     return rows
 
 

@@ -17,9 +17,9 @@ import pytest
 
 from capcycle import (
     AcquisitionConfig,
+    ClosedFormObjective,
     CycleSpec,
     DeviceParams,
-    RestPlan,
     RestVoltages,
     analyze_trace,
     build_grid,
@@ -312,9 +312,9 @@ def test_criterion_7_two_branch_steady_state():
 def test_criterion_8_derived_parameter_claims():
     d = preset("100F", ideal=True)
     i = 4.7
-    g0 = build_grid(d, i)
+    g0 = build_grid(ClosedFormObjective(d, i))
     model = fit_self_discharge(load_rest_voltage_rows())
-    g1 = build_grid(d, i, rest=RestPlan(duration=1800.0, model=model))
+    g1 = build_grid(ClosedFormObjective(d, i, model))
     vals = {
         "no-rest (0.7,1)": (g0.value(0.7, 1.0), 0.93),
         "no-rest (0.5,1)": (g0.value(0.5, 1.0), 0.90),

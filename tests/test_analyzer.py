@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capcycle import (
     AcquisitionConfig,
@@ -22,6 +23,7 @@ from capcycle import (
     NoJumpFound,
     Phase,
     Redistribution,
+    Segment,
     Trace,
     TraceParseError,
     analyze_trace,
@@ -35,6 +37,7 @@ from capcycle import (
     segment,
     write_trace_csv,
 )
+from capcycle.analyzer import _integrate
 
 DEV = DeviceParams(c_main=10.0, r_series=0.0922, v_rated=2.7)
 SPEC_RESTS = CycleSpec(
@@ -65,6 +68,20 @@ def _mk_trace(t, v, i, sp):
     return Trace(
         t=np.asarray(t, float), v=np.asarray(v, float), i=np.asarray(i, float),
         sample_period=sp,
+    )
+
+
+def _fancy_index_integrals(trace, seg):
+    """Segment energy, charge and sum(i^2)*dt summed over an index array."""
+    k = np.arange(max(seg.first_index, 1), seg.last_index + 1)
+    if k.size == 0:
+        return 0.0, 0.0, 0.0
+    dt = trace.sample_period
+    v, i = trace.v, trace.i
+    return (
+        float(np.sum((v[k - 1] + v[k]) * 0.5 * i[k]) * dt),
+        float(np.sum(np.abs(i[k])) * dt),
+        float(np.sum(i[k] ** 2) * dt),
     )
 
 
@@ -213,7 +230,7 @@ class TestEnergyBookkeeping:
 
     def test_rest_loss_rule_follows_capacitance_estimate(self, rest_trace, rest_segments):
         # With a capacitance estimate rest losses are the stored-energy drop;
-        # without one, total loss is split by duration.
+        # without one, they are the rests' share of the cycle's duration.
         rests = [s for s in rest_segments[:4] if s.kind in (Phase.REST_HIGH, Phase.REST_LOW)]
         assert len(rests) == 2
         stored = cycle_metrics(rest_trace, rest_segments, c_est=10.0)[0]
@@ -223,6 +240,21 @@ class TestEnergyBookkeeping:
         t_rest = sum(s.last_index - s.first_index + 1 for s in rests) * rest_trace.sample_period
         share = t_rest / (timed.t_charge + timed.t_discharge + t_rest)
         assert timed.loss_rest == pytest.approx((timed.e_in - timed.e_out) * share)
+        # Either way the rest of the loss is split by sum(i^2)*dt.  Cycle 1's
+        # charge starts at sample 0, which carries no interval, so its
+        # dissipation share differs from its duration share.
+        w_c, w_d = (
+            _fancy_index_integrals(rest_trace, s)[2] for s in rest_segments[0:3:2]
+        )
+        split = timed.loss_charge / (timed.loss_charge + timed.loss_discharge)
+        assert split == pytest.approx(w_c / (w_c + w_d), rel=1e-12)
+        no_rest = run_protocol(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=2))
+        segs = segment(no_rest)
+        first = cycle_metrics(no_rest, segs)[0]
+        assert first.loss_rest == 0.0
+        w_c, w_d = (_fancy_index_integrals(no_rest, s)[2] for s in segs[:2])
+        share = first.loss_charge / (first.e_in - first.e_out)
+        assert share == pytest.approx(w_c / (w_c + w_d), rel=1e-12)
 
     def test_losses_nonnegative_for_single_branch(self, rest_trace):
         rep = analyze_trace(rest_trace)
@@ -267,6 +299,27 @@ def _metrics(cycle, q_in, q_out):
         t_charge=48.0, t_discharge=48.0, v_sd=0.0, v_sc=0.0, eta=0.9,
         loss_charge=0.5, loss_rest=0.0, loss_discharge=0.5,
     )
+
+
+@st.composite
+def _trace_and_segment(draw):
+    n = draw(st.integers(1, 300))
+    values = arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
+    v, i = draw(values), draw(values)
+    first = draw(st.just(0) | st.integers(0, n - 1))
+    last = draw(st.just(first) | st.integers(first, n - 1))
+    sp = draw(st.sampled_from([0.001, 0.1, 0.3, 1.0]))
+    trace = _mk_trace(np.arange(1, n + 1) * sp, v, i, sp)
+    seg = Segment(Phase.CHARGE, first, last, v[first], v[last], trace.t[first],
+                  trace.t[last])
+    return trace, seg
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_trace_and_segment())
+def test_integrate_matches_fancy_index_sums_bit_for_bit(case):
+    trace, seg = case
+    assert _integrate(trace, seg) == _fancy_index_integrals(trace, seg)
 
 
 class TestSteadyDetection:

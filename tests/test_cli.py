@@ -160,6 +160,19 @@ class TestAnalyze:
         assert code == 3
         assert "line 3" in err
 
+    def test_cycle_without_input_energy_exit_4(self, capsys, tmp_path):
+        # charging at -1 V takes energy out, so efficiency has no meaning
+        k = np.arange(600)
+        i = np.where(k // 100 % 2 == 0, 1.0, -1.0)
+        bad = tmp_path / "negative.csv"
+        bad.write_text("t_s,v_V,i_A\n" + "".join(
+            f"{(n + 1) * 0.1:.1f},-1,{x:g}\n" for n, x in enumerate(i)
+        ))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 4, err
+        assert "cycle 1" in err
+        assert "NaN" not in out
+
     def test_missing_file_exit_5(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
         assert code == 5
@@ -321,6 +334,21 @@ class TestMap:
         )
         assert code == 0, err
 
+    def test_simulated_zero_rest_is_the_no_rest_map(self, capsys, tmp_path):
+        # --rest 0 used to exit 2; it is the rest-free protocol, while a
+        # negative rest is still refused
+        argv = ["map", "--device", "10F", "--method", "simulated",
+                "--levels", "0,0.5,1", "--sim-cycles", "2"]
+        for name, extra in (("none", []), ("zero", ["--rest", "0"])):
+            code, _, err = run(capsys, *argv, *extra, "--out", str(tmp_path / name))
+            assert code == 0, err
+        for suffix in ("csv", "svg"):
+            none, zero = (tmp_path / f"{n}.{suffix}" for n in ("none", "zero"))
+            assert none.read_bytes() == zero.read_bytes()
+        code, _, err = run(capsys, *argv, "--rest", "-5", "--out", str(tmp_path / "neg"))
+        assert code == 2, err
+        assert "rest" in err
+
 
 class TestOptimize:
     def test_analytic_result(self, capsys):
@@ -401,6 +429,13 @@ class TestFitSelfDischarge:
         code, _, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
         assert code == 3
         assert "line 1" in err
+        good = "0.3,0.0,0.3,20,15\n0.9,0.0,0.9,50,40\n"
+        for bad in ("1.5,0.0,1.5,nan,60", "1.5,0.0,inf,80,60", "1.5,-inf,1.5,80,60"):
+            rows.write_text(good + bad + "\n2.1,0.0,2.1,120,95\n")
+            code, out, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
+            assert code == 3, bad
+            assert "line 3" in err and "non-finite" in err, err
+            assert out == ""
 
 
 class TestIecCurrent:

@@ -19,8 +19,8 @@ from capcycle import (
     OperatingWindow,
     PRESET_NAMES,
     RankDeficientFit,
-    RestPlan,
     RestVoltages,
+    SimulatedObjective,
     build_grid,
     efficiency_no_rest,
     efficiency_with_rest,
@@ -112,19 +112,19 @@ class TestSelfDischargeFit:
 class TestBuildGridClosedForm:
     def test_lossless_cells_exactly_one(self):
         d = DeviceParams(c_main=10.0, r_series=0.0, v_rated=2.7)
-        g = build_grid(d, 1.0)
+        g = build_grid(ClosedFormObjective(d, 1.0))
         defined = g.defined_mask()
         assert np.all(g.eta[defined] == 1.0)
 
     def test_undefined_exactly_lower_triangle(self):
-        g = build_grid(preset("100F", ideal=True), 4.7)
+        g = build_grid(ClosedFormObjective(preset("100F", ideal=True), 4.7))
         for r, vM in enumerate(g.levels):
             for j, vm in enumerate(g.levels):
                 assert np.isnan(g.eta[r, j]) == (vm >= vM)
 
     def test_cells_match_direct_evaluation(self):
         d = preset("100F", ideal=True)
-        g = build_grid(d, 4.7)
+        g = build_grid(ClosedFormObjective(d, 4.7))
         s = CycleSpec(i_c=4.7, v_min=0.5 * 2.7, v_max=2.7)
         assert g.value(0.5, 1.0) == pytest.approx(
             efficiency_no_rest(d, s), rel=1e-12
@@ -133,7 +133,7 @@ class TestBuildGridClosedForm:
     def test_rest_cells_use_model_prediction(self):
         d = preset("100F", ideal=True)
         m = _model()
-        g = build_grid(d, 4.7, rest=RestPlan(duration=1800.0, model=m))
+        g = build_grid(ClosedFormObjective(d, 4.7, m))
         span = (1.0 - 0.5) * 2.7
         s = CycleSpec(i_c=4.7, v_min=0.5 * 2.7, v_max=2.7)
         expect = efficiency_with_rest(d, s, m.predict(span))
@@ -142,38 +142,31 @@ class TestBuildGridClosedForm:
 
     def test_rest_grid_below_everywhere(self):
         d = preset("100F", ideal=True)
-        g0 = build_grid(d, 4.7)
-        g1 = build_grid(d, 4.7, rest=RestPlan(model=_model()))
+        g0 = build_grid(ClosedFormObjective(d, 4.7))
+        g1 = build_grid(ClosedFormObjective(d, 4.7, _model()))
         defined = g1.defined_mask()
         assert np.all(g1.eta[defined] < g0.eta[defined])
 
     def test_narrow_cells_undefined_not_errors(self):
         d = DeviceParams(c_main=10.0, r_series=0.5, v_rated=2.7)
-        g = build_grid(d, 1.0)  # drop = 1.0 V wipes out the 0.25-pu windows
+        # drop = 1.0 V wipes out the 0.25-pu windows
+        g = build_grid(ClosedFormObjective(d, 1.0))
         assert math.isnan(g.value(0.0, 0.25))
         assert not math.isnan(g.value(0.0, 1.0))
 
     def test_low_quality_model_gated(self):
         m = _model(fit_quality_sd=0.8)
         with pytest.raises(ConfigError, match="fit quality"):
-            build_grid(preset("100F", ideal=True), 4.7, rest=RestPlan(model=m))
-
-    def test_rest_without_model_rejected(self):
-        with pytest.raises(ConfigError):
-            build_grid(preset("100F", ideal=True), 4.7, rest=RestPlan())
-
-    def test_measured_method_rejected(self):
-        with pytest.raises(ConfigError):
-            build_grid(preset("100F", ideal=True), 4.7, method=GridMethod.MEASURED)
+            build_grid(ClosedFormObjective(preset("100F", ideal=True), 4.7, m))
 
     def test_bad_levels(self):
-        d = preset("100F", ideal=True)
+        obj = ClosedFormObjective(preset("100F", ideal=True), 4.7)
         with pytest.raises(ConfigError):
-            build_grid(d, 4.7, levels=(0.5,))
+            build_grid(obj, levels=(0.5,))
         with pytest.raises(ConfigError):
-            build_grid(d, 4.7, levels=(0.5, 0.5))
+            build_grid(obj, levels=(0.5, 0.5))
         with pytest.raises(ConfigError):
-            build_grid(d, 4.7, levels=(0.0, 1.5))
+            build_grid(obj, levels=(0.0, 1.5))
 
 
 _MODELS = st.builds(
@@ -203,9 +196,8 @@ _MODELS = st.builds(
     model=st.none() | _MODELS,
 )
 def test_closed_form_cells_are_the_objective(device, i_c, levels, model):
-    rest = None if model is None else RestPlan(model=model)
-    g = build_grid(device, i_c, levels=levels, rest=rest)
     obj = ClosedFormObjective(device, i_c, model)
+    g = build_grid(obj, levels=levels)
     for r, vM in enumerate(levels):
         for j, vm in enumerate(levels):
             try:
@@ -220,9 +212,8 @@ class TestBuildGridSimulated:
     def test_matches_closed_form_within_0p2_points(self):
         d = preset("100F", ideal=True)
         levels = (0.0, 0.5, 1.0)
-        cf = build_grid(d, 4.7, levels=levels)
-        sim = build_grid(d, 4.7, levels=levels, method=GridMethod.SIMULATED,
-                         sim_cycles=4)
+        cf = build_grid(ClosedFormObjective(d, 4.7), levels=levels)
+        sim = build_grid(SimulatedObjective(d, 4.7, cycles=4), levels=levels)
         defined = cf.defined_mask()
         assert np.array_equal(defined, sim.defined_mask())
         assert np.all(np.abs(cf.eta[defined] - sim.eta[defined]) < 0.002)
@@ -287,8 +278,8 @@ def _grid_floors(draw):
     """
     picks = draw(st.lists(st.integers(0, 20), min_size=2, max_size=8, unique=True))
     levels = tuple(k / 20 for k in sorted(picks))
-    grid = build_grid(preset(draw(st.sampled_from(PRESET_NAMES))),
-                      draw(st.floats(0.5, 20.0)), levels=levels)
+    grid = build_grid(ClosedFormObjective(preset(draw(st.sampled_from(PRESET_NAMES))),
+                                          draw(st.floats(0.5, 20.0))), levels=levels)
     cells = [(levels[j], levels[r]) for r, j in zip(*np.nonzero(grid.defined_mask()))]
     assume(cells)
     vm, vM = draw(st.sampled_from(cells))
@@ -310,7 +301,7 @@ class TestOptimizer:
         obj = ClosedFormObjective(device=preset("100F", ideal=True), i_c=4.7)
         pt = optimize_window(obj, 1.0)
         assert (pt.window.vm_pu, pt.window.vM_pu) == (0.0, 1.0)
-        g = build_grid(preset("100F", ideal=True), 4.7)
+        g = build_grid(ClosedFormObjective(preset("100F", ideal=True), 4.7))
         pt2 = optimize_window(g, 1.0)
         assert (pt2.window.vm_pu, pt2.window.vM_pu) == (0.0, 1.0)
 
@@ -325,7 +316,7 @@ class TestOptimizer:
             optimize_window(obj, 0.0)
 
     def test_grid_result_dominates_every_feasible_cell(self):
-        g = build_grid(preset("100F", ideal=True), 4.7)
+        g = build_grid(ClosedFormObjective(preset("100F", ideal=True), 4.7))
         f = 0.4
         pt = optimize_window(g, f)
         assert pt.energy_fraction >= f
@@ -351,7 +342,7 @@ class TestOptimizer:
     @example(case=(ClosedFormObjective(preset("50F", ideal=True), 3.95,
                                        fit_self_discharge(load_rest_voltage_rows())), 0.3))
     @example(case=(measured_grid("100F"), 0.19))
-    @example(case=(build_grid(preset("100F"), 0.5, levels=(0.1, 0.3)), 0.08))
+    @example(case=(build_grid(ClosedFormObjective(preset("100F"), 0.5), (0.1, 0.3)), 0.08))
     def test_reported_fraction_never_below_floor(self, case):
         target, f = case
         try:

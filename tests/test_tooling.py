@@ -3,6 +3,7 @@ benchmark harness under ``perfbench/`` still finds what it wraps."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -75,3 +76,26 @@ def test_perfbench_reads_kernel_counts(tracing):
         "simulator.samples": trace.t.size,
     }
     assert {name: values[name] for name in expected} == expected
+
+
+def test_perfbench_counts_analyzer_and_map_layers(tracing, tmp_path):
+    # The analyzer's counts come from segment() and cycle_metrics() results,
+    # the map's from build_grid() and the run_protocol calls its cells make.
+    csv_path, report = tmp_path / "t.csv", tmp_path / "r.json"
+    assert cli.main(["simulate", "--device", "10F", "--cycles", "2", "--rest", "10",
+                     "--out", str(csv_path)]) == 0
+    tracer = tracing.Tracer()
+    with tracing.Patches(tracer) as patches:
+        assert cli.main(["analyze", str(csv_path), "--out", str(report)]) == 0
+    values = tracing.layer_values(tracer, patches.missing)
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert (values["analyzer.cycles"], values["analyzer.segments"]) == (
+        len(doc["cycles"]), len(doc["segments"]))
+
+    tracer = tracing.Tracer()
+    with tracing.Patches(tracer) as patches:
+        assert cli.main(["map", "--device", "10F", "--method", "simulated",
+                         "--levels", "0,0.5,1", "--sim-cycles", "2",
+                         "--out", str(tmp_path / "m")]) == 0
+    values = tracing.layer_values(tracer, patches.missing)
+    assert (values["simulator.run_protocol_calls"], values["effmap.cells"]) == (3, 3)
