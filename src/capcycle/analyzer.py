@@ -1,5 +1,10 @@
 """Trace analysis: segmentation, per-cycle metrics, steady state, identification.
 
+:func:`analyze_cycles` is the core: it segments a trace, integrates each
+complete cycle once and picks the averaging window, which is all a
+steady-window efficiency needs.  :func:`analyze_trace` adds parameter
+identification and the per-cycle loss split on top of it.
+
 Integration convention: the interval between consecutive samples belongs to
 the segment of its **right** endpoint, because each sample carries the current
 of the step that ends on it.  Segment energy is then
@@ -271,43 +276,73 @@ def _integrate(trace: Trace, seg: Segment) -> tuple[float, float, float]:
     return energy, charge, float(np.sum(i**2) * dt)
 
 
-@dataclass
-class _Cycle:
+@dataclass(frozen=True)
+class IntegratedCycle:
+    """One complete cycle: its segments and its active phases' integrals.
+
+    ``w_charge`` and ``w_discharge`` are the phases' dissipation weights
+    ``sum i^2 * dt``; ``e_out`` is the energy the discharge delivers.
+    """
+
     charge: Segment
-    rest_high: Segment | None = None
-    discharge: Segment | None = None
-    rest_low: Segment | None = None
+    rest_high: Segment | None
+    discharge: Segment
+    rest_low: Segment | None
+    e_in: float
+    q_in: float
+    w_charge: float
+    e_out: float
+    q_out: float
+    w_discharge: float
 
 
-def _group_cycles(segments: list[Segment]) -> tuple[list[_Cycle], list[str]]:
-    """Complete cycles (those with a discharge) and warnings for what was dropped."""
-    cycles: list[_Cycle] = []
+@dataclass(frozen=True)
+class CycleAnalysis:
+    """The complete cycles of a trace and the window its efficiency averages."""
+
+    segments: list[Segment]
+    cycles: list[IntegratedCycle]
+    steady_from_cycle: int | None
+    window: tuple[int, int]
+    window_rule: str
+    warnings: list[str]
+
+    @property
+    def eta(self) -> float:
+        """Mean of ``e_out / e_in`` over the averaging window."""
+        first, last = self.window
+        return float(np.mean([c.e_out / c.e_in for c in self.cycles[first - 1 : last]]))
+
+
+def _group_cycles(
+    segments: list[Segment],
+) -> tuple[list[dict[Phase, Segment]], list[str]]:
+    """Complete cycles (those with a discharge), each its segments by kind,
+    and warnings for what was dropped."""
+    cycles: list[dict[Phase, Segment]] = []
     leading = 0
     for seg in segments:
         if seg.kind is Phase.CHARGE:
-            cycles.append(_Cycle(charge=seg))
+            cycles.append({seg.kind: seg})
         elif not cycles:
             leading += 1
-        elif seg.kind is Phase.REST_HIGH:
-            cycles[-1].rest_high = seg
-        elif seg.kind is Phase.DISCHARGE:
-            cycles[-1].discharge = seg
-        elif seg.kind is Phase.REST_LOW:
-            cycles[-1].rest_low = seg
+        else:
+            cycles[-1][seg.kind] = seg
     warnings = [
-        f"cycle starting at t={c.charge.t_start:g}s has no discharge phase; excluded"
+        f"cycle starting at t={c[Phase.CHARGE].t_start:g}s has no discharge phase; "
+        "excluded"
         for c in cycles
-        if c.discharge is None
+        if Phase.DISCHARGE not in c
     ]
     if leading:
         warnings.append(
             f"{leading} segment(s) before the first charge phase ignored"
         )
-    return [c for c in cycles if c.discharge is not None], warnings
+    return [c for c in cycles if Phase.DISCHARGE in c], warnings
 
 
 def cycle_metrics(
-    trace: Trace, segments: list[Segment], c_est: float | None = None
+    cycles: list[IntegratedCycle], sample_period: float, c_est: float | None = None
 ) -> list[CycleMetrics]:
     """Per-cycle charges, energies, rest voltages, efficiency, loss breakdown.
 
@@ -315,26 +350,17 @@ def cycle_metrics(
     stored-energy drop ``0.5*C*(v_start^2 - v_end^2)`` given a capacitance
     estimate, else the rests' share of the cycle's duration; charge and
     discharge split the rest of ``e_in - e_out`` by dissipation weight.
-    A cycle that takes in no energy raises :class:`NumericError`.
     """
-    grouped, _ = _group_cycles(segments)
     out: list[CycleMetrics] = []
-    dt = trace.sample_period
-    for n, cyc in enumerate(grouped, start=1):
-        e_in, q_in, w_c = _integrate(trace, cyc.charge)
-        e_dis, q_out, w_d = _integrate(trace, cyc.discharge)
-        e_out = -e_dis
-        if not (e_in > 0 and w_c + w_d > 0):
-            raise NumericError(
-                f"cycle {n} (t={cyc.charge.t_start:g}s): energy in {e_in!r} J and "
-                f"sum(i^2)*dt {w_c + w_d!r} A^2*s must be positive"
-            )
+    dt = sample_period
+    for n, cyc in enumerate(cycles, start=1):
+        w_c, w_d = cyc.w_charge, cyc.w_discharge
         t_charge = (cyc.charge.last_index - cyc.charge.first_index + 1) * dt
         t_discharge = (cyc.discharge.last_index - cyc.discharge.first_index + 1) * dt
         v_sd = cyc.rest_high.v_start - cyc.rest_high.v_end if cyc.rest_high else 0.0
         v_sc = cyc.rest_low.v_end - cyc.rest_low.v_start if cyc.rest_low else 0.0
 
-        total_loss = e_in - e_out
+        total_loss = cyc.e_in - cyc.e_out
         rests = [s for s in (cyc.rest_high, cyc.rest_low) if s is not None]
         if rests and c_est is None:
             t_rest = sum((s.last_index - s.first_index + 1) * dt for s in rests)
@@ -349,15 +375,15 @@ def cycle_metrics(
         out.append(
             CycleMetrics(
                 cycle_index=n,
-                q_in=q_in,
-                q_out=q_out,
-                e_in=e_in,
-                e_out=e_out,
+                q_in=cyc.q_in,
+                q_out=cyc.q_out,
+                e_in=cyc.e_in,
+                e_out=cyc.e_out,
                 t_charge=t_charge,
                 t_discharge=t_discharge,
                 v_sd=v_sd,
                 v_sc=v_sc,
-                eta=e_out / e_in,
+                eta=cyc.e_out / cyc.e_in,
                 loss_charge=loss_charge,
                 loss_rest=loss_rest,
                 loss_discharge=remainder - loss_charge,
@@ -368,6 +394,8 @@ def cycle_metrics(
 
 def _steady_from(charges: list[tuple[float, float]], tol: float) -> int | None:
     """First 1-based cycle from which every ``(q_in, q_out)`` balances within ``tol``."""
+    if not 0 < tol < 1:
+        raise ConfigError(f"tol must lie in (0, 1), got {tol}")
     steady_from = None
     for c in range(len(charges), 0, -1):
         q_in, q_out = charges[c - 1]
@@ -375,6 +403,15 @@ def _steady_from(charges: list[tuple[float, float]], tol: float) -> int | None:
             break
         steady_from = c
     return steady_from
+
+
+def _window(n: int, steady_from: int | None) -> tuple[tuple[int, int], str]:
+    """Averaging window of ``n`` cycles and its rule's name; see :func:`detect_steady`."""
+    if n >= 20:
+        return (17, 20), "cycles-17-20"
+    if steady_from is not None:
+        return (max(steady_from, n - 3), n), "last-steady-cycles"
+    return (max(1, n - 3), n), "never-steady-fallback"
 
 
 def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyReport:
@@ -389,19 +426,8 @@ def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyRep
     n = len(per_cycle)
     if n == 0:
         raise InsufficientData("steady detection needs at least 1 cycle, got 0")
-    if not 0 < tol < 1:
-        raise ConfigError(f"tol must lie in (0, 1), got {tol}")
     steady_from = _steady_from([(m.q_in, m.q_out) for m in per_cycle], tol)
-
-    if n >= 20:
-        window = (17, 20)
-        rule = "cycles-17-20"
-    elif steady_from is not None:
-        window = (max(steady_from, n - 3), n)
-        rule = "last-steady-cycles"
-    else:
-        window = (max(1, n - 3), n)
-        rule = "never-steady-fallback"
+    window, rule = _window(n, steady_from)
 
     sel = per_cycle[window[0] - 1 : window[1]]
     mean = CycleMetrics(
@@ -481,18 +507,18 @@ def identify_capacitance(trace: Trace, segments: list[Segment]) -> Estimate:
     return Estimate(value=float(arr.mean()), stdev=float(arr.std()), n=arr.size)
 
 
-def analyze_trace(
+def analyze_cycles(
     trace: Trace,
     i_threshold_frac: float = 0.05,
     min_segment: float = 1.0,
     steady_tol: float = 0.01,
-) -> AnalysisReport:
-    """Full pipeline: segment, identify parameters, per-cycle metrics, steady report.
+) -> CycleAnalysis:
+    """Segment the trace, integrate each complete cycle once, pick the window.
 
-    Identification runs on the segments of steady cycles only (located by a
-    preliminary charge-balance pass), so early transient cycles cannot skew
-    the estimates; when identification is impossible the report carries null
-    entries plus a warning instead of failing.
+    This is all a steady-window efficiency needs; :func:`analyze_trace` adds
+    identification and the loss split on top.  Segments before the first
+    charge and cycles without a discharge are dropped with a logged warning.
+    A cycle that takes in no energy raises :class:`NumericError`.
     """
     trace.validate()
     segs = segment(trace, i_threshold_frac, min_segment)
@@ -502,16 +528,42 @@ def analyze_trace(
     if not grouped:
         raise NoCyclesFound("no complete charge-discharge cycle in the trace")
 
-    charges = [
-        (_integrate(trace, c.charge)[1], _integrate(trace, c.discharge)[1])
-        for c in grouped
-    ]
-    steady0 = _steady_from(charges, steady_tol)
+    cycles = []
+    for n, cyc in enumerate(grouped, start=1):
+        charge, discharge = cyc[Phase.CHARGE], cyc[Phase.DISCHARGE]
+        e_in, q_in, w_c = _integrate(trace, charge)
+        e_dis, q_out, w_d = _integrate(trace, discharge)
+        if not (e_in > 0 and w_c + w_d > 0):
+            raise NumericError(
+                f"cycle {n} (t={charge.t_start:g}s): energy in {e_in!r} J and "
+                f"sum(i^2)*dt {w_c + w_d!r} A^2*s must be positive"
+            )
+        cycles.append(IntegratedCycle(
+            charge, cyc.get(Phase.REST_HIGH), discharge, cyc.get(Phase.REST_LOW),
+            e_in, q_in, w_c, -e_dis, q_out, w_d,
+        ))
+    steady_from = _steady_from([(c.q_in, c.q_out) for c in cycles], steady_tol)
+    window, rule = _window(len(cycles), steady_from)
+    return CycleAnalysis(segs, cycles, steady_from, window, rule, warnings)
 
-    if steady0 is None:
-        steady_cycles = grouped
-    else:
-        steady_cycles = grouped[steady0 - 1 :]
+
+def analyze_trace(
+    trace: Trace,
+    i_threshold_frac: float = 0.05,
+    min_segment: float = 1.0,
+    steady_tol: float = 0.01,
+) -> AnalysisReport:
+    """Full pipeline: :func:`analyze_cycles`, identification, loss split, steady report.
+
+    Identification runs on the segments of steady cycles only, so early
+    transient cycles cannot skew the estimates; when identification is
+    impossible the report carries null entries plus a warning instead of
+    failing.
+    """
+    core = analyze_cycles(trace, i_threshold_frac, min_segment, steady_tol)
+    warnings = list(core.warnings)
+    steady0 = core.steady_from_cycle
+    steady_cycles = core.cycles if steady0 is None else core.cycles[steady0 - 1 :]
     steady_segs = [
         s
         for cyc in steady_cycles
@@ -530,10 +582,12 @@ def analyze_trace(
         c_est = None
         warnings.append(f"capacitance not identified: {exc}")
 
-    metrics = cycle_metrics(trace, segs, c_est=c_est.value if c_est else None)
+    metrics = cycle_metrics(
+        core.cycles, trace.sample_period, c_est=c_est.value if c_est else None
+    )
     steady = detect_steady(metrics, steady_tol)
     return AnalysisReport(
-        segments=segs,
+        segments=core.segments,
         steady=steady,
         r_series=r_series,
         c_main=c_est,

@@ -264,7 +264,15 @@ def _refuse_ignored(
         raise ConfigError(f"{command}: {by} ignores {', '.join(ignored)}; leave it out")
 
 
+def _refuse_negative(o: argparse.Namespace, command: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(o, name.replace("-", "_"))
+        if value is not None and value < 0:
+            raise ConfigError(f"{command}: --{name} must be >= 0, got {value:g}")
+
+
 def cmd_simulate(o: argparse.Namespace) -> int:
+    _refuse_negative(o, "simulate", ("rest", "rest-high", "rest-low"))
     if {"rest-high", "rest-low"} <= o.given:
         _refuse_ignored(o, "simulate", ("rest",), "--rest-high with --rest-low")
     device = _resolve_device(o.device, o.ideal)
@@ -311,6 +319,7 @@ def cmd_map(o: argparse.Namespace) -> int:
             )
         grid = fixtures.measured_grid(o.device, rest=o.fixture == "table4")
     else:
+        _refuse_negative(o, "map", ("rest",))
         device = _resolve_device(o.device, o.ideal)
         i_c = _default_current(o)
         if o.method == "simulated":

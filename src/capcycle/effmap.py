@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyzer import analyze_trace
+from .analyzer import analyze_cycles
+from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP item 8)
 from .errors import (
     ConfigError,
     InfeasibleEnergyRequirement,
@@ -229,6 +230,8 @@ class SimulatedObjective:
 
     Each window runs ``cycles`` full cycles with ``rest`` seconds of rest
     after each phase and takes the analyzer's steady-window mean efficiency.
+    Only :func:`~capcycle.analyzer.analyze_cycles` runs: η reads no
+    identified parameter and no loss split.
     """
 
     method = GridMethod.SIMULATED
@@ -255,7 +258,7 @@ class SimulatedObjective:
         # A narrow window's ramps can be shorter than the default
         # 1-s glitch filter, which would merge them away.
         min_segment = min(1.0, 0.5 * charge_duration(p, s))
-        return analyze_trace(trace, min_segment=min_segment).steady.mean.eta
+        return analyze_cycles(trace, min_segment=min_segment).eta
 
 
 def build_grid(

@@ -27,6 +27,11 @@ TABLE_NAMES = ("table1", "table2", "table3", "table4")
 REST_DURATION_S = 1800.0
 """Length of each rest in the with-rest measurements (``table3``, ``table4``), s."""
 
+SPAN_TOLERANCE_V = 0.015
+"""Largest accepted gap between a row's ``span_V`` and its ``vM_V - vm_V``.
+
+Three values rounded to two decimals, each off by up to 0.005 V."""
+
 
 def data_path(name: str) -> Path:
     """Filesystem path of a packaged data file (e.g. ``"table2"``)."""
@@ -49,7 +54,8 @@ def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, 
     """(vm, vM, v_sd, v_sc) in volts from a rest-drift CSV shaped like ``table3``.
 
     ``path`` defaults to the embedded 50 F measurements.  A malformed line,
-    or one holding a non-finite value, raises
+    one holding a non-finite value, or one whose ``span_V`` differs from
+    ``vM_V - vm_V`` by more than :data:`SPAN_TOLERANCE_V` raises
     :class:`~capcycle.errors.TraceParseError` carrying its line number.
     """
     text = read_utf8(data_path("table3") if path is None else path)
@@ -66,11 +72,17 @@ def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, 
                 line_no=line_no,
             )
         try:
-            vm, vM, v_sd, v_sc = (float(x) for x in parts[1:])
+            span, vm, vM, v_sd, v_sc = (float(x) for x in parts)
         except ValueError as exc:
             raise TraceParseError(str(exc), line_no=line_no) from exc
-        if not np.isfinite((vm, vM, v_sd, v_sc)).all():
+        if not np.isfinite((span, vm, vM, v_sd, v_sc)).all():
             raise TraceParseError("non-finite value", line_no=line_no)
+        if abs(span - (vM - vm)) > SPAN_TOLERANCE_V + 1e-9:  # decimal inputs, float sums
+            raise TraceParseError(
+                f"span_V {span:g} differs from vM_V - vm_V = {vM - vm:g} by more "
+                f"than {SPAN_TOLERANCE_V:g} V",
+                line_no=line_no,
+            )
         rows.append((vm, vM, v_sd / 1000.0, v_sc / 1000.0))
     return rows
 

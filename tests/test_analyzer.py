@@ -26,6 +26,7 @@ from capcycle import (
     Segment,
     Trace,
     TraceParseError,
+    analyze_cycles,
     analyze_trace,
     cycle_metrics,
     detect_steady,
@@ -37,6 +38,7 @@ from capcycle import (
     segment,
     write_trace_csv,
 )
+from capcycle import analyzer
 from capcycle.analyzer import _integrate
 
 DEV = DeviceParams(c_main=10.0, r_series=0.0922, v_rated=2.7)
@@ -233,10 +235,11 @@ class TestEnergyBookkeeping:
         # without one, they are the rests' share of the cycle's duration.
         rests = [s for s in rest_segments[:4] if s.kind in (Phase.REST_HIGH, Phase.REST_LOW)]
         assert len(rests) == 2
-        stored = cycle_metrics(rest_trace, rest_segments, c_est=10.0)[0]
+        cycles, sp = analyze_cycles(rest_trace).cycles, rest_trace.sample_period
+        stored = cycle_metrics(cycles, sp, c_est=10.0)[0]
         drop = sum(0.5 * 10.0 * (s.v_start**2 - s.v_end**2) for s in rests)
         assert stored.loss_rest == pytest.approx(drop, abs=1e-12)
-        timed = cycle_metrics(rest_trace, rest_segments)[0]
+        timed = cycle_metrics(cycles, sp)[0]
         t_rest = sum(s.last_index - s.first_index + 1 for s in rests) * rest_trace.sample_period
         share = t_rest / (timed.t_charge + timed.t_discharge + t_rest)
         assert timed.loss_rest == pytest.approx((timed.e_in - timed.e_out) * share)
@@ -249,8 +252,9 @@ class TestEnergyBookkeeping:
         split = timed.loss_charge / (timed.loss_charge + timed.loss_discharge)
         assert split == pytest.approx(w_c / (w_c + w_d), rel=1e-12)
         no_rest = run_protocol(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=2))
-        segs = segment(no_rest)
-        first = cycle_metrics(no_rest, segs)[0]
+        core = analyze_cycles(no_rest)
+        segs = core.segments
+        first = cycle_metrics(core.cycles, no_rest.sample_period)[0]
         assert first.loss_rest == 0.0
         w_c, w_d = (_fancy_index_integrals(no_rest, s)[2] for s in segs[:2])
         share = first.loss_charge / (first.e_in - first.e_out)
@@ -444,6 +448,26 @@ class TestAnalyzeTrace:
         assert len(logged) == 1
         assert "no discharge phase" in logged[0]
         assert logged[0] in rep.warnings
+
+    def test_integrates_each_active_segment_of_complete_cycles_once(
+        self, rest_trace, monkeypatch
+    ):
+        # cut inside the last cycle's high rest: its charge has no discharge
+        b = rest_trace.meta["boundaries"][-3]
+        sp = rest_trace.sample_period
+        cut = int(round(b.t_start / sp)) + 30
+        tr = _mk_trace(rest_trace.t[:cut], rest_trace.v[:cut], rest_trace.i[:cut], sp)
+        integrate, calls = analyzer._integrate, []
+
+        def counted(trace, seg):
+            calls.append(seg)
+            return integrate(trace, seg)
+
+        monkeypatch.setattr(analyzer, "_integrate", counted)
+        rep = analyze_trace(tr)
+        active = [s for s in rep.segments if s.kind in (Phase.CHARGE, Phase.DISCHARGE)]
+        assert len(active) == 5
+        assert calls == active[:4]
 
     def test_no_complete_cycle_raises(self):
         sp = 0.1

@@ -98,6 +98,18 @@ class TestSimulate:
         assert_rejected(code, err, "--rest")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["rest", "rest-high", "rest-low"])
+    def test_negative_rest_names_option_and_command(self, capsys, tmp_path, name, source):
+        argv = ["simulate", "--device", "10F", "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            argv += [f"--{name}", "-5"]
+        else:
+            argv += ["--config", write_config(tmp_path, {name: -5})]
+        code, _, err = run(capsys, *argv)
+        assert_rejected(code, err, f"simulate: --{name} must be >= 0, got -5")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rest_with_one_phase_rest_and_null_rest_accepted(self, capsys, tmp_path):
         # --rest still fills the phase whose own rest is not given, and a
         # config null counts as not given
@@ -347,7 +359,11 @@ class TestMap:
             assert none.read_bytes() == zero.read_bytes()
         code, _, err = run(capsys, *argv, "--rest", "-5", "--out", str(tmp_path / "neg"))
         assert code == 2, err
-        assert "rest" in err
+        assert "map: --rest must be >= 0, got -5" in err
+        cfg = write_config(tmp_path, {"rest": -5})
+        code, _, err = run(capsys, *argv, "--config", cfg, "--out", str(tmp_path / "neg"))
+        assert_rejected(code, err, "map: --rest must be >= 0, got -5")
+        assert not (tmp_path / "neg.csv").exists()
 
 
 class TestOptimize:
@@ -436,6 +452,30 @@ class TestFitSelfDischarge:
             assert code == 3, bad
             assert "line 3" in err and "non-finite" in err, err
             assert out == ""
+
+    @pytest.mark.parametrize("bad, says", [
+        ("abc,0.0,0.3,20,15", "could not convert string to float: 'abc'"),
+        ("nan,0.0,0.9,50,40", "non-finite value"),
+        ("9.9,0.0,1.5,80,60", "span_V 9.9 differs from vM_V - vm_V = 1.5"),
+    ], ids=["non-numeric", "nan", "mismatch"])
+    def test_bad_span_exit_3(self, capsys, tmp_path, bad, says):
+        # the span_V column used to go unread, so each of these rows was fitted
+        rows = tmp_path / "rows.csv"
+        rows.write_text(f"0.3,0.0,0.3,20,15\n0.9,0.0,0.9,50,40\n{bad}\n2.1,0.0,2.1,120,95\n")
+        code, out, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
+        assert code == 3, err
+        assert err.startswith("error: line 3: ") and says in err, err
+        assert out == ""
+
+    def test_span_within_three_roundings_accepted(self, capsys, tmp_path):
+        # The embedded 1.22,0.68,1.89 row is 0.010 V off; 0.015 V is the limit.
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.3,0.0,0.3,20,15\n0.91,0.0,0.9,50,40\n2.085,0.0,2.1,120,95\n")
+        code, _, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
+        assert code == 0, err
+        rows.write_text("0.3,0.0,0.3,20,15\n0.9,0.0,0.9,50,40\n2.12,0.0,2.1,120,95\n")
+        code, _, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
+        assert code == 3 and "line 3" in err, err
 
 
 class TestIecCurrent:

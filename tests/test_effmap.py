@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from capcycle import analyzer
 from capcycle import (
     ClosedFormObjective,
     ConfigError,
@@ -17,6 +18,7 @@ from capcycle import (
     InfeasibleEnergyRequirement,
     LossesExceedDelivery,
     OperatingWindow,
+    Phase,
     PRESET_NAMES,
     RankDeficientFit,
     RestVoltages,
@@ -217,6 +219,32 @@ class TestBuildGridSimulated:
         defined = cf.defined_mask()
         assert np.array_equal(defined, sim.defined_mask())
         assert np.all(np.abs(cf.eta[defined] - sim.eta[defined]) < 0.002)
+
+    def test_cells_run_no_identification(self, monkeypatch):
+        # η reads no identified R or C, so a map cell must not pay for them
+        def refuse(trace, segments):
+            raise AssertionError("a map cell ran parameter identification")
+
+        monkeypatch.setattr(analyzer, "identify_resistance", refuse)
+        monkeypatch.setattr(analyzer, "identify_capacitance", refuse)
+        grid = build_grid(SimulatedObjective(preset("10F"), 0.4, rest=20.0, cycles=2),
+                          levels=(0.0, 0.5, 1.0))
+        assert grid.defined_mask().sum() == 3
+
+    def test_cells_integrate_each_active_segment_once(self, monkeypatch):
+        integrate, calls = analyzer._integrate, []
+
+        def counted(trace, seg):
+            calls.append(seg)
+            return integrate(trace, seg)
+
+        monkeypatch.setattr(analyzer, "_integrate", counted)
+        cycles = 3
+        grid = build_grid(SimulatedObjective(preset("10F"), 0.4, rest=20.0, cycles=cycles),
+                          levels=(0.0, 0.5, 1.0))
+        cells = int(grid.defined_mask().sum())
+        assert len(calls) == len(set(calls)) == 2 * cycles * cells
+        assert [s.kind for s in calls] == [Phase.CHARGE, Phase.DISCHARGE] * cycles * cells
 
 
 class TestMeasuredGrids:

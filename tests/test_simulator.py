@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capcycle import (
@@ -15,6 +15,7 @@ from capcycle import (
     DeviceParams,
     DynamicsDiverged,
     Redistribution,
+    analyze_cycles,
     analyze_trace,
     branch_time_constant,
     charge_duration,
@@ -378,7 +379,7 @@ class TestBlockedPropagation:
 
 
 @st.composite
-def _protocols(draw):
+def _protocols(draw, cycles=st.integers(1, 3)):
     """A device (ideal, leaky or two-branch), a feasible cycling spec, an acquisition."""
     kind = draw(st.sampled_from(["ideal", "leaky", "two-branch"]))
     c_main = draw(st.floats(1.0, 20.0))
@@ -398,7 +399,7 @@ def _protocols(draw):
         i_c=i_c, v_min=v_min, v_max=v_max,
         rest_after_charge=draw(st.floats(0.0, 120.0)),
         rest_after_discharge=draw(st.floats(0.0, 120.0)),
-        max_cycles=draw(st.integers(1, 3)),
+        max_cycles=draw(cycles),
     )
     acq = AcquisitionConfig(sample_period=draw(st.sampled_from([0.1, 0.5, 1.0])))
     return p, s, acq
@@ -459,6 +460,28 @@ class TestProtocolProperties:
         for m in report.steady.per_cycle:
             losses = m.loss_charge + m.loss_rest + m.loss_discharge
             assert abs(losses - (m.e_in - m.e_out)) <= 1e-9 * m.e_in
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_protocols(cycles=st.integers(1, 25)))
+    # one case per window rule: cycles-17-20, last-steady-cycles, never-steady-fallback
+    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=20),
+                   AcquisitionConfig(sample_period=1.0)))
+    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=5),
+                   AcquisitionConfig(sample_period=1.0)))
+    @example(case=(DeviceParams(c_main=10.0, r_series=0.03, v_rated=2.7, r_leak=500.0),
+                   CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, rest_after_charge=120.0,
+                             rest_after_discharge=120.0, max_cycles=6),
+                   AcquisitionConfig(sample_period=1.0)))
+    def test_core_eta_equals_full_analysis(self, case):
+        # A simulated map cell reads analyze_cycles alone; its window mean
+        # must be the full report's, bit for bit.
+        p, s, acq = case
+        trace = run_protocol(p, s, acq)
+        min_segment = min(1.0, 0.5 * charge_duration(p, s))
+        core = analyze_cycles(trace, min_segment=min_segment)
+        steady = analyze_trace(trace, min_segment=min_segment).steady
+        assert (core.window, core.window_rule) == (steady.window, steady.window_rule)
+        assert core.eta.hex() == steady.mean.eta.hex()
 
     @settings(max_examples=15, deadline=None)
     @given(case=_ideal_protocols())
