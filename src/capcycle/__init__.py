@@ -21,6 +21,7 @@ from .analyzer import (
     identify_capacitance,
     identify_resistance,
     segment,
+    steady_window,
 )
 from .effmap import (
     ClosedFormObjective,
@@ -33,6 +34,7 @@ from .effmap import (
     fit_self_discharge,
     optimize_window,
     render_map,
+    simulated_cycles,
 )
 from .errors import (
     CapcycleError,

@@ -392,26 +392,30 @@ def cycle_metrics(
     return out
 
 
-def _steady_from(charges: list[tuple[float, float]], tol: float) -> int | None:
-    """First 1-based cycle from which every ``(q_in, q_out)`` balances within ``tol``."""
+def steady_window(
+    charges: list[tuple[float, float]], tol: float = 0.01
+) -> tuple[int | None, tuple[int, int], str]:
+    """Steady-from cycle, averaging window and the window rule's name.
+
+    ``charges`` holds each cycle's ``(q_in, q_out)``; the rules are those of
+    :func:`detect_steady`.  This is the one judge of steady state: a
+    simulated map cell, which has each cycle's integrals but no trace, calls
+    it as the trace analysis does.
+    """
     if not 0 < tol < 1:
         raise ConfigError(f"tol must lie in (0, 1), got {tol}")
+    n = len(charges)
     steady_from = None
-    for c in range(len(charges), 0, -1):
+    for c in range(n, 0, -1):
         q_in, q_out = charges[c - 1]
         if not (q_in > 0 and abs(q_in - q_out) / q_in < tol):
             break
         steady_from = c
-    return steady_from
-
-
-def _window(n: int, steady_from: int | None) -> tuple[tuple[int, int], str]:
-    """Averaging window of ``n`` cycles and its rule's name; see :func:`detect_steady`."""
     if n >= 20:
-        return (17, 20), "cycles-17-20"
+        return steady_from, (17, 20), "cycles-17-20"
     if steady_from is not None:
-        return (max(steady_from, n - 3), n), "last-steady-cycles"
-    return (max(1, n - 3), n), "never-steady-fallback"
+        return steady_from, (max(steady_from, n - 3), n), "last-steady-cycles"
+    return steady_from, (max(1, n - 3), n), "never-steady-fallback"
 
 
 def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyReport:
@@ -426,8 +430,8 @@ def detect_steady(per_cycle: list[CycleMetrics], tol: float = 0.01) -> SteadyRep
     n = len(per_cycle)
     if n == 0:
         raise InsufficientData("steady detection needs at least 1 cycle, got 0")
-    steady_from = _steady_from([(m.q_in, m.q_out) for m in per_cycle], tol)
-    window, rule = _window(n, steady_from)
+    charges = [(m.q_in, m.q_out) for m in per_cycle]
+    steady_from, window, rule = steady_window(charges, tol)
 
     sel = per_cycle[window[0] - 1 : window[1]]
     mean = CycleMetrics(
@@ -542,8 +546,8 @@ def analyze_cycles(
             charge, cyc.get(Phase.REST_HIGH), discharge, cyc.get(Phase.REST_LOW),
             e_in, q_in, w_c, -e_dis, q_out, w_d,
         ))
-    steady_from = _steady_from([(c.q_in, c.q_out) for c in cycles], steady_tol)
-    window, rule = _window(len(cycles), steady_from)
+    charges = [(c.q_in, c.q_out) for c in cycles]
+    steady_from, window, rule = steady_window(charges, steady_tol)
     return CycleAnalysis(segs, cycles, steady_from, window, rule, warnings)
 
 

@@ -9,19 +9,21 @@ and SVG output.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .analyzer import analyze_cycles
+from .analyzer import steady_window
 from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP item 8)
 from .errors import (
     ConfigError,
     InfeasibleEnergyRequirement,
     LossesExceedDelivery,
+    MalformedProtocol,
     NumericError,
     RankDeficientFit,
     WindowTooNarrow,
@@ -35,7 +37,8 @@ from .model import (
     efficiency_no_rest,
     efficiency_with_rest,
 )
-from .simulator import run_protocol
+from .simulator import AcquisitionConfig, Phase, run_phases
+from .simulator import run_protocol  # unused; perfbench patches this name (ROADMAP item 8)
 
 PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
 """Default per-unit grid levels of the test campaign."""
@@ -224,14 +227,82 @@ class ClosedFormObjective:
         return efficiency_with_rest(self.device, s, rv)
 
 
+@functools.lru_cache(maxsize=1024)
+def _trace_charge(n: int, i: float, dt: float) -> float:
+    """Charge of ``n`` samples of current ``i``, summed as the analyzer sums a trace.
+
+    ``n·i·dt`` can differ from numpy's pairwise sum in the last bit, which
+    can flip the steady test right at its tolerance.  Cells repeat the same
+    few sample counts, hence the cache.
+    """
+    return float(np.sum(np.full(n, i)) * dt)
+
+
+def simulated_cycles(
+    p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig | None = None
+) -> list[tuple[float, float, float, float]]:
+    """Each simulated cycle's ``(e_in, q_in, e_out, q_out)``, as the analyzer integrates it.
+
+    No trace is built: the simulator folds each phase into its sample count
+    ``n``, first and last samples and their sum ``Σv``.  The analyzer's
+    trapezoid over a phase of current ``i`` regroups into
+    ``e = |i|·dt·(Σv + (v_prev − v_last)/2)``, ``v_prev`` being the sample
+    before the phase (the trace's first sample only opens the first
+    trapezoid), and its charge is ``n·|i|·dt``.  Rests carry no current and
+    only hand their last sample on, so one that the analyzer would merge
+    into the phase before it needs no special case.  The tests hold the
+    result to 1e-12 relative of :func:`~capcycle.analyzer.analyze_cycles` on
+    :func:`~capcycle.simulator.run_protocol`'s trace.
+
+    An active phase shorter than the analysis' minimum segment, which the
+    analyzer would merge away, raises :class:`MalformedProtocol` (exit 4)
+    naming the window.  ``acq`` must not ask for quantization.
+    """
+    acq = acq or AcquisitionConfig()
+    if acq.quantize:
+        raise ConfigError("folded cycles are not quantized; use run_protocol")
+    dt = acq.sample_period
+    # A narrow window's ramps can be shorter than the default
+    # 1-s glitch filter, which would merge them away.
+    min_segment = min(1.0, 0.5 * charge_duration(p, s))
+    window = f"window ({s.v_min / p.v_rated:g}, {s.v_max / p.v_rated:g}) p.u."
+    cycles = []
+    v_prev = None  # the last sample so far
+    index = 0  # samples so far
+    for cycle, phase, i, _, (n, v_first, v_last, v_sum) in run_phases(p, s, acq, fold=True):
+        if phase in (Phase.CHARGE, Phase.DISCHARGE):
+            if not n or n * dt < min_segment - 1e-12:
+                raise MalformedProtocol(
+                    f"{window}: cycle {cycle}'s {phase.value} spans {n} sample(s), "
+                    f"shorter than the {min_segment:g}-s minimum segment of its analysis",
+                    boundary_index=index,
+                )
+            m = n
+            if v_prev is None:
+                m, v_sum, v_prev = n - 1, v_sum - v_first, v_first
+            e = abs(i) * dt * (v_sum + (v_prev - v_last) / 2)
+            q = _trace_charge(m, abs(i), dt)
+            if phase is Phase.DISCHARGE:
+                cycles.append((e_in, q_in, e, q))
+            elif not e > 0:
+                raise NumericError(f"{window}: cycle {cycle} takes in {e!r} J")
+            else:
+                e_in, q_in = e, q
+        if n:
+            v_prev = v_last
+        index += n
+    return cycles
+
+
 @dataclass(frozen=True)
 class SimulatedObjective:
     """Efficiency of per-unit windows by simulating the protocol and analyzing it.
 
     Each window runs ``cycles`` full cycles with ``rest`` seconds of rest
     after each phase and takes the analyzer's steady-window mean efficiency.
-    Only :func:`~capcycle.analyzer.analyze_cycles` runs: η reads no
-    identified parameter and no loss split.
+    No trace is built: :func:`simulated_cycles` folds each phase into the
+    integrals η reads, and :func:`~capcycle.analyzer.steady_window` picks the
+    averaging window, as the trace analysis would.
     """
 
     method = GridMethod.SIMULATED
@@ -239,9 +310,6 @@ class SimulatedObjective:
     i_c: float
     rest: float = 0.0
     cycles: int = 20
-    # Held until the next window's trace is built, so the C heap does not shrink
-    # and page-fault back in between windows (+40% time on 1800-s-rest maps).
-    _last_trace: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def with_rest(self) -> bool:
@@ -253,12 +321,9 @@ class SimulatedObjective:
         s = CycleSpec(i_c=self.i_c, v_min=vm_pu * p.v_rated, v_max=vM_pu * p.v_rated,
                       rest_after_charge=self.rest, rest_after_discharge=self.rest,
                       max_cycles=self.cycles)
-        trace = run_protocol(p, s)
-        self._last_trace[:] = [trace]
-        # A narrow window's ramps can be shorter than the default
-        # 1-s glitch filter, which would merge them away.
-        min_segment = min(1.0, 0.5 * charge_duration(p, s))
-        return analyze_cycles(trace, min_segment=min_segment).eta
+        cycles = simulated_cycles(p, s)
+        _, (first, last), _ = steady_window([(c[1], c[3]) for c in cycles])
+        return float(np.mean([c[2] / c[0] for c in cycles[first - 1 : last]]))
 
 
 def build_grid(

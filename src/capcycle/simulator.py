@@ -30,6 +30,11 @@ kept, stacked into a ``(2B, 3)`` array, so ``table[:2b] @ z`` yields the
 blocks and stop at the first step whose terminal voltage crosses the limit.
 See Van Loan (1978), "Computing integrals involving the matrix exponential".
 
+One driver, :func:`run_phases`, serves two consumers: :func:`run_protocol`
+collects the samples into a :class:`~capcycle.trace.Trace`, and a simulated
+map cell has each phase folded into its sufficient statistics, so that a
+rest takes no samples at all.
+
 ``M`` is the exponential of the augmented continuous-time matrix, computed
 in numpy by scaling and squaring of a truncated Taylor series: Moler and Van
 Loan, "Nineteen dubious ways to compute the exponential of a matrix,
@@ -146,6 +151,13 @@ def _discretize(p: DeviceParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return phi[:2, :2], phi[:2, 2]
 
 
+@functools.lru_cache(maxsize=16)
+def _step_coefficients(p: DeviceParams, dt: float) -> tuple[float, ...]:
+    """``(a11, a12, a21, a22, b1, b2)`` of :func:`_discretize`, cached per device and step."""
+    ad, bd = _discretize(p, dt)
+    return (*map(float, ad.ravel()), *map(float, bd))
+
+
 def branch_time_constant(p: DeviceParams) -> float | None:
     """Relaxation time constant of the redistribution branch, if present."""
     if p.redistribution is None:
@@ -180,6 +192,15 @@ def _power_table(coeffs: tuple[float, ...], n: int) -> np.ndarray:
     return table
 
 
+def _advance(table: np.ndarray, z: np.ndarray, k: int) -> None:
+    """Set ``z`` to ``M^k z`` in place, one table power per ``TABLE_CAP`` steps."""
+    cap = table.shape[0] // 2
+    while k > 0:
+        b = min(cap, k)
+        z[:2] = table[2 * b - 2 : 2 * b] @ z
+        k -= b
+
+
 def run_phase(
     v_main,
     v_branch,
@@ -197,6 +218,8 @@ def run_phase(
     max_steps,
     n_sub,
     countdown,
+    *,
+    fold=False,
 ):
     """Advance one protocol phase, sampling every ``n_sub`` internal steps.
 
@@ -209,11 +232,28 @@ def run_phase(
     Returns ``(v_main, v_branch, steps, samples, countdown, crossed)``, where
     ``samples`` holds the phase's sampled terminal voltages in order.
     ``max_steps`` must be positive.
+
+    With ``fold``, ``samples`` is the phase's sufficient statistics
+    ``(n, v_first, v_last, v_sum)`` instead: the sample count, the first and
+    last samples (NaN when ``n`` is 0) and their sum.  A folded fixed-length
+    phase takes no samples: powers of ``M`` from the table carry the state to
+    its last sample and on to its end, and its ``v_first`` and ``v_sum`` are
+    NaN.  Rests carry no current, so that last sample is all the analyzer's
+    trapezoid reads of them.
     """
     block = min(TABLE_CAP, max_steps) if mode == MODE_FIXED else RAMP_BLOCK
     table = _power_table((a11, a12, a21, a22, b1, b2), block)
     z = np.array([v_main, v_branch, 1.0])
     v_offset = i_applied * r_series
+    if fold and mode == MODE_FIXED:
+        n = (max_steps - countdown) // n_sub + 1
+        last = countdown + (n - 1) * n_sub if n else 0  # the last sample's step
+        _advance(table, z, last)
+        v_last = float(z[0]) + v_offset if n else math.nan
+        _advance(table, z, max_steps - last)
+        countdown = (countdown - max_steps - 1) % n_sub + 1
+        stats = (n, math.nan, v_last, math.nan)
+        return float(z[0]), float(z[1]), max_steps, stats, countdown, False
     parts = []
     steps = 0
     crossed = False
@@ -232,36 +272,33 @@ def run_phase(
         countdown = (countdown - b - 1) % n_sub + 1
         steps += b
         z[:2] = states[b - 1]
-    return float(z[0]), float(z[1]), steps, np.concatenate(parts), countdown, crossed
+    samples = np.concatenate(parts)
+    if fold:
+        ends = (float(samples[0]), float(samples[-1])) if samples.size else (math.nan,) * 2
+        samples = (samples.size, *ends, float(samples.sum()))
+    return float(z[0]), float(z[1]), steps, samples, countdown, crossed
 
 
-def run_protocol(
-    p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig | None = None
-) -> Trace:
-    """Simulate ``s.max_cycles`` full cycles and return the sampled trace.
+def run_phases(p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig, fold: bool = False):
+    """Run ``s.max_cycles`` full cycles phase by phase; the driver of both paths.
 
     Each cycle is charge, optional high rest, discharge, optional low rest.
     The initial capacitor voltage is ``v_min + i*R`` (the steady-cycle charge
     entry point), so the ideal device is periodic from the first cycle while a
     device with a redistribution branch stabilizes over several cycles.
 
-    Trace ``meta`` carries ground truth: per-phase boundaries (``boundaries``,
-    a list of :class:`~capcycle.trace.CycleBoundary`), per-cycle supplied and
-    extracted charge (exact internal accounting) and charge/discharge
-    durations.  Whether a cycle is steady is the analyzer's judgement, made
-    on the samples; the simulator makes none.
+    Yields ``(cycle, phase, i_applied, steps, samples)`` for every phase that
+    takes at least one internal step, where ``samples`` is what
+    :func:`run_phase` returns for it (its statistics with ``fold``).  The
+    sample cap, termination, finiteness and guard-band checks apply to both
+    paths alike.
     """
-    if acq is None:
-        acq = AcquisitionConfig()
     s.validate_against(p)
     ideal_duration = charge_duration(p, s)  # also validates window feasibility
 
     n_sub = _internal_substeps(p, acq.sample_period)
     dt_int = acq.sample_period / n_sub
-    ad, bd = _discretize(p, dt_int)
-    a11, a12 = float(ad[0, 0]), float(ad[0, 1])
-    a21, a22 = float(ad[1, 0]), float(ad[1, 1])
-    bd0, bd1 = float(bd[0]), float(bd[1])
+    a11, a12, a21, a22, bd0, bd1 = _step_coefficients(p, dt_int)
 
     ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
     max_active_steps = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
@@ -284,9 +321,70 @@ def run_protocol(
     v_main = s.v_min + s.i_c * p.r_series
     v_branch = v_main
     countdown = n_sub
-    global_step = 0
     guard_low = _GUARD_LOW * p.v_rated
     guard_high = _GUARD_HIGH * p.v_rated
+    plan = (
+        (Phase.CHARGE, MODE_CHARGE, s.i_c, s.v_max, max_active_steps),
+        (Phase.REST_HIGH, MODE_FIXED, 0.0, 0.0, rest_high_steps),
+        (Phase.DISCHARGE, MODE_DISCHARGE, -s.i_c, s.v_min, max_active_steps),
+        (Phase.REST_LOW, MODE_FIXED, 0.0, 0.0, rest_low_steps),
+    )
+    for cycle in range(1, s.max_cycles + 1):
+        for phase, mode, i_sig, v_stop, max_steps in plan:
+            if max_steps <= 0:
+                continue
+            v_main, v_branch, steps, samples, countdown, crossed = run_phase(
+                v_main,
+                v_branch,
+                a11,
+                a12,
+                a21,
+                a22,
+                bd0 * i_sig,
+                bd1 * i_sig,
+                i_sig,
+                p.r_series,
+                mode,
+                v_stop,
+                TERMINATION_EPS,
+                max_steps,
+                n_sub,
+                countdown,
+                fold=fold,
+            )
+            if mode != MODE_FIXED and not crossed:
+                raise DynamicsDiverged(
+                    f"{phase.value} phase did not reach {v_stop!r} V within "
+                    f"{max_steps} internal steps; the applied current cannot "
+                    "overcome leakage near the voltage limit"
+                )
+            if not (math.isfinite(v_main) and math.isfinite(v_branch)):
+                raise DynamicsDiverged(f"non-finite state after {phase.value} phase")
+            if not (guard_low <= v_main <= guard_high and guard_low <= v_branch <= guard_high):
+                raise DynamicsDiverged(
+                    f"state left the guard band after {phase.value} phase: "
+                    f"v_main={v_main!r}, v_branch={v_branch!r}"
+                )
+            yield cycle, phase, i_sig, steps, samples
+
+
+def run_protocol(
+    p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig | None = None
+) -> Trace:
+    """Simulate ``s.max_cycles`` full cycles and return the sampled trace.
+
+    The phases come from :func:`run_phases`.  Trace ``meta`` carries ground
+    truth: per-phase boundaries (``boundaries``, a list of
+    :class:`~capcycle.trace.CycleBoundary`), per-cycle supplied and extracted
+    charge (exact internal accounting) and charge/discharge durations.
+    Whether a cycle is steady is the analyzer's judgement, made on the
+    samples; the simulator makes none.
+    """
+    if acq is None:
+        acq = AcquisitionConfig()
+    n_sub = _internal_substeps(p, acq.sample_period)
+    dt_int = acq.sample_period / n_sub
+    global_step = 0
 
     boundaries: list[CycleBoundary] = []
     phase_v: list[np.ndarray] = []
@@ -295,60 +393,20 @@ def run_protocol(
     q_out: list[float] = []
     t_charge: list[float] = []
     t_discharge: list[float] = []
-
-    def run_one(phase: Phase, mode: int, i_sig: float, v_stop: float, max_steps: int) -> int:
-        nonlocal v_main, v_branch, countdown, global_step
-        if max_steps <= 0:
-            return 0
+    for cycle, phase, i_sig, steps, samples in run_phases(p, s, acq):
         t_start = global_step * dt_int
-        v_main, v_branch, steps, samples, countdown, crossed = run_phase(
-            v_main,
-            v_branch,
-            a11,
-            a12,
-            a21,
-            a22,
-            bd0 * i_sig,
-            bd1 * i_sig,
-            i_sig,
-            p.r_series,
-            mode,
-            v_stop,
-            TERMINATION_EPS,
-            max_steps,
-            n_sub,
-            countdown,
-        )
-        phase_v.append(samples)
-        phase_i.append(i_sig)
         global_step += steps
-        if mode != MODE_FIXED and not crossed:
-            raise DynamicsDiverged(
-                f"{phase.value} phase did not reach {v_stop!r} V within "
-                f"{max_steps} internal steps; the applied current cannot "
-                "overcome leakage near the voltage limit"
-            )
-        if not (math.isfinite(v_main) and math.isfinite(v_branch)):
-            raise DynamicsDiverged(f"non-finite state after {phase.value} phase")
-        if not (guard_low <= v_main <= guard_high and guard_low <= v_branch <= guard_high):
-            raise DynamicsDiverged(
-                f"state left the guard band after {phase.value} phase: "
-                f"v_main={v_main!r}, v_branch={v_branch!r}"
-            )
         boundaries.append(
             CycleBoundary(cycle, phase.value, t_start, global_step * dt_int)
         )
-        return steps
-
-    for cycle in range(1, s.max_cycles + 1):
-        n_c = run_one(Phase.CHARGE, MODE_CHARGE, s.i_c, s.v_max, max_active_steps)
-        run_one(Phase.REST_HIGH, MODE_FIXED, 0.0, 0.0, rest_high_steps)
-        n_d = run_one(Phase.DISCHARGE, MODE_DISCHARGE, -s.i_c, s.v_min, max_active_steps)
-        run_one(Phase.REST_LOW, MODE_FIXED, 0.0, 0.0, rest_low_steps)
-        q_in.append(s.i_c * n_c * dt_int)
-        q_out.append(s.i_c * n_d * dt_int)
-        t_charge.append(n_c * dt_int)
-        t_discharge.append(n_d * dt_int)
+        phase_v.append(samples)
+        phase_i.append(i_sig)
+        if phase is Phase.CHARGE:
+            q_in.append(s.i_c * steps * dt_int)
+            t_charge.append(steps * dt_int)
+        elif phase is Phase.DISCHARGE:
+            q_out.append(s.i_c * steps * dt_int)
+            t_discharge.append(steps * dt_int)
 
     v = np.concatenate(phase_v)
     trace = Trace(

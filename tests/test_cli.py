@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from capcycle import efficiency_no_rest, preset, read_sidecar_csv
 from capcycle.cli import main
 from capcycle.model import CycleSpec
+from capcycle.simulator import MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -345,6 +346,18 @@ class TestMap:
             "--out", str(tmp_path / "m"),
         )
         assert code == 0, err
+
+    def test_simulated_cell_with_merged_phase_exit_4(self, capsys, tmp_path):
+        # After the 60-s rest this device's first discharge spans 9 samples,
+        # less than the 1-s minimum segment the cell's analysis keeps.
+        device = tmp_path / "dev.json"
+        device.write_text(json.dumps({"c_main": 10.0, "r_series": 0.01, "redistribution":
+                                      {"c_branch": 30.0, "r_branch": 0.5}}))
+        code, _, err = run(capsys, "map", "--device", str(device), "--method", "simulated",
+                           "--current", "1.0", "--levels", "0.7,0.8", "--rest", "60",
+                           "--sim-cycles", "6", "--out", str(tmp_path / "m"))
+        assert code == 4, err
+        assert "window (0.7, 0.8) p.u.: cycle 1's discharge spans 9 sample(s)" in err
 
     def test_simulated_zero_rest_is_the_no_rest_map(self, capsys, tmp_path):
         # --rest 0 used to exit 2; it is the rest-free protocol, while a
@@ -760,6 +773,14 @@ class TestBudgets:
         code, _, err = run(capsys, "simulate", "--sample-period", "1e-7",
                            "--out", str(tmp_path / "x.csv"))
         assert_rejected(code, err, "samples")
+
+    def test_simulated_map_cell_sample_budget(self, capsys, tmp_path):
+        # A map cell takes no samples, yet the same cap keeps a mistyped
+        # rest from running for hours.
+        code, _, err = run(capsys, "map", "--method", "simulated", "--rest", "1e6",
+                           "--out", str(tmp_path / "m"))
+        assert_rejected(code, err, f"more than the {MAX_SAMPLES:,} cap")
+        assert not (tmp_path / "m.csv").exists()
 
     def test_grid_level_budget(self, capsys, tmp_path):
         levels = ",".join(f"{k / 1024:g}" for k in range(1025))

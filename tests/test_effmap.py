@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from capcycle import analyzer
+from capcycle import analyzer, effmap, simulator
 from capcycle import (
+    AcquisitionConfig,
     ClosedFormObjective,
     ConfigError,
     CycleSpec,
@@ -17,13 +18,17 @@ from capcycle import (
     GridMethod,
     InfeasibleEnergyRequirement,
     LossesExceedDelivery,
+    MalformedProtocol,
     OperatingWindow,
-    Phase,
     PRESET_NAMES,
     RankDeficientFit,
+    Redistribution,
     RestVoltages,
     SimulatedObjective,
+    Trace,
+    analyze_cycles,
     build_grid,
+    charge_duration,
     efficiency_no_rest,
     efficiency_with_rest,
     fit_self_discharge,
@@ -32,6 +37,8 @@ from capcycle import (
     optimize_window,
     preset,
     render_map,
+    run_protocol,
+    simulated_cycles,
     usable_energy_fraction,
     WindowTooNarrow,
 )
@@ -231,20 +238,53 @@ class TestBuildGridSimulated:
                           levels=(0.0, 0.5, 1.0))
         assert grid.defined_mask().sum() == 3
 
-    def test_cells_integrate_each_active_segment_once(self, monkeypatch):
-        integrate, calls = analyzer._integrate, []
+    def test_cells_build_no_trace(self, monkeypatch):
+        # η reads each active phase's integrals, which the simulator folds
+        # from its statistics; no cell may build, validate or segment a trace.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map cell built a trace")
 
-        def counted(trace, seg):
-            calls.append(seg)
-            return integrate(trace, seg)
-
-        monkeypatch.setattr(analyzer, "_integrate", counted)
-        cycles = 3
-        grid = build_grid(SimulatedObjective(preset("10F"), 0.4, rest=20.0, cycles=cycles),
+        monkeypatch.setattr(Trace, "validate", refuse)
+        monkeypatch.setattr(simulator, "run_protocol", refuse)
+        monkeypatch.setattr(effmap, "run_protocol", refuse)
+        monkeypatch.setattr(analyzer, "segment", refuse)
+        grid = build_grid(SimulatedObjective(preset("10F"), 0.4, rest=20.0, cycles=3),
                           levels=(0.0, 0.5, 1.0))
-        cells = int(grid.defined_mask().sum())
-        assert len(calls) == len(set(calls)) == 2 * cycles * cells
-        assert [s.kind for s in calls] == [Phase.CHARGE, Phase.DISCHARGE] * cycles * cells
+        assert grid.defined_mask().sum() == 3
+
+    @pytest.mark.parametrize("device, i_c", [("10F", 0.4), ("50F", 3.95)])
+    def test_rest_shorter_than_min_segment_needs_no_special_case(self, device, i_c):
+        # A 0.3-s rest is merged into the phase before it by the trace
+        # analysis; its samples carry no current, so the folded cell agrees.
+        p = preset(device)
+        for vm, vM in ((0.0, 1.0), (0.5, 0.7)):
+            s = CycleSpec(i_c=i_c, v_min=vm * p.v_rated, v_max=vM * p.v_rated,
+                          rest_after_charge=0.3, rest_after_discharge=0.3, max_cycles=7)
+            min_segment = min(1.0, 0.5 * charge_duration(p, s))
+            traced = analyze_cycles(run_protocol(p, s), min_segment=min_segment).eta
+            folded = SimulatedObjective(p, i_c, rest=0.3, cycles=7).eta(vm, vM)
+            assert folded == pytest.approx(traced, rel=1e-12, abs=0)
+
+    # c_branch = 3 c_main: after the 60-s rest the first discharge runs only a
+    # few samples, which a trace's analysis would merge away.
+    _SHORT = DeviceParams(c_main=10.0, r_series=0.01, v_rated=2.7,
+                          redistribution=Redistribution(c_branch=30.0, r_branch=0.5))
+
+    def test_active_phase_shorter_than_min_segment_is_refused(self):
+        s = CycleSpec(i_c=1.0, v_min=0.7 * 2.7, v_max=0.8 * 2.7, rest_after_charge=60.0,
+                      rest_after_discharge=60.0, max_cycles=6)
+        # the trace analysis failed with the same type, on a merged sequence
+        with pytest.raises(MalformedProtocol):
+            analyze_cycles(run_protocol(self._SHORT, s), min_segment=1.0)
+        with pytest.raises(MalformedProtocol, match=r"window \(0\.7, 0\.8\) p\.u\.: "
+                           r"cycle 1's discharge spans 9 sample\(s\)"):
+            SimulatedObjective(self._SHORT, 1.0, rest=60.0, cycles=6).eta(0.7, 0.8)
+
+    def test_active_phase_without_a_sample_is_refused(self):
+        # At a 1-s sample period the first charge ends between two samples.
+        s = CycleSpec(i_c=1.0, v_min=2.0, v_max=2.1, max_cycles=6)
+        with pytest.raises(MalformedProtocol, match=r"cycle 1's charge spans 0 sample"):
+            simulated_cycles(self._SHORT, s, AcquisitionConfig(sample_period=1.0))
 
 
 class TestMeasuredGrids:

@@ -23,7 +23,9 @@ from capcycle import (
     preset,
     quantize_trace,
     run_protocol,
+    simulated_cycles,
     simulator,
+    steady_window,
     write_sidecar_csv,
     write_trace_csv,
 )
@@ -32,6 +34,7 @@ from capcycle.simulator import (
     MODE_CHARGE,
     MODE_DISCHARGE,
     MODE_FIXED,
+    RAMP_BLOCK,
     TABLE_CAP,
     V_QUANTUM,
     run_phase,
@@ -290,7 +293,7 @@ class TestAcquisition:
 
 def _scalar_phase_loop(
     v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
-    v_stop, eps, max_steps, n_sub, countdown,
+    v_stop, eps, max_steps, n_sub, countdown, *, fold=False,
 ):
     """Reference recurrence: ``run_phase``'s contract, one step at a time."""
     samples = []
@@ -313,6 +316,13 @@ def _scalar_phase_loop(
         if mode == MODE_DISCHARGE and vt <= v_stop + eps:
             crossed = True
             break
+    if fold:
+        n = len(samples)
+        first, last = (samples[0], samples[-1]) if n else (math.nan, math.nan)
+        v_sum = math.fsum(samples)
+        if mode == MODE_FIXED:  # a folded rest reports its count and last sample
+            first = v_sum = math.nan
+        return v_main, v_branch, steps, (n, first, last, v_sum), countdown, crossed
     return v_main, v_branch, steps, np.array(samples), countdown, crossed
 
 
@@ -368,6 +378,31 @@ class TestBlockedPropagation:
         assert got[1] == pytest.approx(exp[1], abs=1e-10)
         assert got[3].shape == exp[3].shape == ((steps - 2) // 3 + 1,)
         assert np.max(np.abs(got[3] - exp[3])) <= 1e-10
+
+    @pytest.mark.parametrize("mode, i, max_steps, n_sub, countdown", [
+        (MODE_FIXED, 0.0, TABLE_CAP + 1000, 3, 2),  # several table blocks
+        (MODE_FIXED, 0.0, 2, 3, 3),  # no sample falls due
+        (MODE_FIXED, 0.0, 7, 1, 1),
+        (MODE_CHARGE, 1.0, 10_000, 2, 1),
+        (MODE_DISCHARGE, -1.0, 10_000, 3, 3),  # more than one ramp block
+    ])
+    def test_folded_phase_matches_scalar_recurrence(self, mode, i, max_steps, n_sub,
+                                                    countdown):
+        # A folded phase ends in the same state with the same countdown, and
+        # its statistics are those of the samples it would have yielded.
+        ad, bd = simulator._discretize(TWO_BRANCH, 0.05)
+        v_stop = {MODE_FIXED: 0.0, MODE_CHARGE: 2.6, MODE_DISCHARGE: 2.2}[mode]
+        args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
+                max_steps, n_sub, countdown)
+        got = run_phase(2.5, 2.0, *args, fold=True)
+        exp = _scalar_phase_loop(2.5, 2.0, *args, fold=True)
+        assert (got[2], got[4], got[5]) == (exp[2], exp[4], exp[5])
+        assert got[:2] == pytest.approx(exp[:2], abs=1e-10)
+        n = exp[3][0]
+        assert got[3][0] == n
+        np.testing.assert_allclose(got[3][1:], exp[3][1:], rtol=0, atol=1e-10 * max(n, 1))
+        if mode == MODE_DISCHARGE:
+            assert got[2] > RAMP_BLOCK
 
     def test_leaky_charge_that_never_reaches_v_max_diverges(self):
         # Leakage settles the capacitor at i*R_leak = 2.0 V, below v_max:
@@ -482,6 +517,38 @@ class TestProtocolProperties:
         steady = analyze_trace(trace, min_segment=min_segment).steady
         assert (core.window, core.window_rule) == (steady.window, steady.window_rule)
         assert core.eta.hex() == steady.mean.eta.hex()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_protocols(cycles=st.integers(1, 25)))
+    # one case per window rule, and a rest shorter than the 1-s minimum
+    # segment, which the trace analysis merges into the phase before it
+    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=20),
+                   AcquisitionConfig(sample_period=1.0)))
+    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=5),
+                   AcquisitionConfig(sample_period=1.0)))
+    @example(case=(DeviceParams(c_main=10.0, r_series=0.03, v_rated=2.7, r_leak=500.0),
+                   CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, rest_after_charge=120.0,
+                             rest_after_discharge=120.0, max_cycles=6),
+                   AcquisitionConfig(sample_period=1.0)))
+    @example(case=(TWO_BRANCH, CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7,
+                                         rest_after_charge=0.3, rest_after_discharge=0.3,
+                                         max_cycles=7),
+                   AcquisitionConfig(sample_period=0.1)))
+    def test_folded_cycles_equal_trace_analysis(self, case):
+        # A simulated map cell folds each phase into statistics instead of
+        # building the trace: same steady judgement, η to 1e-12 relative.
+        p, s, acq = case
+        min_segment = min(1.0, 0.5 * charge_duration(p, s))
+        core = analyze_cycles(run_protocol(p, s, acq), min_segment=min_segment)
+        cycles = simulated_cycles(p, s, acq)
+        traced = [(c.e_in, c.q_in, c.e_out, c.q_out) for c in core.cycles]
+        np.testing.assert_allclose(cycles, traced, rtol=1e-12, atol=0)
+        steady_from, window, rule = steady_window([(c[1], c[3]) for c in cycles])
+        assert (steady_from, window, rule) == (core.steady_from_cycle, core.window,
+                                               core.window_rule)
+        first, last = window
+        eta = np.mean([e_out / e_in for e_in, _, e_out, _ in cycles[first - 1 : last]])
+        assert eta == pytest.approx(core.eta, rel=1e-12, abs=0)
 
     @settings(max_examples=15, deadline=None)
     @given(case=_ideal_protocols())

@@ -80,7 +80,7 @@ def test_perfbench_reads_kernel_counts(tracing):
 
 def test_perfbench_counts_analyzer_and_map_layers(tracing, tmp_path):
     # The analyzer's counts come from segment() and cycle_metrics() results,
-    # the map's from build_grid() and the run_protocol calls its cells make.
+    # the map's from build_grid() and the run_phase calls its cells make.
     csv_path, report = tmp_path / "t.csv", tmp_path / "r.json"
     assert cli.main(["simulate", "--device", "10F", "--cycles", "2", "--rest", "10",
                      "--out", str(csv_path)]) == 0
@@ -98,4 +98,5 @@ def test_perfbench_counts_analyzer_and_map_layers(tracing, tmp_path):
                          "--levels", "0,0.5,1", "--sim-cycles", "2",
                          "--out", str(tmp_path / "m")]) == 0
     values = tracing.layer_values(tracer, patches.missing)
-    assert (values["simulator.run_protocol_calls"], values["effmap.cells"]) == (3, 3)
+    cells, cycles, phases = 3, 2, 2  # no rests: charge and discharge
+    assert (values["kernels.calls"], values["effmap.cells"]) == (cells * cycles * phases, 3)
