@@ -10,6 +10,7 @@ and SVG output.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +21,7 @@ import numpy as np
 from .analyzer import steady_window
 from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP item 8)
 from .errors import (
+    CapcycleError,
     ConfigError,
     InfeasibleEnergyRequirement,
     LossesExceedDelivery,
@@ -45,6 +47,13 @@ PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
 
 MIN_FIT_QUALITY = 0.95
 """Minimum coefficient of determination to use a rest-voltage model in predictions."""
+
+GRID_CHUNK = 64
+"""Most cells :func:`build_grid` hands an objective at once.
+
+A simulated chunk advances as one block; its arrays take about 8 kB per
+cell, and its results 32 B per cell and cycle.
+"""
 
 MAX_GRID_CELLS = 1 << 20
 """Largest ``n * n`` efficiency array :func:`build_grid` evaluates (1024 levels, 8 MB)."""
@@ -226,6 +235,16 @@ class ClosedFormObjective:
         rv = self.rest_model.predict((vM_pu - vm_pu) * v_rated)
         return efficiency_with_rest(self.device, s, rv)
 
+    def etas(self, windows) -> list:
+        """:meth:`eta`, or the error it raises, of each per-unit window."""
+        out = []
+        for vm, vM in windows:
+            try:
+                out.append(self.eta(vm, vM))
+            except CapcycleError as exc:
+                out.append(exc)
+        return out
+
 
 @functools.lru_cache(maxsize=1024)
 def _trace_charge(n: int, i: float, dt: float) -> float:
@@ -239,9 +258,15 @@ def _trace_charge(n: int, i: float, dt: float) -> float:
 
 
 def simulated_cycles(
-    p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig | None = None
-) -> list[tuple[float, float, float, float]]:
-    """Each simulated cycle's ``(e_in, q_in, e_out, q_out)``, as the analyzer integrates it.
+    p: DeviceParams, specs, acq: AcquisitionConfig | None = None
+) -> list:
+    """Each spec's simulated cycles, as the analyzer integrates them, or its error.
+
+    The specs advance together as one block of :func:`~capcycle.simulator.run_phases`,
+    so they may differ only in their window.  Returns a list with an entry
+    per spec: a ``(cycles, 4)`` array of each cycle's
+    ``(e_in, q_in, e_out, q_out)``, or the :class:`CapcycleError` that the
+    spec met first.
 
     No trace is built: the simulator folds each phase into its sample count
     ``n``, first and last samples and their sum ``Σv``.  The analyzer's
@@ -255,43 +280,66 @@ def simulated_cycles(
     :func:`~capcycle.simulator.run_protocol`'s trace.
 
     An active phase shorter than the analysis' minimum segment, which the
-    analyzer would merge away, raises :class:`MalformedProtocol` (exit 4)
+    analyzer would merge away, is a :class:`MalformedProtocol` (exit 4)
     naming the window.  ``acq`` must not ask for quantization.
     """
     acq = acq or AcquisitionConfig()
     if acq.quantize:
         raise ConfigError("folded cycles are not quantized; use run_protocol")
     dt = acq.sample_period
-    # A narrow window's ramps can be shorter than the default
-    # 1-s glitch filter, which would merge them away.
-    min_segment = min(1.0, 0.5 * charge_duration(p, s))
-    window = f"window ({s.v_min / p.v_rated:g}, {s.v_max / p.v_rated:g}) p.u."
-    cycles = []
-    v_prev = None  # the last sample so far
-    index = 0  # samples so far
-    for cycle, phase, i, _, (n, v_first, v_last, v_sum) in run_phases(p, s, acq, fold=True):
+    m = len(specs)
+    errors: dict = {}
+    min_segment = np.zeros(m)
+    for c, s in enumerate(specs):
+        try:
+            # A narrow window's ramps can be shorter than the default
+            # 1-s glitch filter, which would merge them away.
+            min_segment[c] = min(1.0, 0.5 * charge_duration(p, s))
+        except CapcycleError as exc:
+            errors[c] = exc
+    floor = min_segment - 1e-12
+    rows = []  # per cycle: the specs that finished it and their integrals
+    e_in, q_in = np.zeros(m), np.zeros(m)
+    v_prev = np.zeros(m)  # the last sample so far
+    index = np.zeros(m, dtype=int)  # samples so far
+    phases = run_phases(p, specs, acq, errors, fold=True)
+    for cycle, phase, i, cols, _, (n, v_first, v_last, v_sum) in phases:
         if phase in (Phase.CHARGE, Phase.DISCHARGE):
-            if not n or n * dt < min_segment - 1e-12:
-                raise MalformedProtocol(
-                    f"{window}: cycle {cycle}'s {phase.value} spans {n} sample(s), "
-                    f"shorter than the {min_segment:g}-s minimum segment of its analysis",
-                    boundary_index=index,
+            short = (n == 0) | (n * dt < floor[cols])
+            for c, k in zip(cols[short].tolist(), n[short].tolist()):
+                errors[c] = MalformedProtocol(
+                    f"{_window(p, specs[c])}: cycle {cycle}'s {phase.value} spans "
+                    f"{k} sample(s), shorter than the {min_segment[c]:g}-s minimum "
+                    "segment of its analysis",
+                    boundary_index=int(index[c]),
                 )
-            m = n
-            if v_prev is None:
-                m, v_sum, v_prev = n - 1, v_sum - v_first, v_first
-            e = abs(i) * dt * (v_sum + (v_prev - v_last) / 2)
-            q = _trace_charge(m, abs(i), dt)
-            if phase is Phase.DISCHARGE:
-                cycles.append((e_in, q_in, e, q))
-            elif not e > 0:
-                raise NumericError(f"{window}: cycle {cycle} takes in {e!r} J")
+            if cycle == 1 and phase is Phase.CHARGE:  # the trace's first sample
+                count, v_sum, before = n - 1, v_sum - v_first, v_first
             else:
-                e_in, q_in = e, q
-        if n:
-            v_prev = v_last
-        index += n
-    return cycles
+                count, before = n, v_prev[cols]
+            e = abs(i) * dt * (v_sum + (before - v_last) / 2)
+            # (an empty first phase counts -1 here; its error is already set)
+            q = np.array([_trace_charge(max(k, 0), abs(i), dt) for k in count.tolist()])
+            if phase is Phase.DISCHARGE:
+                rows.append((cols, np.column_stack((e_in[cols], q_in[cols], e, q))))
+            else:
+                taken_in = ~(e > 0)
+                for c, value in zip(cols[taken_in].tolist(), e[taken_in].tolist()):
+                    if c not in errors:
+                        errors[c] = NumericError(
+                            f"{_window(p, specs[c])}: cycle {cycle} takes in {value!r} J"
+                        )
+                e_in[cols], q_in[cols] = e, q
+        v_prev[cols] = np.where(n > 0, v_last, v_prev[cols])
+        index[cols] += n
+    out = np.full((m, len(rows), 4), np.nan)
+    for j, (cols, values) in enumerate(rows):
+        out[cols, j] = values
+    return [errors.get(c, out[c]) for c in range(m)]
+
+
+def _window(p: DeviceParams, s: CycleSpec) -> str:
+    return f"window ({s.v_min / p.v_rated:g}, {s.v_max / p.v_rated:g}) p.u."
 
 
 @dataclass(frozen=True)
@@ -315,41 +363,70 @@ class SimulatedObjective:
     def with_rest(self) -> bool:
         return self.rest > 0
 
+    def etas(self, windows) -> list:
+        """Steady-window mean efficiency, or the error met, of each per-unit window.
+
+        The windows advance together as one block, whose arrays grow with
+        their number; :func:`build_grid` hands over at most
+        :data:`GRID_CHUNK` at a time.
+        """
+        p = self.device
+        specs = []
+        out: list = [None] * len(windows)
+        for j, (vm_pu, vM_pu) in enumerate(windows):
+            try:
+                specs.append((j, CycleSpec(
+                    i_c=self.i_c, v_min=vm_pu * p.v_rated, v_max=vM_pu * p.v_rated,
+                    rest_after_charge=self.rest, rest_after_discharge=self.rest,
+                    max_cycles=self.cycles)))
+            except CapcycleError as exc:
+                out[j] = exc
+        if specs:
+            results = simulated_cycles(p, [s for _, s in specs])
+            for (j, _), cycles in zip(specs, results):
+                if isinstance(cycles, CapcycleError):
+                    out[j] = cycles
+                    continue
+                _, (first, last), _ = steady_window(cycles[:, [1, 3]].tolist())
+                window = cycles[first - 1 : last]
+                out[j] = float(np.mean(window[:, 2] / window[:, 0]))
+        return out
+
     def eta(self, vm_pu: float, vM_pu: float) -> float:
         """Steady-window mean efficiency at a per-unit window."""
-        p = self.device
-        s = CycleSpec(i_c=self.i_c, v_min=vm_pu * p.v_rated, v_max=vM_pu * p.v_rated,
-                      rest_after_charge=self.rest, rest_after_discharge=self.rest,
-                      max_cycles=self.cycles)
-        cycles = simulated_cycles(p, s)
-        _, (first, last), _ = steady_window([(c[1], c[3]) for c in cycles])
-        return float(np.mean([c[2] / c[0] for c in cycles[first - 1 : last]]))
+        (value,) = self.etas([(vm_pu, vM_pu)])
+        if isinstance(value, CapcycleError):
+            raise value
+        return value
 
 
 def build_grid(
     objective: ClosedFormObjective | SimulatedObjective, levels=PU_LEVELS
 ) -> EfficiencyGrid:
-    """Evaluate ``objective.eta`` for every level pair ``vm < vM``.
+    """Evaluate ``objective.etas`` for every level pair ``vm < vM``.
 
-    Infeasible windows (narrower than the resistive drops, or with rest losses
-    exceeding delivery) are marked undefined, not errors.
+    Cells go to the objective in row-major chunks of at most
+    :data:`GRID_CHUNK`.  Infeasible windows (narrower than the resistive
+    drops, or with rest losses exceeding delivery) are marked undefined, not
+    errors; any other error of a cell is raised, that of the first such cell
+    in row-major order.
     """
     levels = _validate_levels(levels)
     n = len(levels)
     eta = np.full((n, n), np.nan)
-    for r, vM in enumerate(levels):
-        for j, vm in enumerate(levels):
-            if vm >= vM:
+    cells = ((r, j) for r in range(n) for j in range(r))  # vm < vM, row-major
+    while chunk := list(itertools.islice(cells, GRID_CHUNK)):
+        values = objective.etas([(levels[j], levels[r]) for r, j in chunk])
+        for (r, j), value in zip(chunk, values):
+            if isinstance(value, (WindowTooNarrow, LossesExceedDelivery)):
                 continue
-            try:
-                value = objective.eta(vm, vM)
-            except (WindowTooNarrow, LossesExceedDelivery):
-                continue
+            if isinstance(value, CapcycleError):
+                raise value
             if 1.0 < value < 1.0 + 1e-9:
                 value = 1.0
             if not 0.0 < value <= 1.0:
                 raise NumericError(
-                    f"grid cell ({vm}, {vM}) produced efficiency {value!r} "
+                    f"grid cell ({levels[j]}, {levels[r]}) produced efficiency {value!r} "
                     "outside (0, 1]"
                 )
             eta[r, j] = value

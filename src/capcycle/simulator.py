@@ -23,17 +23,26 @@ linear and time-invariant, so on the augmented state
 
 and the state after ``k`` steps is ``M^k z``.  A table of ``M^1 .. M^B``
 (built by doubling, cached per coefficient tuple) turns a block of ``B`` steps
-into one matrix-vector product: only the two state rows of each power are
-kept, stacked into a ``(2B, 3)`` array, so ``table[:2b] @ z`` yields the
-``b`` successive states interleaved.  Rest phases run in blocks of up to
+into one matrix product: only the two state rows of each power are kept,
+stacked into a ``(2B, 3)`` array, so ``table[:2b] @ z`` yields the ``b``
+successive states interleaved.  Rest phases run in blocks of up to
 ``TABLE_CAP`` steps; charge and discharge phases run in ``RAMP_BLOCK``-step
 blocks and stop at the first step whose terminal voltage crosses the limit.
 See Van Loan (1978), "Computing integrals involving the matrix exponential".
 
-One driver, :func:`run_phases`, serves two consumers: :func:`run_protocol`
-collects the samples into a :class:`~capcycle.trace.Trace`, and a simulated
-map cell has each phase folded into its sufficient statistics, so that a
-rest takes no samples at all.
+The state is a block: ``Z`` is ``(3, m)``, one column per cell of a
+simulated map, and ``table[:2b] @ Z`` steps every cell at once.  The cells
+share the device, the step, the current, the rests and the cycle count;
+each column keeps its own limit, step budget, sample countdown and crossing
+step, and leaves the block's live set when its phase ends.  One phase
+loop, :func:`run_phases`, serves two consumers.  :func:`run_protocol` is the
+one-column case: it collects the samples into a
+:class:`~capcycle.trace.Trace`.  A simulated map has each phase of each
+column folded into its sufficient statistics instead, so that a rest takes
+no samples at all: each column jumps by its own power of ``M``, computed by
+repeated squaring and cached.  A folded column's arithmetic never depends
+on the other columns, so a map cell's result does not depend on the cells
+that share its block.
 
 ``M`` is the exponential of the augmented continuous-time matrix, computed
 in numpy by scaling and squaring of a truncated Taylor series: Moler and Van
@@ -52,7 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DynamicsDiverged
+from .errors import CapcycleError, ConfigError, DynamicsDiverged
 from .model import CycleSpec, DeviceParams, charge_duration
 from .trace import CycleBoundary, Trace
 
@@ -71,7 +80,7 @@ MODE_DISCHARGE = 1   # terminate when terminal voltage falls to v_stop
 MODE_FIXED = 2       # run exactly max_steps (rest phases)
 
 TABLE_CAP = 1 << 15
-"""Most powers kept in one table (1.5 MB); longer phases loop over blocks."""
+"""Most powers kept in one table (1.5 MB); longer sampled rests loop over blocks."""
 
 RAMP_BLOCK = 256
 """Block length of charge and discharge phases, which stop at a crossing."""
@@ -192,13 +201,49 @@ def _power_table(coeffs: tuple[float, ...], n: int) -> np.ndarray:
     return table
 
 
-def _advance(table: np.ndarray, z: np.ndarray, k: int) -> None:
-    """Set ``z`` to ``M^k z`` in place, one table power per ``TABLE_CAP`` steps."""
-    cap = table.shape[0] // 2
-    while k > 0:
-        b = min(cap, k)
-        z[:2] = table[2 * b - 2 : 2 * b] @ z
-        k -= b
+@functools.lru_cache(maxsize=8)
+def _sample_sums(coeffs: tuple[float, ...], n: int, n_sub: int) -> np.ndarray:
+    """Sums of the ``v_main`` rows of ``M^j, M^(j - n_sub), ...`` for ``j = 0 .. n``.
+
+    Row 0 is zero.  Times a state, row ``j`` is the sum of the samples that
+    end on steps ``j, j - n_sub, ...`` of a block, less their ``i*R``
+    offsets.
+    """
+    sums = np.zeros((n + 1, 3))
+    main = _power_table(coeffs, n)[0::2]
+    for r in range(min(n_sub, n)):
+        np.cumsum(main[r::n_sub], axis=0, out=sums[1 + r :: n_sub])
+    sums.flags.writeable = False
+    return sums
+
+
+@functools.lru_cache(maxsize=64)
+def _power(coeffs: tuple[float, ...], k: int) -> np.ndarray:
+    """State rows of ``M^k`` as a read-only ``(2, 3)`` array, by repeated squaring."""
+    a11, a12, a21, a22, b1, b2 = coeffs
+    m = np.array(((a11, a12, b1), (a21, a22, b2), (0.0, 0.0, 1.0)))
+    rows = np.linalg.matrix_power(m, k)[:2]
+    rows.flags.writeable = False
+    return rows
+
+
+def _advance(coeffs: tuple[float, ...], z: np.ndarray, k: np.ndarray) -> None:
+    """Set each column of ``z`` to ``M^k z`` in place, ``k`` per column.
+
+    A column reads its own power's rows, so its arithmetic does not depend
+    on the other columns.
+    """
+    if (k == k[0]).all():  # a rest's usual case: one power serves every column
+        rows = _power(coeffs, int(k[0]))[None]
+    else:
+        rows = np.stack([_power(coeffs, j) for j in k.tolist()])  # (columns, 2, 3)
+    z[:2] = (rows[:, :, 0] * z[0, :, None] + rows[:, :, 1] * z[1, :, None]
+             + rows[:, :, 2]).T
+
+
+def _per_cell(value, m: int) -> np.ndarray:
+    """``value`` with an entry per cell; a scalar serves every cell."""
+    return value if isinstance(value, np.ndarray) else np.full(m, value)
 
 
 def run_phase(
@@ -221,119 +266,198 @@ def run_phase(
     *,
     fold=False,
 ):
-    """Advance one protocol phase, sampling every ``n_sub`` internal steps.
+    """Advance a block of cells through one protocol phase, sampling every ``n_sub`` internal steps.
 
-    The state update is ``x+ = Ad x + bd`` with ``bd`` already scaled by the
-    phase current.  A sample is the terminal voltage ``v_main + i*R`` at the
-    end of an internal step; the termination test applies to every step
-    (sample or not), and the crossing step still yields its sample when one
-    falls due.  ``countdown`` is the number of steps until the next sample.
+    The block holds one column per cell: ``v_main``, ``v_branch`` and
+    ``countdown`` are arrays with an entry per cell, and so may be ``v_stop``
+    and ``max_steps`` (a scalar serves every cell).  The cells share the
+    step coefficients, the current and the mode.  The state update is
+    ``x+ = Ad x + bd`` with ``bd`` already scaled by the phase current.  A
+    sample is the terminal voltage ``v_main + i*R`` at the end of an internal
+    step; the termination test applies to every step (sample or not), and the
+    crossing step still yields its sample when one falls due.  ``countdown``
+    is the number of steps until a cell's next sample.  ``max_steps`` must be
+    positive.
 
-    Returns ``(v_main, v_branch, steps, samples, countdown, crossed)``, where
-    ``samples`` holds the phase's sampled terminal voltages in order.
-    ``max_steps`` must be positive.
+    Returns ``(v_main, v_branch, total, samples, countdown, crossed, steps)``:
+    arrays with an entry per cell, apart from ``total``, the int sum of
+    ``steps`` over the block, and ``samples``, a list holding each cell's
+    sampled terminal voltages in order.
 
     With ``fold``, ``samples`` is the phase's sufficient statistics
-    ``(n, v_first, v_last, v_sum)`` instead: the sample count, the first and
-    last samples (NaN when ``n`` is 0) and their sum.  A folded fixed-length
-    phase takes no samples: powers of ``M`` from the table carry the state to
-    its last sample and on to its end, and its ``v_first`` and ``v_sum`` are
-    NaN.  Rests carry no current, so that last sample is all the analyzer's
-    trapezoid reads of them.
+    ``(n, v_first, v_last, v_sum)`` instead, an array each: the sample count,
+    the first and last samples (NaN when ``n`` is 0) and their sum.  A folded
+    fixed-length phase takes no samples: powers of ``M`` carry each cell to
+    its last sample and to its end, and its ``v_first`` and ``v_sum`` are
+    NaN.  Rests carry no current, so that last sample is all the
+    analyzer's trapezoid reads of them.  A folded cell's result does not
+    depend on the other cells of its block.
     """
-    block = min(TABLE_CAP, max_steps) if mode == MODE_FIXED else RAMP_BLOCK
-    table = _power_table((a11, a12, a21, a22, b1, b2), block)
-    z = np.array([v_main, v_branch, 1.0])
+    m = len(v_main)
+    max_steps = _per_cell(max_steps, m)
+    countdown = _per_cell(countdown, m).copy()
+    coeffs = (a11, a12, a21, a22, b1, b2)
+    z = np.empty((3, m))
+    z[0], z[1], z[2] = v_main, v_branch, 1.0
     v_offset = i_applied * r_series
     if fold and mode == MODE_FIXED:
         n = (max_steps - countdown) // n_sub + 1
-        last = countdown + (n - 1) * n_sub if n else 0  # the last sample's step
-        _advance(table, z, last)
-        v_last = float(z[0]) + v_offset if n else math.nan
-        _advance(table, z, max_steps - last)
+        last = np.where(n > 0, countdown + (n - 1) * n_sub, 0)  # the last sample's step
+        at_last = z.copy()
+        _advance(coeffs, at_last, last)
+        v_last = np.where(n > 0, at_last[0] + v_offset, np.nan)
+        _advance(coeffs, z, max_steps)
         countdown = (countdown - max_steps - 1) % n_sub + 1
-        stats = (n, math.nan, v_last, math.nan)
-        return float(z[0]), float(z[1]), max_steps, stats, countdown, False
-    parts = []
-    steps = 0
-    crossed = False
-    while steps < max_steps and not crossed:
-        b = min(block, max_steps - steps)
-        states = (table[: 2 * b] @ z).reshape(b, 2)
-        vt = states[:, 0] + v_offset
-        if mode != MODE_FIXED:
-            hit = vt >= v_stop - eps if mode == MODE_CHARGE else vt <= v_stop + eps
-            first = int(np.argmax(hit))
-            if hit[first]:
-                b = first + 1
-                crossed = True
-        # Samples fall on this block's steps countdown, countdown + n_sub, ...
-        parts.append(vt[countdown - 1 : b : n_sub])
-        countdown = (countdown - b - 1) % n_sub + 1
-        steps += b
-        z[:2] = states[b - 1]
-    samples = np.concatenate(parts)
+        stats = (n, np.full(m, np.nan), v_last, np.full(m, np.nan))
+        steps = max_steps.copy()
+        return z[0], z[1], int(steps.sum()), stats, countdown, np.zeros(m, bool), steps
+    block = min(TABLE_CAP, int(max_steps.max())) if mode == MODE_FIXED else RAMP_BLOCK
+    table = _power_table(coeffs, block)
+    crossed = np.zeros(m, dtype=bool)
+    steps = max_steps.copy()  # less the steps a cell leaves untaken
+    parts = [[] for _ in range(m)]
+    # The cells still running, and their states, steps left, countdowns,
+    # limits and statistics so far; a cell leaves when it ends its phase.
+    live, x, rem, cd = np.arange(m), z.copy(), max_steps, countdown
+    limit = _per_cell(v_stop, m) + (-eps if mode == MODE_CHARGE else eps)
     if fold:
-        ends = (float(samples[0]), float(samples[-1])) if samples.size else (math.nan,) * 2
-        samples = (samples.size, *ends, float(samples.sum()))
-    return float(z[0]), float(z[1]), steps, samples, countdown, crossed
+        sums = _sample_sums(coeffs, block, n_sub)
+        stats = (np.zeros(m, dtype=int), np.full(m, np.nan), np.full(m, np.nan), np.zeros(m))
+        n, v_first, v_last, v_sum = (a.copy() for a in stats)
+    while live.size:
+        b = min(block, int(rem.max()))
+        if fold and live.size == 1:
+            # numpy hands a single column to gemv, which rounds unlike gemm:
+            # a folded cell must not depend on whether it outlasts the others.
+            states = (table[: 2 * b] @ np.repeat(x, 2, axis=1))[:, :1]
+        else:
+            states = table[: 2 * b] @ x
+        vt = states[0::2] + v_offset  # (step, cell)
+        k = np.arange(live.size)
+        end = np.minimum(rem, b)  # the steps each cell takes in this block
+        done = rem == end
+        if mode != MODE_FIXED:
+            hit = vt >= limit if mode == MODE_CHARGE else vt <= limit
+            first = hit.argmax(axis=0)
+            stop = hit[first, k] & (first < end)
+            end = np.where(stop, first + 1, end)
+            done |= stop
+        # Samples fall on each cell's steps cd, cd + n_sub, ... up to its end.
+        if fold:
+            count = np.maximum((end - cd) // n_sub + 1, 0)
+            last = np.maximum(cd + (count - 1) * n_sub, 0)  # its last sample's step, or 0
+            some = count > 0
+            v_last = np.where(some, vt[last - 1, k], v_last)
+            if not n.all():
+                v_first = np.where(some & (n == 0), vt[np.minimum(cd, b) - 1, k], v_first)
+            v_sum = v_sum + (sums[last] * x.T).sum(axis=1) + count * v_offset
+            n = n + count
+        else:
+            for j, c in enumerate(live):
+                parts[c].append(vt[cd[j] - 1 : end[j] : n_sub, j])
+        cd = (cd - end - 1) % n_sub + 1
+        rem = rem - end
+        x[:2] = states.reshape(b, 2, -1)[end - 1, :, k].T
+        if done.any():
+            cells = live[done]
+            z[:, cells], countdown[cells], steps[cells] = x[:, done], cd[done], steps[cells] - rem[done]
+            if mode != MODE_FIXED:
+                crossed[cells] = stop[done]
+            keep = ~done
+            live, x, rem, cd, limit = live[keep], x[:, keep], rem[keep], cd[keep], limit[keep]
+            if fold:
+                for a, v in zip(stats, (n, v_first, v_last, v_sum)):
+                    a[cells] = v[done]
+                n, v_first, v_last, v_sum = n[keep], v_first[keep], v_last[keep], v_sum[keep]
+    samples = stats if fold else [np.concatenate(p) for p in parts]
+    return z[0], z[1], int(steps.sum()), samples, countdown, crossed, steps
 
 
-def run_phases(p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig, fold: bool = False):
-    """Run ``s.max_cycles`` full cycles phase by phase; the driver of both paths.
+def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fold: bool = False):
+    """Run every spec's ``max_cycles`` full cycles in lockstep, phase by phase.
 
     Each cycle is charge, optional high rest, discharge, optional low rest.
-    The initial capacitor voltage is ``v_min + i*R`` (the steady-cycle charge
-    entry point), so the ideal device is periodic from the first cycle while a
-    device with a redistribution branch stabilizes over several cycles.
+    The specs may differ only in their window, and each is one column of the
+    block that :func:`run_phase` advances.  A capacitor starts at
+    ``v_min + i*R`` (the steady-cycle charge entry point), so the ideal
+    device is periodic from the first cycle while a device with a
+    redistribution branch stabilizes over several cycles.
 
-    Yields ``(cycle, phase, i_applied, steps, samples)`` for every phase that
-    takes at least one internal step, where ``samples`` is what
-    :func:`run_phase` returns for it (its statistics with ``fold``).  The
-    sample cap, termination, finiteness and guard-band checks apply to both
-    paths alike.
+    ``errors`` maps a spec's index to its error, and a spec found there
+    takes no further part.  This loop enters each spec that fails one of
+    its checks (the sample cap, termination, finiteness and the guard band),
+    and a consumer may enter specs between two phases to drop them.  Each
+    spec meets its checks in the order that it alone would.
+
+    Yields ``(cycle, phase, i_applied, cols, steps, samples)`` for every phase
+    that takes at least one internal step: ``cols`` indexes the specs still
+    running, and ``steps`` and ``samples`` are theirs as :func:`run_phase`
+    returns them (statistics with ``fold``).
     """
-    s.validate_against(p)
-    ideal_duration = charge_duration(p, s)  # also validates window feasibility
-
+    s0 = specs[0]
+    shared = (s0.i_c, s0.rest_after_charge, s0.rest_after_discharge, s0.max_cycles)
+    if any((s.i_c, s.rest_after_charge, s.rest_after_discharge, s.max_cycles) != shared
+           for s in specs):
+        raise ConfigError("the specs of one block may differ only in their window")
     n_sub = _internal_substeps(p, acq.sample_period)
     dt_int = acq.sample_period / n_sub
     a11, a12, a21, a22, bd0, bd1 = _step_coefficients(p, dt_int)
+    rest_high_steps = round(s0.rest_after_charge / dt_int)
+    rest_low_steps = round(s0.rest_after_discharge / dt_int)
 
-    ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
-    max_active_steps = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
-    rest_high_steps = round(s.rest_after_charge / dt_int)
-    rest_low_steps = round(s.rest_after_discharge / dt_int)
+    max_active_steps = np.zeros(len(specs), dtype=int)
+    for c, s in enumerate(specs):
+        if c in errors:
+            continue
+        try:
+            s.validate_against(p)
+            ideal_duration = charge_duration(p, s)  # also validates window feasibility
+            ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
+            est_samples = (
+                s.max_cycles
+                * (2 * ideal_steps + rest_high_steps + rest_low_steps)
+                // n_sub
+                + 64
+            )
+            if est_samples > MAX_SAMPLES:
+                raise ConfigError(
+                    f"the run needs about {est_samples:,} samples, more than the "
+                    f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
+                    "or fewer cycles"
+                )
+        except CapcycleError as exc:
+            errors[c] = exc
+            continue
+        max_active_steps[c] = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
 
-    est_samples = (
-        s.max_cycles
-        * (2 * ideal_steps + rest_high_steps + rest_low_steps)
-        // n_sub
-        + 64
-    )
-    if est_samples > MAX_SAMPLES:
-        raise ConfigError(
-            f"the run needs about {est_samples:,} samples, more than the "
-            f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
-            "or fewer cycles"
-        )
-
-    v_main = s.v_min + s.i_c * p.r_series
-    v_branch = v_main
-    countdown = n_sub
-    guard_low = _GUARD_LOW * p.v_rated
-    guard_high = _GUARD_HIGH * p.v_rated
+    v_min = np.array([s.v_min for s in specs])
+    v_max = np.array([s.v_max for s in specs])
+    # A phase may end one internal step past its limit.
+    swing = s0.i_c * dt_int / p.c_main
+    guard_low = _GUARD_LOW * p.v_rated - swing
+    guard_high = _GUARD_HIGH * p.v_rated + swing
     plan = (
-        (Phase.CHARGE, MODE_CHARGE, s.i_c, s.v_max, max_active_steps),
-        (Phase.REST_HIGH, MODE_FIXED, 0.0, 0.0, rest_high_steps),
-        (Phase.DISCHARGE, MODE_DISCHARGE, -s.i_c, s.v_min, max_active_steps),
-        (Phase.REST_LOW, MODE_FIXED, 0.0, 0.0, rest_low_steps),
+        (Phase.CHARGE, MODE_CHARGE, s0.i_c, v_max, max_active_steps),
+        (Phase.REST_HIGH, MODE_FIXED, 0.0, None, rest_high_steps),
+        (Phase.DISCHARGE, MODE_DISCHARGE, -s0.i_c, v_min, max_active_steps),
+        (Phase.REST_LOW, MODE_FIXED, 0.0, None, rest_low_steps),
     )
-    for cycle in range(1, s.max_cycles + 1):
+    # The specs still running and their states, in step with each other.
+    live = np.array([c for c in range(len(specs)) if c not in errors], dtype=int)
+    v_main = (v_min + s0.i_c * p.r_series)[live]
+    v_branch = v_main.copy()
+    countdown = np.full(live.size, n_sub)
+    for cycle in range(1, s0.max_cycles + 1):
         for phase, mode, i_sig, v_stop, max_steps in plan:
-            if max_steps <= 0:
-                continue
-            v_main, v_branch, steps, samples, countdown, crossed = run_phase(
+            if not live.size:
+                return
+            if mode == MODE_FIXED:
+                if max_steps <= 0:
+                    continue
+                v_stop_live, max_steps_live = 0.0, max_steps
+            else:
+                v_stop_live, max_steps_live = v_stop[live], max_steps[live]
+            v_main, v_branch, _, samples, countdown, crossed, steps = run_phase(
                 v_main,
                 v_branch,
                 a11,
@@ -345,27 +469,50 @@ def run_phases(p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig, fold: bool
                 i_sig,
                 p.r_series,
                 mode,
-                v_stop,
+                v_stop_live,
                 TERMINATION_EPS,
-                max_steps,
+                max_steps_live,
                 n_sub,
                 countdown,
                 fold=fold,
             )
-            if mode != MODE_FIXED and not crossed:
-                raise DynamicsDiverged(
-                    f"{phase.value} phase did not reach {v_stop!r} V within "
-                    f"{max_steps} internal steps; the applied current cannot "
-                    "overcome leakage near the voltage limit"
-                )
-            if not (math.isfinite(v_main) and math.isfinite(v_branch)):
-                raise DynamicsDiverged(f"non-finite state after {phase.value} phase")
-            if not (guard_low <= v_main <= guard_high and guard_low <= v_branch <= guard_high):
-                raise DynamicsDiverged(
-                    f"state left the guard band after {phase.value} phase: "
-                    f"v_main={v_main!r}, v_branch={v_branch!r}"
-                )
-            yield cycle, phase, i_sig, steps, samples
+            # NaN fails every comparison, so the band passes finite states only.
+            bounds = (v_main.min(), v_main.max(), v_branch.min(), v_branch.max())
+            if not ((mode == MODE_FIXED or crossed.all())
+                    and all(guard_low <= v <= guard_high for v in bounds)):
+                ok = np.ones(live.size, dtype=bool)
+                for j, c in enumerate(live.tolist()):
+                    vm, vb = float(v_main[j]), float(v_branch[j])
+                    if mode != MODE_FIXED and not crossed[j]:
+                        errors[c] = DynamicsDiverged(
+                            f"{phase.value} phase did not reach {float(v_stop[c])!r} V "
+                            f"within {int(max_steps[c])} internal steps; the applied "
+                            "current cannot overcome leakage near the voltage limit"
+                        )
+                    elif not (math.isfinite(vm) and math.isfinite(vb)):
+                        errors[c] = DynamicsDiverged(f"non-finite state after {phase.value} phase")
+                    elif not (guard_low <= vm <= guard_high and guard_low <= vb <= guard_high):
+                        errors[c] = DynamicsDiverged(
+                            f"state left the guard band after {phase.value} phase: "
+                            f"v_main={vm!r}, v_branch={vb!r}"
+                        )
+                    else:
+                        continue
+                    ok[j] = False
+                live, v_main, v_branch, countdown, steps = (
+                    a[ok] for a in (live, v_main, v_branch, countdown, steps))
+                if fold:
+                    samples = tuple(a[ok] for a in samples)
+                else:
+                    samples = [a for a, keep in zip(samples, ok) if keep]
+                if not live.size:
+                    continue
+            failed = len(errors)
+            yield cycle, phase, i_sig, live, steps, samples
+            if len(errors) > failed:  # the consumer dropped some
+                ok = np.array([c not in errors for c in live])
+                live, v_main, v_branch, countdown = (
+                    a[ok] for a in (live, v_main, v_branch, countdown))
 
 
 def run_protocol(
@@ -373,12 +520,12 @@ def run_protocol(
 ) -> Trace:
     """Simulate ``s.max_cycles`` full cycles and return the sampled trace.
 
-    The phases come from :func:`run_phases`.  Trace ``meta`` carries ground
-    truth: per-phase boundaries (``boundaries``, a list of
-    :class:`~capcycle.trace.CycleBoundary`), per-cycle supplied and extracted
-    charge (exact internal accounting) and charge/discharge durations.
-    Whether a cycle is steady is the analyzer's judgement, made on the
-    samples; the simulator makes none.
+    The phases come from :func:`run_phases`, driving a block of one column.
+    Trace ``meta`` carries ground truth: per-phase boundaries
+    (``boundaries``, a list of :class:`~capcycle.trace.CycleBoundary`),
+    per-cycle supplied and extracted charge (exact internal accounting) and
+    charge/discharge durations.  Whether a cycle is steady is the analyzer's
+    judgement, made on the samples; the simulator makes none.
     """
     if acq is None:
         acq = AcquisitionConfig()
@@ -393,13 +540,15 @@ def run_protocol(
     q_out: list[float] = []
     t_charge: list[float] = []
     t_discharge: list[float] = []
-    for cycle, phase, i_sig, steps, samples in run_phases(p, s, acq):
+    errors: dict = {}
+    for cycle, phase, i_sig, _, steps, samples in run_phases(p, [s], acq, errors):
+        steps = int(steps[0])
         t_start = global_step * dt_int
         global_step += steps
         boundaries.append(
             CycleBoundary(cycle, phase.value, t_start, global_step * dt_int)
         )
-        phase_v.append(samples)
+        phase_v.append(samples[0])
         phase_i.append(i_sig)
         if phase is Phase.CHARGE:
             q_in.append(s.i_c * steps * dt_int)
@@ -407,6 +556,8 @@ def run_protocol(
         elif phase is Phase.DISCHARGE:
             q_out.append(s.i_c * steps * dt_int)
             t_discharge.append(steps * dt_int)
+    if errors:
+        raise errors[0]
 
     v = np.concatenate(phase_v)
     trace = Trace(

@@ -335,6 +335,31 @@ class TestMap:
             "svg": "4bc7e1dd996b1581f95e4c2222da45d96401c373eb2f37e2f0a2bf5e175bcd88",
         }
 
+    _FINE = ",".join(f"{k / 20:g}" for k in range(21))
+
+    @pytest.mark.parametrize("argv, csv, svg", [
+        (("--device", "50F", "--rest", "1800"),
+         "90d6990ffa86edb2ab0dcff801ff8025520864f7c8cab4ad6a99991e2c069ab9",
+         "fcc72c99384a85715f5ad47b17b02d1c6371882d13bb2d6f82cf1285d633fd42"),
+        (("--device", "100F", "--ideal", "--levels", _FINE),
+         "1b63d7e2b8561a156f1142ba6c5ce316000bb5d3ce983aaac69fd451df236af1",
+         "ed10f10148171cf102c0a6cfb001c2e07d7b8610cc80eb581f421f61679d057e"),
+        (("--device", "50F", "--ideal", "--levels", _FINE),
+         "ddbb72e995e77cfb69bdc9b5cad0c24a9821041ad71485d03d5e552b8a2bd47e",
+         "abb2f544fc3088ec63e96856b3ed8c674ee126607f85a107803c2f7c5575ef3b"),
+    ], ids=["simmap", "rampmap", "50F-fine"])
+    def test_simulated_map_bytes_unchanged(self, capsys, tmp_path, argv, csv, svg):
+        # The simulated maps of the benchmark workloads: how the cells are
+        # grouped into blocks must not move a byte of them.
+        code, _, err = run(capsys, "map", "--method", "simulated", *argv,
+                           "--out", str(tmp_path / "m"))
+        assert code == 0, err
+        digests = {
+            suffix: hashlib.sha256((tmp_path / f"m.{suffix}").read_bytes()).hexdigest()
+            for suffix in ("csv", "svg")
+        }
+        assert digests == {"csv": csv, "svg": svg}
+
     def test_simulated_rest_map_fits_no_model(self, capsys, tmp_path, monkeypatch):
         def refuse(rows):
             raise AssertionError("a simulated map fitted the rest-voltage model")

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from capcycle import analyzer, effmap, simulator
 from capcycle import (
     AcquisitionConfig,
+    CapcycleError,
     ClosedFormObjective,
     ConfigError,
     CycleSpec,
     DeviceParams,
+    DynamicsDiverged,
     EfficiencyGrid,
     GridMethod,
     InfeasibleEnergyRequirement,
@@ -42,6 +44,7 @@ from capcycle import (
     usable_energy_fraction,
     WindowTooNarrow,
 )
+from capcycle.cli import main
 from capcycle.effmap import MIN_FIT_QUALITY, PU_LEVELS, SelfDischargeModel
 
 # Frozen regression constants for the embedded 50 F rest-drift table,
@@ -283,8 +286,71 @@ class TestBuildGridSimulated:
     def test_active_phase_without_a_sample_is_refused(self):
         # At a 1-s sample period the first charge ends between two samples.
         s = CycleSpec(i_c=1.0, v_min=2.0, v_max=2.1, max_cycles=6)
+        (error,) = simulated_cycles(self._SHORT, [s], AcquisitionConfig(sample_period=1.0))
         with pytest.raises(MalformedProtocol, match=r"cycle 1's charge spans 0 sample"):
-            simulated_cycles(self._SHORT, s, AcquisitionConfig(sample_period=1.0))
+            raise error
+
+
+class TestGridBlocks:
+    """A simulated map advances its cells in blocks; no cell may notice."""
+
+    def test_cell_eta_does_not_depend_on_its_chunk(self, monkeypatch):
+        # The same cell in a 7-level map, in a 3-level map, in chunks of two
+        # and alone: bit for bit the same efficiency.
+        obj = SimulatedObjective(preset("10F"), 1.13, rest=20.0, cycles=4)
+        levels = (0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0)
+        grids = [build_grid(obj, levels), build_grid(obj, (0.25, 0.9, 1.0))]
+        monkeypatch.setattr(effmap, "GRID_CHUNK", 2)
+        grids.append(build_grid(obj, levels))
+        cells = 0
+        for r, vM in enumerate(levels):
+            for vm in levels[:r]:
+                alone = obj.eta(vm, vM).hex()
+                seen = [g.value(vm, vM).hex() for g in grids
+                        if vm in g.levels and vM in g.levels]
+                assert seen == [alone] * len(seen), (vm, vM)
+                cells += 1
+        assert cells == 21
+
+    # Cells of this leaky two-branch device fail three ways under an
+    # 8,000-sample cap: narrow low windows lose their first discharge to the
+    # minimum segment (MalformedProtocol, in cycle 1), wide ones need more
+    # samples than the cap (ConfigError, before any step), and charges to
+    # above about 2.3 V never arrive (DynamicsDiverged, in cycle 1).
+    _LEAKY = DeviceParams(c_main=10.0, r_series=0.01, v_rated=2.7, r_leak=2.3,
+                          redistribution=Redistribution(c_branch=30.0, r_branch=0.5))
+
+    @pytest.mark.parametrize("levels, first", [
+        ((0.5, 0.6, 0.8, 0.9), MalformedProtocol),
+        ((0.55, 0.8, 0.85, 0.9), ConfigError),
+        ((0.7, 0.85, 0.9, 1.0), DynamicsDiverged),
+    ])
+    def test_map_raises_first_failing_cell_in_row_major_order(
+        self, monkeypatch, tmp_path, capsys, levels, first
+    ):
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 8000)
+        obj = SimulatedObjective(self._LEAKY, 1.0, rest=60.0, cycles=6)
+        failures = []
+        for r, vM in enumerate(levels):
+            for vm in levels[:r]:
+                try:
+                    obj.eta(vm, vM)
+                except CapcycleError as exc:
+                    failures.append(exc)
+        assert type(failures[0]) is first
+        assert len({type(e) for e in failures}) > 1  # later cells fail otherwise
+        with pytest.raises(first) as info:
+            build_grid(obj, levels)
+        assert str(info.value) == str(failures[0])
+
+        device = tmp_path / "dev.json"
+        device.write_text('{"c_main": 10.0, "r_series": 0.01, "r_leak": 2.3, '
+                          '"redistribution": {"c_branch": 30.0, "r_branch": 0.5}}')
+        code = main(["map", "--device", str(device), "--method", "simulated",
+                     "--current", "1.0", "--rest", "60", "--sim-cycles", "6",
+                     "--levels", ",".join(map(str, levels)), "--out", str(tmp_path / "m")])
+        assert code == first.exit_code
+        assert str(failures[0]) in capsys.readouterr().err
 
 
 class TestMeasuredGrids:

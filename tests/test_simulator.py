@@ -291,11 +291,11 @@ class TestAcquisition:
             AcquisitionConfig(sample_period=0.0)
 
 
-def _scalar_phase_loop(
+def _scalar_cell(
     v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
-    v_stop, eps, max_steps, n_sub, countdown, *, fold=False,
+    v_stop, eps, max_steps, n_sub, countdown, fold,
 ):
-    """Reference recurrence: ``run_phase``'s contract, one step at a time."""
+    """One cell of the reference recurrence, one step at a time."""
     samples = []
     steps = 0
     crossed = False
@@ -324,6 +324,44 @@ def _scalar_phase_loop(
             first = v_sum = math.nan
         return v_main, v_branch, steps, (n, first, last, v_sum), countdown, crossed
     return v_main, v_branch, steps, np.array(samples), countdown, crossed
+
+
+def _scalar_phase_loop(
+    v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
+    v_stop, eps, max_steps, n_sub, countdown, *, fold=False,
+):
+    """Reference recurrence: ``run_phase``'s contract, one cell and one step at a time."""
+    m = len(v_main)
+    v_stop, max_steps, countdown = (np.broadcast_to(x, (m,)) for x in (v_stop, max_steps,
+                                                                       countdown))
+    cells = [
+        _scalar_cell(float(v_main[c]), float(v_branch[c]), a11, a12, a21, a22, b1, b2,
+                     i_applied, r_series, mode, float(v_stop[c]), eps, int(max_steps[c]),
+                     n_sub, int(countdown[c]), fold)
+        for c in range(m)
+    ]
+    vm, vb, steps, samples, cd, crossed = zip(*cells)
+    samples = tuple(np.array(x) for x in zip(*samples)) if fold else list(samples)
+    return (np.array(vm), np.array(vb), sum(steps), samples, np.array(cd),
+            np.array(crossed), np.array(steps))
+
+
+def _assert_phases_agree(got, exp, fold):
+    """A block's phase against the reference: counts exact, voltages to 1e-10."""
+    assert type(got[2]) is int and got[2] == exp[2]
+    for g, e in zip(got[4:], exp[4:]):  # countdown, crossed, steps
+        np.testing.assert_array_equal(g, e)
+    np.testing.assert_allclose(got[0], exp[0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got[1], exp[1], rtol=0, atol=1e-10)
+    if fold:
+        n = exp[3][0]
+        np.testing.assert_array_equal(got[3][0], n)
+        for g, e in zip(got[3][1:], exp[3][1:]):
+            np.testing.assert_allclose(g, e, rtol=0, atol=1e-10 * max(n.max(), 1))
+    else:
+        assert [s.shape for s in got[3]] == [s.shape for s in exp[3]]
+        for g, e in zip(got[3], exp[3]):
+            assert np.max(np.abs(g - e), initial=0.0) <= 1e-10
 
 
 class TestBlockedPropagation:
@@ -371,13 +409,39 @@ class TestBlockedPropagation:
         ad, _ = simulator._discretize(TWO_BRANCH, 0.05)
         # coefficients, zero current, zero R, fixed mode, n_sub=3, countdown=2
         args = (*ad.ravel(), 0.0, 0.0, 0.0, 0.0, MODE_FIXED, 0.0, 1e-9, steps, 3, 2)
-        got = run_phase(2.5, 2.0, *args)
-        exp = _scalar_phase_loop(2.5, 2.0, *args)
-        assert (got[2], got[4], got[5]) == (exp[2], exp[4], exp[5])
-        assert got[0] == pytest.approx(exp[0], abs=1e-10)
-        assert got[1] == pytest.approx(exp[1], abs=1e-10)
-        assert got[3].shape == exp[3].shape == ((steps - 2) // 3 + 1,)
-        assert np.max(np.abs(got[3] - exp[3])) <= 1e-10
+        got = run_phase(np.array([2.5]), np.array([2.0]), *args)
+        exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args)
+        _assert_phases_agree(got, exp, fold=False)
+        assert got[3][0].shape == ((steps - 2) // 3 + 1,)
+
+    # Three cells: each starts elsewhere with its own countdown, limit and
+    # step budget, so they cross, run out or rest apart.
+    _V_MAIN, _V_BRANCH = np.array([2.5, 2.3, 2.45]), np.array([2.0, 2.3, 2.1])
+    _COUNTDOWN = np.array([1, 2, 3])
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("mode, i, max_steps, n_sub, v_stop", [
+        (MODE_FIXED, 0.0, TABLE_CAP + 1000, 3, 0.0),  # several table blocks
+        (MODE_FIXED, 0.0, 2, 3, 0.0),  # no sample falls due for some cells
+        (MODE_FIXED, 0.0, 7, 1, 0.0),
+        (MODE_CHARGE, 1.0, np.array([10_000, 10_000, 300]), 2, np.array([2.6, 2.55, 2.6])),
+        # more than one ramp block; the last cell never reaches its limit
+        (MODE_DISCHARGE, -1.0, np.array([10_000, 9_000, 400]), 3,
+         np.array([2.2, 2.0, 0.5])),
+    ])
+    def test_block_matches_scalar_recurrence(self, fold, mode, i, max_steps, n_sub, v_stop):
+        # Every cell of a block ends in the state, countdown and step count
+        # that it reaches alone, with the same samples or their statistics.
+        ad, bd = simulator._discretize(TWO_BRANCH, 0.05)
+        countdown = np.minimum(self._COUNTDOWN, n_sub)
+        args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
+                max_steps, n_sub, countdown)
+        got = run_phase(self._V_MAIN, self._V_BRANCH, *args, fold=fold)
+        exp = _scalar_phase_loop(self._V_MAIN, self._V_BRANCH, *args, fold=fold)
+        _assert_phases_agree(got, exp, fold)
+        if mode == MODE_DISCHARGE:
+            assert got[6][0] > RAMP_BLOCK
+            assert list(got[5]) == [True, True, False]
 
     @pytest.mark.parametrize("mode, i, max_steps, n_sub, countdown", [
         (MODE_FIXED, 0.0, TABLE_CAP + 1000, 3, 2),  # several table blocks
@@ -394,13 +458,9 @@ class TestBlockedPropagation:
         v_stop = {MODE_FIXED: 0.0, MODE_CHARGE: 2.6, MODE_DISCHARGE: 2.2}[mode]
         args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
                 max_steps, n_sub, countdown)
-        got = run_phase(2.5, 2.0, *args, fold=True)
-        exp = _scalar_phase_loop(2.5, 2.0, *args, fold=True)
-        assert (got[2], got[4], got[5]) == (exp[2], exp[4], exp[5])
-        assert got[:2] == pytest.approx(exp[:2], abs=1e-10)
-        n = exp[3][0]
-        assert got[3][0] == n
-        np.testing.assert_allclose(got[3][1:], exp[3][1:], rtol=0, atol=1e-10 * max(n, 1))
+        got = run_phase(np.array([2.5]), np.array([2.0]), *args, fold=True)
+        exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args, fold=True)
+        _assert_phases_agree(got, exp, fold=True)
         if mode == MODE_DISCHARGE:
             assert got[2] > RAMP_BLOCK
 
@@ -411,6 +471,26 @@ class TestBlockedPropagation:
         spec = CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5)
         with pytest.raises(DynamicsDiverged, match="charge phase did not reach"):
             run_protocol(leaky, spec)
+
+    # One 1-s step moves this capacitor by i*dt/C = 0.51 V, so a discharge to
+    # 0 V can end at -0.28 V, past the -0.1*v_rated band of the voltage rating.
+    _COARSE = (DeviceParams(c_main=1.0, r_series=0.0625, v_rated=2.7, r_leak=2000.0),
+               CycleSpec(i_c=0.5121951219512195, v_min=0.0, v_max=2.625,
+                         rest_after_charge=3.0, max_cycles=24),
+               AcquisitionConfig(sample_period=1.0))
+
+    def test_guard_band_allows_one_step_past_the_limit(self):
+        trace = run_protocol(*self._COARSE)
+        assert len(trace.meta["boundaries"]) == 3 * 24
+        assert trace.v.min() < -0.1 * 2.7
+
+    def test_folded_guard_band_allows_one_step_past_the_limit(self):
+        p, s, acq = self._COARSE
+        (cycles,) = simulated_cycles(p, [s], acq)
+        assert cycles.shape == (24, 4)
+        core = analyze_cycles(run_protocol(p, s, acq), min_segment=1.0)
+        traced = [(c.e_in, c.q_in, c.e_out, c.q_out) for c in core.cycles]
+        np.testing.assert_allclose(cycles, traced, rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -456,7 +536,53 @@ def _ideal_protocols(draw):
     return p, s, acq
 
 
+@st.composite
+def _blocks(draw):
+    """A device, 1-12 windows of mixed widths sharing one current, rests, an acquisition."""
+    kind = draw(st.sampled_from(["ideal", "leaky", "two-branch"]))
+    c_main = draw(st.floats(1.0, 20.0))
+    r_leak = None if kind == "ideal" else draw(st.floats(2000.0, 20000.0))
+    branch = None
+    if kind == "two-branch":
+        branch = Redistribution(c_branch=0.1 * c_main, r_branch=draw(st.floats(0.5, 20.0)))
+    p = DeviceParams(c_main=c_main, r_series=draw(st.floats(0.005, 0.1)), v_rated=2.7,
+                     redistribution=branch, r_leak=r_leak)
+    # The current that charges a full window in `duration` seconds, ideally.
+    i_c = c_main * 2.7 / draw(st.floats(20.0, 120.0))
+    rest_high, rest_low = draw(st.floats(0.0, 120.0)), draw(st.floats(0.0, 120.0))
+    cycles = draw(st.integers(1, 6))
+    specs = []
+    for _ in range(draw(st.integers(1, 12))):
+        v_min = draw(st.floats(0.0, 2.4))
+        v_max = draw(st.floats(v_min + 0.3, 2.7))
+        specs.append(CycleSpec(i_c=i_c, v_min=v_min, v_max=v_max,
+                               rest_after_charge=rest_high, rest_after_discharge=rest_low,
+                               max_cycles=cycles))
+    acq = AcquisitionConfig(sample_period=draw(st.sampled_from([0.1, 0.5, 1.0])))
+    return p, specs, acq
+
+
 class TestProtocolProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_blocks())
+    @example(case=(TWO_BRANCH, [CycleSpec(i_c=3.95, v_min=v_min, v_max=2.7,
+                                          rest_after_charge=30.0, rest_after_discharge=60.0,
+                                          max_cycles=4) for v_min in (0.0, 1.35, 2.4, 2.6)],
+                   AcquisitionConfig(sample_period=0.5)))
+    def test_block_cells_equal_cells_run_alone(self, case):
+        # Cells advanced together fold to each cell's own cycles, and a cell
+        # that fails alone fails with the same error in a block.
+        p, specs, acq = case
+        block = simulated_cycles(p, specs, acq)
+        assert len(block) == len(specs)
+        for s, got in zip(specs, block):
+            (alone,) = simulated_cycles(p, [s], acq)
+            if isinstance(alone, Exception):
+                assert (type(got), str(got)) == (type(alone), str(alone))
+            else:
+                assert got.shape == alone.shape == (s.max_cycles, 4)
+                np.testing.assert_allclose(got, alone, rtol=1e-12, atol=0)
+
     @settings(max_examples=25, deadline=None)
     @given(case=_protocols())
     def test_deterministic(self, case):
@@ -540,7 +666,7 @@ class TestProtocolProperties:
         p, s, acq = case
         min_segment = min(1.0, 0.5 * charge_duration(p, s))
         core = analyze_cycles(run_protocol(p, s, acq), min_segment=min_segment)
-        cycles = simulated_cycles(p, s, acq)
+        (cycles,) = simulated_cycles(p, [s], acq)
         traced = [(c.e_in, c.q_in, c.e_out, c.q_out) for c in core.cycles]
         np.testing.assert_allclose(cycles, traced, rtol=1e-12, atol=0)
         steady_from, window, rule = steady_window([(c[1], c[3]) for c in cycles])
