@@ -192,9 +192,9 @@ def segment(
     change = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     starts = np.concatenate(([0], change))
     ends = np.concatenate((change - 1, [labels.size - 1]))
-    runs: list[tuple[int, int, int]] = [
-        (int(labels[a]), int(a), int(b)) for a, b in zip(starts, ends)
-    ]
+    runs: list[tuple[int, int, int]] = list(
+        zip(labels[starts].tolist(), starts.tolist(), ends.tolist())
+    )
 
     # One left-to-right pass.  Every run already kept is long, except
     # possibly a short leading run, which takes its successor's label and

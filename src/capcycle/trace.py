@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import TraceParseError
 
 TRACE_HEADER = "t_s,v_V,i_A"
+_HEADER_BYTES = TRACE_HEADER.encode()
 SIDECAR_HEADER = "cycle,phase,t_start_s,t_end_s"
 
 # Sign convention: i > 0 charges the device.
@@ -81,21 +83,51 @@ def _fmt(x: float) -> str:
 WRITE_BLOCK_ROWS = 4096
 """Rows formatted by one ``%`` operation in :func:`write_trace_csv`."""
 
-_ROW_FORMAT = "%.9g,%.9g,%.9g\n"
-
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+"""Suffixes on which ``np.loadtxt`` decompresses the file it is named."""
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> Path:
-    """Write the trace in the canonical CSV format; returns the path."""
+    """Write the trace in the canonical CSV format; returns the path.
+
+    Rows go out in blocks of :data:`WRITE_BLOCK_ROWS`, each formatted by one
+    ``%`` operation whose fields :func:`_block_field` chooses per column.
+    """
     path = Path(path)
-    rows = np.column_stack((trace.t, trace.v, trace.i))
+    if not trace.t.size == trace.v.size == trace.i.size:
+        raise ValueError("t, v, i arrays differ in length")
+    columns = (trace.t, trace.v, trace.i)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for start in range(0, len(rows), WRITE_BLOCK_ROWS):
-            block = rows[start : start + WRITE_BLOCK_ROWS]
-            fh.write(_ROW_FORMAT * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(trace), WRITE_BLOCK_ROWS):
+            fields, cells = zip(
+                *(_block_field(c[start : start + WRITE_BLOCK_ROWS]) for c in columns)
+            )
+            rows = np.stack(cells, axis=1)
+            row_format = ",".join(fields) + "\n"
+            fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
     return path
+
+
+def _block_field(column: np.ndarray) -> tuple[str, np.ndarray]:
+    """A block column's row-format field and the values that fill it.
+
+    A column with fewer runs of bitwise-equal values than half its rows
+    formats each run's first value once and enters as ``%s`` strings; any
+    other enters as floats under ``%.9g``.  Bits, not ``==``, delimit the
+    runs: ``-0.0`` and ``0.0`` stay apart, and a NaN repeats like any value.
+    """
+    bits = column.view(np.int64)
+    head = np.empty(bits.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=head[1:])
+    runs = np.count_nonzero(head)
+    if 2 * runs >= column.size:
+        return "%.9g", column
+    firsts = ("%.9g\n" * runs % tuple(column[head].tolist())).split("\n")[:-1]
+    return "%s", np.array(firsts, dtype=object)[np.cumsum(head) - 1]
 
 
 def read_utf8(path: str | Path) -> str:
@@ -119,23 +151,29 @@ def read_utf8(path: str | Path) -> str:
 def read_trace_csv(path: str | Path) -> Trace:
     """Parse and validate a trace CSV; errors carry the offending line number.
 
-    A file whose every row holds three finite numbers is parsed by
-    ``np.loadtxt``; anything else goes to the line parser, which decides
-    whether the file is valid and reports where it is not.
+    A file whose first line is the header and whose every other row holds
+    three finite numbers is parsed by ``np.loadtxt``, which is handed the path
+    so that it reads the file in chunks.  Anything else goes to the line
+    parser, which decides whether the file is valid and reports where it is
+    not; so does a file named with a suffix on which ``np.loadtxt`` would
+    decompress it, so that every file is read as the bytes it holds.
     """
     path = Path(path)
-    # np.loadtxt strips these separators around a number; float() refuses them
     raw = path.read_bytes()
-    if any(sep in raw for sep in _SEPARATORS):
+    if (
+        path.suffix in _COMPRESSED
+        # np.loadtxt strips these separators around a number; float() refuses them
+        or any(sep in raw for sep in _SEPARATORS)
+        # the first line ends at the first CR or LF, as the line parser splits it
+        or raw[: len(_HEADER_BYTES) + 1].rstrip(b"\r\n") != _HEADER_BYTES
+    ):
         return _read_trace_csv_lines(path)
     del raw  # not held while np.loadtxt parses
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            if fh.readline().rstrip("\r\n") != TRACE_HEADER:
-                return _read_trace_csv_lines(path)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            data = np.loadtxt(os.fspath(path), skiprows=1, encoding="utf-8",
+                              delimiter=",", comments=None, ndmin=2)
     except ValueError:  # an unparseable field, or bytes that are not UTF-8
         return _read_trace_csv_lines(path)
     if data.shape[1] != 3 or len(data) < 2 or not np.isfinite(data).all():

@@ -75,6 +75,32 @@ class TestSimulate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("quantize, trace, report", [
+        (True, "0d8001634cc172a4e76f8bbce7d7f4c153a1fbbc3af902ac4875a312ed9de176",
+         "b26cdbe201329cbc01d0ffddfd17434e1d7cce2bcffa7cc2d967e961725ed3ea"),
+        (False, "c045ea6b7192725484559730a0614f941def178466daa32edd2b09acd2608c3f", None),
+    ], ids=["quantized", "unquantized"])
+    def test_campaign_bytes_unchanged(self, capsys, tmp_path, quantize, trace, report):
+        # The benchmark's lab round trip: how the trace CSV is written or
+        # read must not move a byte of the trace, its sidecar or the report.
+        out = tmp_path / "run.csv"
+        code, _, err = run(capsys, "simulate", "--device", "50F", "--rest", "1800",
+                           "--cycles", "8", *(["--quantize"] * quantize),
+                           "--out", str(out))
+        assert code == 0, err
+        files = {"trace": out, "sidecar": tmp_path / "run.cycles.csv"}
+        expected = {
+            "trace": trace,
+            "sidecar": "2977ae7735097b4172bd7dfbd4950025d677008dc8a3b6621b4116b8c276f90d",
+        }
+        if report is not None:
+            files["report"] = tmp_path / "report.json"
+            expected["report"] = report
+            code, _, err = run(capsys, "analyze", str(out), "--out", str(files["report"]))
+            assert code == 0, err
+        digests = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in files.items()}
+        assert digests == expected
+
     def test_preset_current_default(self, capsys, tmp_path):
         # 50F preset implies its campaign test current of 3.95 A
         out = tmp_path / "r.csv"
