@@ -37,6 +37,9 @@ from .trace import Trace
 
 logger = logging.getLogger(__name__)
 
+ETA_SLACK = 1e-9
+"""Relative rounding by which a reported energy out may exceed the energy in."""
+
 _ACTIVE = (Phase.CHARGE, Phase.DISCHARGE)
 _RESTS = (Phase.REST_HIGH, Phase.REST_LOW)
 

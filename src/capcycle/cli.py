@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import fixtures
-from .analyzer import analyze_trace
+from .analyzer import ETA_SLACK, analyze_trace
 from .effmap import (
     PU_LEVELS,
     ClosedFormObjective,
@@ -34,7 +34,7 @@ from .effmap import (
     optimize_window,
     render_map,
 )
-from .errors import CapcycleError, ConfigError, TraceParseError
+from .errors import CapcycleError, ConfigError, NumericError, TraceParseError
 from .model import (
     CycleSpec,
     DeviceParams,
@@ -264,15 +264,16 @@ def _refuse_ignored(
         raise ConfigError(f"{command}: {by} ignores {', '.join(ignored)}; leave it out")
 
 
-def _refuse_negative(o: argparse.Namespace, command: str, names: tuple[str, ...]) -> None:
+def _refuse_below(o: argparse.Namespace, command: str, names: tuple[str, ...], least=0) -> None:
     for name in names:
         value = getattr(o, name.replace("-", "_"))
-        if value is not None and value < 0:
-            raise ConfigError(f"{command}: --{name} must be >= 0, got {value:g}")
+        if value is not None and value < least:
+            raise ConfigError(f"{command}: --{name} must be >= {least}, got {value:g}")
 
 
 def cmd_simulate(o: argparse.Namespace) -> int:
-    _refuse_negative(o, "simulate", ("rest", "rest-high", "rest-low"))
+    _refuse_below(o, "simulate", ("rest", "rest-high", "rest-low"))
+    _refuse_below(o, "simulate", ("cycles",), 1)
     if {"rest-high", "rest-low"} <= o.given:
         _refuse_ignored(o, "simulate", ("rest",), "--rest-high with --rest-low")
     device = _resolve_device(o.device, o.ideal)
@@ -303,6 +304,10 @@ def cmd_analyze(o: argparse.Namespace) -> int:
         min_segment=o.min_segment,
         steady_tol=o.steady_tol,
     )
+    for m in report.steady.per_cycle:
+        if m.e_out > m.e_in * (1 + ETA_SLACK):
+            raise NumericError(f"cycle {m.cycle_index} gives out {m.e_out!r} J of the "
+                               f"{m.e_in!r} J it takes in; its samples miss part of its phases")
     _write_or_print(report.to_json(), o.out)
     return 0
 
@@ -319,10 +324,11 @@ def cmd_map(o: argparse.Namespace) -> int:
             )
         grid = fixtures.measured_grid(o.device, rest=o.fixture == "table4")
     else:
-        _refuse_negative(o, "map", ("rest",))
+        _refuse_below(o, "map", ("rest",))
         device = _resolve_device(o.device, o.ideal)
         i_c = _default_current(o)
         if o.method == "simulated":
+            _refuse_below(o, "map", ("sim-cycles",), 1)
             objective = SimulatedObjective(device, i_c, o.rest or 0.0, o.sim_cycles)
         else:
             _refuse_ignored(o, "map", ("ideal", "sim-cycles"), "the closed-form method")
@@ -421,7 +427,9 @@ COMMANDS = {
                choices=("table2", "table4")),
         Option("rest", "float", None, "rest duration in s; enables the with-rest model"),
         Option("levels", "levels", PU_LEVELS, "comma-separated per-unit grid levels"),
-        Option("sim-cycles", "int", 20),
+        Option("sim-cycles", "int", 20,
+               "cycles each simulated cell analyzes (default 20); a cell whose "
+               "cycle repeats bit for bit copies it instead of simulating it again"),
         Option("out", "str", REQUIRED, "output file prefix"),
     )),
     "optimize": Command(cmd_optimize, "best window meeting an energy floor", (

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyzer import steady_window
+from .analyzer import ETA_SLACK, steady_window
 from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP item 8)
 from .errors import (
     CapcycleError,
@@ -279,6 +279,12 @@ def simulated_cycles(
     result to 1e-12 relative of :func:`~capcycle.analyzer.analyze_cycles` on
     :func:`~capcycle.simulator.run_protocol`'s trace.
 
+    The cycles after a discharge depend only on its end's key ``(v_main,
+    v_branch, countdown, v_prev)``.  Once a discharge's key repeats an
+    earlier one's bit for bit, the spec leaves the block and its remaining
+    cycles are copied from the period between them.  An ideal device
+    repeats within a few cycles; a leaky one never does.
+
     An active phase shorter than the analysis' minimum segment, which the
     analyzer would merge away, is a :class:`MalformedProtocol` (exit 4)
     naming the window.  ``acq`` must not ask for quantization.
@@ -287,7 +293,7 @@ def simulated_cycles(
     if acq.quantize:
         raise ConfigError("folded cycles are not quantized; use run_protocol")
     dt = acq.sample_period
-    m = len(specs)
+    m, n_cycles = len(specs), specs[0].max_cycles
     errors: dict = {}
     min_segment = np.zeros(m)
     for c, s in enumerate(specs):
@@ -298,12 +304,15 @@ def simulated_cycles(
         except CapcycleError as exc:
             errors[c] = exc
     floor = min_segment - 1e-12
-    rows = []  # per cycle: the specs that finished it and their integrals
+    out = np.full((m, n_cycles, 4), np.nan)  # each cycle's integrals
+    keys = np.zeros((n_cycles, m, 4))  # each discharge's key
+    head, period = np.full(m, n_cycles), np.ones(m, dtype=int)  # a stopped spec's copies
+    stopped: set = set()
     e_in, q_in = np.zeros(m), np.zeros(m)
     v_prev = np.zeros(m)  # the last sample so far
     index = np.zeros(m, dtype=int)  # samples so far
-    phases = run_phases(p, specs, acq, errors, fold=True)
-    for cycle, phase, i, cols, _, (n, v_first, v_last, v_sum) in phases:
+    phases = run_phases(p, specs, acq, errors, fold=True, stopped=stopped)
+    for cycle, phase, i, cols, _, (n, v_first, v_last, v_sum), state in phases:
         if phase in (Phase.CHARGE, Phase.DISCHARGE):
             short = (n == 0) | (n * dt < floor[cols])
             for c, k in zip(cols[short].tolist(), n[short].tolist()):
@@ -321,7 +330,7 @@ def simulated_cycles(
             # (an empty first phase counts -1 here; its error is already set)
             q = np.array([_trace_charge(max(k, 0), abs(i), dt) for k in count.tolist()])
             if phase is Phase.DISCHARGE:
-                rows.append((cols, np.column_stack((e_in[cols], q_in[cols], e, q))))
+                out[cols, cycle - 1] = np.column_stack((e_in[cols], q_in[cols], e, q))
             else:
                 taken_in = ~(e > 0)
                 for c, value in zip(cols[taken_in].tolist(), e[taken_in].tolist()):
@@ -332,10 +341,23 @@ def simulated_cycles(
                 e_in[cols], q_in[cols] = e, q
         v_prev[cols] = np.where(n > 0, v_last, v_prev[cols])
         index[cols] += n
-    out = np.full((m, len(rows), 4), np.nan)
-    for j, (cols, values) in enumerate(rows):
-        out[cols, j] = values
+        if phase is Phase.DISCHARGE:
+            keys[cycle - 1, cols] = np.column_stack((*state, v_prev[cols]))
+            first = _repeats(keys[:cycle])[cols]
+            hit = first < cycle - 1
+            head[cols[hit]] = first[hit] + 1
+            period[cols[hit]] = cycle - 1 - first[hit]
+            stopped.update(cols[hit].tolist())
+    r = np.arange(n_cycles)  # each stopped spec's rows from head on repeat its period
+    src = np.where(r >= head[:, None], head[:, None] + (r - head[:, None]) % period[:, None], r)
+    out = out[np.arange(m)[:, None], src]
     return [errors.get(c, out[c]) for c in range(m)]
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Per spec, the first of the ``(cycles, specs, 4)`` keys equal to its last, bit for bit."""
+    bits = keys.view("V32")[..., 0]  # each key's 32 bytes, compared as one value
+    return (bits == bits[-1]).argmax(axis=0)
 
 
 def _window(p: DeviceParams, s: CycleSpec) -> str:
@@ -346,11 +368,13 @@ def _window(p: DeviceParams, s: CycleSpec) -> str:
 class SimulatedObjective:
     """Efficiency of per-unit windows by simulating the protocol and analyzing it.
 
-    Each window runs ``cycles`` full cycles with ``rest`` seconds of rest
-    after each phase and takes the analyzer's steady-window mean efficiency.
-    No trace is built: :func:`simulated_cycles` folds each phase into the
-    integrals η reads, and :func:`~capcycle.analyzer.steady_window` picks the
-    averaging window, as the trace analysis would.
+    Each window analyzes ``cycles`` full cycles with ``rest`` seconds of
+    rest after each phase and takes the analyzer's steady-window mean
+    efficiency.  No trace is built: :func:`simulated_cycles` folds each
+    phase into the integrals η reads, and copies the cycles of a window
+    whose cycle repeats bit for bit instead of simulating them again;
+    :func:`~capcycle.analyzer.steady_window` picks the averaging window, as
+    the trace analysis would.
     """
 
     method = GridMethod.SIMULATED
@@ -422,7 +446,7 @@ def build_grid(
                 continue
             if isinstance(value, CapcycleError):
                 raise value
-            if 1.0 < value < 1.0 + 1e-9:
+            if 1.0 < value < 1.0 + ETA_SLACK:
                 value = 1.0
             if not 0.0 < value <= 1.0:
                 raise NumericError(

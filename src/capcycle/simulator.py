@@ -373,7 +373,8 @@ def run_phase(
     return z[0], z[1], int(steps.sum()), samples, countdown, crossed, steps
 
 
-def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fold: bool = False):
+def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fold: bool = False,
+               stopped: set | frozenset = frozenset()):
     """Run every spec's ``max_cycles`` full cycles in lockstep, phase by phase.
 
     Each cycle is charge, optional high rest, discharge, optional low rest.
@@ -383,16 +384,19 @@ def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fol
     device is periodic from the first cycle while a device with a
     redistribution branch stabilizes over several cycles.
 
-    ``errors`` maps a spec's index to its error, and a spec found there
-    takes no further part.  This loop enters each spec that fails one of
-    its checks (the sample cap, termination, finiteness and the guard band),
-    and a consumer may enter specs between two phases to drop them.  Each
-    spec meets its checks in the order that it alone would.
+    ``errors`` maps a spec's index to its error, and a spec found there or
+    in ``stopped`` takes no further part.  This loop enters each spec that
+    fails one of its checks (the sample cap, termination, finiteness and the
+    guard band), and a consumer may enter specs in either between two phases
+    to drop them: in ``errors`` when they failed, in ``stopped`` when it
+    needs no more of their cycles.  Each spec meets its checks in the order
+    that it alone would.
 
-    Yields ``(cycle, phase, i_applied, cols, steps, samples)`` for every phase
-    that takes at least one internal step: ``cols`` indexes the specs still
-    running, and ``steps`` and ``samples`` are theirs as :func:`run_phase`
-    returns them (statistics with ``fold``).
+    Yields ``(cycle, phase, i_applied, cols, steps, samples, state)`` for
+    every phase that takes at least one internal step: ``cols`` indexes the
+    specs still running, ``steps`` and ``samples`` are theirs as
+    :func:`run_phase` returns them (statistics with ``fold``), and
+    ``state`` is their ``(v_main, v_branch, countdown)`` at the phase's end.
     """
     s0 = specs[0]
     shared = (s0.i_c, s0.rest_after_charge, s0.rest_after_discharge, s0.max_cycles)
@@ -507,10 +511,10 @@ def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fol
                     samples = [a for a, keep in zip(samples, ok) if keep]
                 if not live.size:
                     continue
-            failed = len(errors)
-            yield cycle, phase, i_sig, live, steps, samples
-            if len(errors) > failed:  # the consumer dropped some
-                ok = np.array([c not in errors for c in live])
+            dropped = len(errors) + len(stopped)
+            yield cycle, phase, i_sig, live, steps, samples, (v_main, v_branch, countdown)
+            if len(errors) + len(stopped) > dropped:  # the consumer dropped some
+                ok = np.array([c not in errors and c not in stopped for c in live])
                 live, v_main, v_branch, countdown = (
                     a[ok] for a in (live, v_main, v_branch, countdown))
 
@@ -541,7 +545,7 @@ def run_protocol(
     t_charge: list[float] = []
     t_discharge: list[float] = []
     errors: dict = {}
-    for cycle, phase, i_sig, _, steps, samples in run_phases(p, [s], acq, errors):
+    for cycle, phase, i_sig, _, steps, samples, _ in run_phases(p, [s], acq, errors):
         steps = int(steps[0])
         t_start = global_step * dt_int
         global_step += steps

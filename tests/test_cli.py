@@ -137,6 +137,17 @@ class TestSimulate:
         assert_rejected(code, err, f"simulate: --{name} must be >= 0, got -5")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_cycles_names_option_and_command(self, capsys, tmp_path, source):
+        argv = ["simulate", "--device", "10F", "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            argv += ["--cycles", "0"]
+        else:
+            argv += ["--config", write_config(tmp_path, {"cycles": 0})]
+        code, _, err = run(capsys, *argv)
+        assert_rejected(code, err, "simulate: --cycles must be >= 1, got 0")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rest_with_one_phase_rest_and_null_rest_accepted(self, capsys, tmp_path):
         # --rest still fills the phase whose own rest is not given, and a
         # config null counts as not given
@@ -211,6 +222,23 @@ class TestAnalyze:
         assert code == 4, err
         assert "cycle 1" in err
         assert "NaN" not in out
+
+    def test_more_energy_out_than_in_exit_4(self, capsys, tmp_path):
+        # At a 1-s sample period this narrow window's charge ends between
+        # samples, and the 0.4-s minimum segment keeps the short phases:
+        # the trapezoids used to report an efficiency above 1.
+        device = tmp_path / "dev.json"
+        device.write_text(json.dumps({"c_main": 10.0, "r_series": 0.01, "redistribution":
+                                      {"c_branch": 2.0, "r_branch": 5.0}}))
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "simulate", "--device", str(device), "--current", "1.0",
+                           "--vmin", "2.0", "--vmax", "2.1", "--rest", "5", "--cycles", "6",
+                           "--sample-period", "1.0", "--out", str(out))
+        assert code == 0, err
+        code, stdout, err = run(capsys, "analyze", str(out), "--min-segment", "0.4")
+        assert code == 4, err
+        assert "error: cycle 1 gives out 2.078714" in err
+        assert stdout == ""
 
     def test_missing_file_exit_5(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "nope.csv"))
@@ -428,6 +456,18 @@ class TestMap:
         code, _, err = run(capsys, *argv, "--config", cfg, "--out", str(tmp_path / "neg"))
         assert_rejected(code, err, "map: --rest must be >= 0, got -5")
         assert not (tmp_path / "neg.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_sim_cycles_names_option_and_command(self, capsys, tmp_path, source):
+        argv = ["map", "--device", "10F", "--method", "simulated", "--levels", "0,0.5,1",
+                "--out", str(tmp_path / "m")]
+        if source == "flag":
+            argv += ["--sim-cycles", "0"]
+        else:
+            argv += ["--config", write_config(tmp_path, {"sim-cycles": 0})]
+        code, _, err = run(capsys, *argv)
+        assert_rejected(code, err, "map: --sim-cycles must be >= 1, got 0")
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestOptimize:

@@ -46,6 +46,7 @@ from capcycle import (
 )
 from capcycle.cli import main
 from capcycle.effmap import MIN_FIT_QUALITY, PU_LEVELS, SelfDischargeModel
+from capcycle.simulator import Phase
 
 # Frozen regression constants for the embedded 50 F rest-drift table,
 # computed beforehand with an independent least-squares oracle.
@@ -351,6 +352,95 @@ class TestGridBlocks:
                      "--levels", ",".join(map(str, levels)), "--out", str(tmp_path / "m")])
         assert code == first.exit_code
         assert str(failures[0]) in capsys.readouterr().err
+
+
+def _never_repeats(keys):
+    """Stand-in for ``effmap._repeats`` that finds no repeat: every cycle is simulated."""
+    return np.full(keys.shape[1], len(keys) - 1)
+
+
+def _counting_steps(monkeypatch) -> list:
+    """Sum the internal steps of every phase the simulator runs into the returned list."""
+    steps = [0]
+    run_phase = simulator.run_phase
+
+    def counted(*args, **kwargs):
+        result = run_phase(*args, **kwargs)
+        steps[0] += result[2]
+        return result
+
+    monkeypatch.setattr(simulator, "run_phase", counted)
+    return steps
+
+
+def _orbit_phases(orbits, cycles):
+    """A stand-in for ``run_phases``, and the last cycle it ran of each spec.
+
+    Spec ``c``'s phases in cycle ``k`` depend only on its orbit position
+    ``orbits[c][k - 1]``; the stand-in drops the specs entered in ``stopped``.
+    """
+    last = {}
+
+    def run_phases(p, specs, acq, errors, fold=False, stopped=frozenset()):
+        for cycle in range(1, cycles + 1):
+            for phase, i in ((Phase.CHARGE, 1.0), (Phase.DISCHARGE, -1.0)):
+                cols = np.array([c for c in range(len(orbits))
+                                 if c not in stopped and c not in errors])
+                if not cols.size:
+                    return
+                pos = np.array([orbits[c][cycle - 1] for c in cols], dtype=float) - i / 4
+                n = np.full(cols.size, 50)
+                stats = (n, 1.0 + pos, 2.0 + pos, 75.0 + pos)
+                state = (pos, pos / 8, 1 + pos.astype(int) % 3)
+                last.update((c, cycle) for c in cols.tolist())
+                yield cycle, phase, i, cols, n, stats, state
+
+    return run_phases, last
+
+
+class TestRepeatingCycles:
+    """A simulated cell whose cycle repeats bit for bit copies it instead."""
+
+    def test_ideal_map_takes_a_fifth_of_the_steps(self, monkeypatch):
+        steps = _counting_steps(monkeypatch)
+        obj = SimulatedObjective(preset("100F", ideal=True), 4.7)
+        levels = [k / 20 for k in range(21)]
+        copied = build_grid(obj, levels).eta
+        stopped_steps, steps[0] = steps[0], 0
+        monkeypatch.setattr(effmap, "_repeats", _never_repeats)
+        simulated = build_grid(obj, levels).eta
+        assert copied.tobytes() == simulated.tobytes()
+        assert stopped_steps <= 0.2 * steps[0]
+
+    def test_leaky_map_takes_every_step(self, monkeypatch):
+        steps = _counting_steps(monkeypatch)
+        obj = SimulatedObjective(preset("50F"), 3.95, rest=1800.0)
+        copied = build_grid(obj).eta
+        stopped_steps, steps[0] = steps[0], 0
+        monkeypatch.setattr(effmap, "_repeats", _never_repeats)
+        simulated = build_grid(obj).eta
+        assert copied.tobytes() == simulated.tobytes()
+        assert stopped_steps == steps[0] > 0
+
+    def test_copies_a_period_of_three(self, monkeypatch):
+        # Spec 0 runs two transient cycles, then repeats positions 2, 3, 4:
+        # the key after cycle 6 repeats cycle 3's, so it stops there and
+        # copies cycles 4-6 onwards.  Spec 1 never repeats.
+        orbits = ([0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2], list(range(10, 22)))
+        p, specs = preset("10F", ideal=True), [CycleSpec(i_c=1.0, v_min=0.0, v_max=2.7,
+                                                         max_cycles=12)] * 2
+        fake, last = _orbit_phases(orbits, 12)
+        monkeypatch.setattr(effmap, "run_phases", fake)
+        copied = simulated_cycles(p, specs)
+        assert last == {0: 6, 1: 12}
+        monkeypatch.setattr(effmap, "_repeats", _never_repeats)
+        simulated = simulated_cycles(p, specs)
+        assert last == {0: 12, 1: 12}
+        for a, b in zip(copied, simulated):
+            assert a.tobytes() == b.tobytes()
+        rows = copied[0]
+        assert rows[3:6].tobytes() == rows[6:9].tobytes() == rows[9:12].tobytes()
+        assert rows[2].tobytes() != rows[5].tobytes()
 
 
 class TestMeasuredGrids:

@@ -19,6 +19,7 @@ from capcycle import (
     analyze_trace,
     branch_time_constant,
     charge_duration,
+    effmap,
     efficiency_no_rest,
     preset,
     quantize_trace,
@@ -675,6 +676,30 @@ class TestProtocolProperties:
         first, last = window
         eta = np.mean([e_out / e_in for e_in, _, e_out, _ in cycles[first - 1 : last]])
         assert eta == pytest.approx(core.eta, rel=1e-12, abs=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_protocols(cycles=st.integers(4, 25)))
+    # an ideal device that repeats with rests, and a two-branch one with
+    # three internal steps per sample
+    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, rest_after_charge=10.0,
+                                  rest_after_discharge=5.0, max_cycles=8),
+                   AcquisitionConfig(sample_period=0.5)))
+    @example(case=(TWO_BRANCH, CycleSpec(i_c=3.95, v_min=1.35, v_max=2.7,
+                                         rest_after_charge=30.0, rest_after_discharge=60.0,
+                                         max_cycles=5),
+                   AcquisitionConfig(sample_period=1.0)))
+    def test_copied_cycles_equal_simulated_cycles(self, case):
+        # A cell whose cycle repeats bit for bit stops and copies the rest:
+        # every row and error as if it had simulated them all.
+        p, s, acq = case
+        (copied,) = simulated_cycles(p, [s], acq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effmap, "_repeats", lambda keys: np.full(keys.shape[1], len(keys) - 1))
+            (simulated,) = simulated_cycles(p, [s], acq)
+        if isinstance(simulated, Exception):
+            assert (type(copied), str(copied)) == (type(simulated), str(simulated))
+        else:
+            assert copied.tobytes() == simulated.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(case=_ideal_protocols())
