@@ -171,7 +171,7 @@ def segment(
 
     Samples whose |current| exceeds ``i_threshold_frac`` of the trace maximum
     are active (sign decides charge vs discharge); the rest are rests, labeled
-    high or low by the adjacent active phase.  Runs shorter than
+    high or low by the active phase before them.  Runs shorter than
     ``min_segment`` seconds are merged into their predecessor (successor for a
     run at the very start), which absorbs acquisition glitches.
     """
@@ -219,40 +219,27 @@ def segment(
             merged.append([lab, a, b])
     runs = [(lab, a, b) for lab, a, b in merged]
 
-    if not any(lab != 0 for lab, _, _ in runs):
+    first = next((lab for lab, _, _ in runs if lab), 0)
+    if not first:
         raise NoCyclesFound(
             "no active samples survive thresholding and minimum-duration merging"
         )
 
-    # Rests take their identity from the neighbouring active phase.
+    # A rest is high after a charge and low after a discharge; one before
+    # any active phase counts as following the opposite of the first.
+    last = -first  # the last active label
     kinds: list[Phase] = []
-    for j, (lab, a, b) in enumerate(runs):
-        if lab == 1:
-            kinds.append(Phase.CHARGE)
-        elif lab == -1:
-            kinds.append(Phase.DISCHARGE)
-        else:
-            prev_active = next(
-                (runs[k][0] for k in range(j - 1, -1, -1) if runs[k][0] != 0), None
-            )
-            if prev_active is not None:
-                kinds.append(Phase.REST_HIGH if prev_active == 1 else Phase.REST_LOW)
-            else:
-                next_active = next(
-                    (runs[k][0] for k in range(j + 1, len(runs)) if runs[k][0] != 0)
-                )
-                # A rest that precedes a charge is a low rest, and vice versa.
-                kinds.append(Phase.REST_LOW if next_active == 1 else Phase.REST_HIGH)
-
-    active_kinds = [
-        (kind, runs[j][1]) for j, kind in enumerate(kinds) if kind in _ACTIVE
-    ]
-    for (k1, _), (k2, idx2) in zip(active_kinds, active_kinds[1:]):
-        if k1 == k2:
+    for lab, a, _ in runs:
+        if not lab:
+            kinds.append(Phase.REST_HIGH if last == 1 else Phase.REST_LOW)
+            continue
+        kinds.append(Phase.CHARGE if lab == 1 else Phase.DISCHARGE)
+        if lab == last:
             raise MalformedProtocol(
-                f"consecutive {k1.value} phases without the opposite phase between",
-                boundary_index=idx2,
+                f"consecutive {kinds[-1].value} phases without the opposite phase between",
+                boundary_index=a,
             )
+        last = lab
 
     v = trace.v
     return [

@@ -280,9 +280,14 @@ def simulated_cycles(
     :func:`~capcycle.simulator.run_protocol`'s trace.
 
     The cycles after a discharge depend only on its end's key ``(v_main,
-    v_branch, countdown, v_prev)``.  Once a discharge's key repeats an
-    earlier one's bit for bit, the spec leaves the block and its remaining
-    cycles are copied from the period between them.  An ideal device
+    v_branch, countdown, v_prev)``.  Each spec keeps one checkpoint key, that
+    of cycle 1, 2, 4, 8, ... (Brent's method).  Once a discharge's key
+    equals the checkpoint's bit for bit, the spec leaves the block and its
+    remaining cycles are copied from the period between them.  After ``μ``
+    transient cycles, a period of ``λ`` cycles is found at cycle ``2^k + λ``
+    for the first checkpoint ``2^k > μ`` with ``2^k ≥ λ``: up to about
+    ``2·max(μ, λ)`` cycles later than a search of every earlier key, but the
+    state kept per spec does not grow with the cycles.  An ideal device
     repeats within a few cycles; a leaky one never does.
 
     An active phase shorter than the analysis' minimum segment, which the
@@ -305,7 +310,7 @@ def simulated_cycles(
             errors[c] = exc
     floor = min_segment - 1e-12
     out = np.full((m, n_cycles, 4), np.nan)  # each cycle's integrals
-    keys = np.zeros((n_cycles, m, 4))  # each discharge's key
+    anchor, since = np.zeros((m, 4)), 0  # each spec's checkpoint key, and its cycle
     head, period = np.full(m, n_cycles), np.ones(m, dtype=int)  # a stopped spec's copies
     stopped: set = set()
     e_in, q_in = np.zeros(m), np.zeros(m)
@@ -342,22 +347,22 @@ def simulated_cycles(
         v_prev[cols] = np.where(n > 0, v_last, v_prev[cols])
         index[cols] += n
         if phase is Phase.DISCHARGE:
-            keys[cycle - 1, cols] = np.column_stack((*state, v_prev[cols]))
-            first = _repeats(keys[:cycle])[cols]
-            hit = first < cycle - 1
-            head[cols[hit]] = first[hit] + 1
-            period[cols[hit]] = cycle - 1 - first[hit]
-            stopped.update(cols[hit].tolist())
+            key = np.column_stack((*state, v_prev[cols]))
+            if since:
+                hit = cols[_repeats(key, anchor[cols])]
+                head[hit], period[hit] = since, cycle - since
+                stopped.update(hit.tolist())
+            if cycle & (cycle - 1) == 0:  # checkpoints at cycles 1, 2, 4, 8, ...
+                anchor[cols], since = key, cycle
     r = np.arange(n_cycles)  # each stopped spec's rows from head on repeat its period
     src = np.where(r >= head[:, None], head[:, None] + (r - head[:, None]) % period[:, None], r)
     out = out[np.arange(m)[:, None], src]
     return [errors.get(c, out[c]) for c in range(m)]
 
 
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """Per spec, the first of the ``(cycles, specs, 4)`` keys equal to its last, bit for bit."""
-    bits = keys.view("V32")[..., 0]  # each key's 32 bytes, compared as one value
-    return (bits == bits[-1]).argmax(axis=0)
+def _repeats(key: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Per spec, whether its ``(specs, 4)`` key equals its anchor, bit for bit."""
+    return key.view("V32")[:, 0] == anchor.view("V32")[:, 0]  # 32 bytes as one value
 
 
 def _window(p: DeviceParams, s: CycleSpec) -> str:

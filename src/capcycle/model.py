@@ -161,11 +161,11 @@ def efficiency_no_rest(p: DeviceParams, s: CycleSpec) -> float:
     """Round-trip energy efficiency of a rest-free steady cycle.
 
     Equals ``(v_max + v_min - 2*i*R) / (v_max + v_min + 2*i*R)``; the series
-    resistance is the only loss element, so R = 0 gives exactly 1.
+    resistance is the only loss element, so R = 0 gives exactly 1.  It is
+    :func:`efficiency_with_rest` with zero rest voltages, which subtract and
+    add exactly nothing.
     """
-    drop = _require_feasible_window(p, s)
-    vsum = s.v_max + s.v_min
-    return (vsum - drop) / (vsum + drop)
+    return efficiency_with_rest(p, s, RestVoltages(v_sd=0.0, v_sc=0.0))
 
 
 def efficiency_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> float:
@@ -174,7 +174,6 @@ def efficiency_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> flo
     Self-discharge ``v_sd`` must be re-supplied and the self-charge rebound
     ``v_sc`` is never delivered, so both enter as window-shift penalties:
     ``(v_max + v_min - v_sd - 2*i*R) / (v_max + v_min + v_sc + 2*i*R)``.
-    Reduces to :func:`efficiency_no_rest` at ``rv = (0, 0)``.
     """
     drop = _require_feasible_window(p, s)
     vsum = s.v_max + s.v_min

@@ -116,7 +116,26 @@ def _restarting_merge_oracle(labels, dt, min_segment):
     return runs
 
 
-_LABEL = {Phase.CHARGE: 1, Phase.DISCHARGE: -1, Phase.REST_HIGH: 0, Phase.REST_LOW: 0}
+def _named_runs(runs):
+    """Reference naming of ``(label, first, last)`` runs as ``(kind, first, last)``.
+
+    A rest is high after a charge and low after a discharge, searching back
+    for the nearest active run; a rest before any active run counts as
+    following the opposite of the first one after it.
+    """
+    named = []
+    for j, (lab, a, b) in enumerate(runs):
+        before = [k for k, _, _ in runs[:j] if k]
+        after = [k for k, _, _ in runs[j + 1:] if k]
+        if lab:
+            kind = Phase.CHARGE if lab == 1 else Phase.DISCHARGE
+        elif before:
+            kind = Phase.REST_HIGH if before[-1] == 1 else Phase.REST_LOW
+        else:
+            kind = Phase.REST_LOW if after[0] == 1 else Phase.REST_HIGH
+        named.append((kind, a, b))
+    return named
+
 
 _label_runs = st.lists(
     st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 40)), min_size=1, max_size=40
@@ -173,6 +192,9 @@ class TestSegmentation:
     @given(runs=_label_runs, min_segment=st.sampled_from([0.0, 0.3, 1.0, 2.5, 100.0]))
     @example(runs=[(1, 3), (0, 2), (-1, 30), (0, 30), (1, 30)], min_segment=1.0)
     @example(runs=[(1, 2), (0, 3), (-1, 4), (0, 1)], min_segment=1.0)
+    # leading rests before a charge (low) and before a discharge (high)
+    @example(runs=[(0, 20), (1, 30), (0, 20), (-1, 30), (0, 20)], min_segment=1.0)
+    @example(runs=[(0, 20), (-1, 30), (0, 20), (1, 30), (0, 20)], min_segment=1.0)
     def test_single_pass_merge_matches_restarting_oracle(self, runs, min_segment):
         sp = 0.1
         labels = np.repeat([lab for lab, _ in runs], [n for _, n in runs]).astype(np.int8)
@@ -189,7 +211,7 @@ class TestSegmentation:
         except MalformedProtocol:
             assert any(x == y for x, y in zip(actives, actives[1:]))
             return
-        assert [(_LABEL[s.kind], s.first_index, s.last_index) for s in segs] == expected
+        assert [(s.kind, s.first_index, s.last_index) for s in segs] == _named_runs(expected)
 
     def test_no_active_samples_raises(self):
         sp = 0.1

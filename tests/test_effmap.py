@@ -354,9 +354,9 @@ class TestGridBlocks:
         assert str(failures[0]) in capsys.readouterr().err
 
 
-def _never_repeats(keys):
+def _never_repeats(key, anchor):
     """Stand-in for ``effmap._repeats`` that finds no repeat: every cycle is simulated."""
-    return np.full(keys.shape[1], len(keys) - 1)
+    return np.zeros(len(key), dtype=bool)
 
 
 def _counting_steps(monkeypatch) -> list:
@@ -422,25 +422,39 @@ class TestRepeatingCycles:
         assert copied.tobytes() == simulated.tobytes()
         assert stopped_steps == steps[0] > 0
 
-    def test_copies_a_period_of_three(self, monkeypatch):
-        # Spec 0 runs two transient cycles, then repeats positions 2, 3, 4:
-        # the key after cycle 6 repeats cycle 3's, so it stops there and
-        # copies cycles 4-6 onwards.  Spec 1 never repeats.
-        orbits = ([0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4, 2], list(range(10, 22)))
+    @pytest.mark.parametrize("orbit, stop", [
+        # cycle 2 matches checkpoint 1
+        pytest.param([0] * 12, 2, id="period-1-from-cycle-1"),
+        # cycle 3 matches checkpoint 2
+        pytest.param([0] + [1] * 11, 3, id="period-1-from-cycle-2"),
+        # cycle 4 matches checkpoint 2
+        pytest.param([0, 1] * 6, 4, id="period-2"),
+        # cycle 7 matches checkpoint 4
+        pytest.param([0, 1] + [2, 3, 4] * 3 + [2], 7, id="2-transient-period-3"),
+        # cycle 9 matches checkpoint 8
+        pytest.param([0, 1, 2, 3, 4, 5] + [6] * 6, 9, id="6-transient-period-1"),
+        pytest.param(list(range(10, 22)), 12, id="never-repeats"),
+    ])
+    def test_stops_on_a_checkpoint_and_copies_the_period(self, monkeypatch, orbit, stop):
+        # Checkpoints are cycles 1, 2, 4, 8: a spec stops at the first
+        # discharge whose key equals the last checkpoint's.  Spec 1 never
+        # repeats and runs every cycle beside it.
+        orbits = (orbit, list(range(30, 42)))
         p, specs = preset("10F", ideal=True), [CycleSpec(i_c=1.0, v_min=0.0, v_max=2.7,
                                                          max_cycles=12)] * 2
         fake, last = _orbit_phases(orbits, 12)
         monkeypatch.setattr(effmap, "run_phases", fake)
         copied = simulated_cycles(p, specs)
-        assert last == {0: 6, 1: 12}
+        assert last == {0: stop, 1: 12}
         monkeypatch.setattr(effmap, "_repeats", _never_repeats)
         simulated = simulated_cycles(p, specs)
         assert last == {0: 12, 1: 12}
         for a, b in zip(copied, simulated):
             assert a.tobytes() == b.tobytes()
-        rows = copied[0]
-        assert rows[3:6].tobytes() == rows[6:9].tobytes() == rows[9:12].tobytes()
-        assert rows[2].tobytes() != rows[5].tobytes()
+        # a row depends on its cycle's and the previous cycle's positions,
+        # and tells them apart, so a wrong head or period would show
+        pairs = set(zip([None] + orbit[:-1], orbit))
+        assert len({row.tobytes() for row in simulated[0]}) == len(pairs)
 
 
 class TestMeasuredGrids:
