@@ -28,13 +28,12 @@ from .effmap import (
     EfficiencyGrid,
     GridMethod,
     OperatingPoint,
+    PeriodicObjective,
     SelfDischargeModel,
-    SimulatedObjective,
     build_grid,
     fit_self_discharge,
     optimize_window,
     render_map,
-    simulated_cycles,
 )
 from .errors import (
     CapcycleError,

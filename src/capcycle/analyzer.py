@@ -388,9 +388,7 @@ def steady_window(
     """Steady-from cycle, averaging window and the window rule's name.
 
     ``charges`` holds each cycle's ``(q_in, q_out)``; the rules are those of
-    :func:`detect_steady`.  This is the one judge of steady state: a
-    simulated map cell, which has each cycle's integrals but no trace, calls
-    it as the trace analysis does.
+    :func:`detect_steady`.  This is the one judge of steady state.
     """
     if not 0 < tol < 1:
         raise ConfigError(f"tol must lie in (0, 1), got {tol}")

@@ -28,7 +28,7 @@ from .analyzer import ETA_SLACK, analyze_trace
 from .effmap import (
     PU_LEVELS,
     ClosedFormObjective,
-    SimulatedObjective,
+    PeriodicObjective,
     build_grid,
     fit_self_discharge,
     optimize_window,
@@ -315,7 +315,7 @@ def cmd_analyze(o: argparse.Namespace) -> int:
 def cmd_map(o: argparse.Namespace) -> int:
     if o.fixture is not None:
         _refuse_ignored(
-            o, "map", ("levels", "method", "rest", "ideal", "current", "sim-cycles"),
+            o, "map", ("levels", "method", "rest", "ideal", "current"),
             "--fixture (a measured grid)",
         )
         if o.device not in fixtures.DEVICES:
@@ -328,10 +328,9 @@ def cmd_map(o: argparse.Namespace) -> int:
         device = _resolve_device(o.device, o.ideal)
         i_c = _default_current(o)
         if o.method == "simulated":
-            _refuse_below(o, "map", ("sim-cycles",), 1)
-            objective = SimulatedObjective(device, i_c, o.rest or 0.0, o.sim_cycles)
+            objective = PeriodicObjective(device, i_c, o.rest or 0.0)
         else:
-            _refuse_ignored(o, "map", ("ideal", "sim-cycles"), "the closed-form method")
+            _refuse_ignored(o, "map", ("ideal",), "the closed-form method")
             model = None
             if o.rest is not None:
                 if o.rest != fixtures.REST_DURATION_S:
@@ -427,9 +426,6 @@ COMMANDS = {
                choices=("table2", "table4")),
         Option("rest", "float", None, "rest duration in s; enables the with-rest model"),
         Option("levels", "levels", PU_LEVELS, "comma-separated per-unit grid levels"),
-        Option("sim-cycles", "int", 20,
-               "cycles each simulated cell analyzes (default 20); a cell whose "
-               "cycle repeats bit for bit copies it instead of simulating it again"),
         Option("out", "str", REQUIRED, "output file prefix"),
     )),
     "optimize": Command(cmd_optimize, "best window meeting an energy floor", (

@@ -2,14 +2,14 @@
 
 A grid evaluates round-trip efficiency for every pair ``vm < vM`` of per-unit
 levels through an objective (the closed forms, optionally with a fitted
-rest-voltage model, or full simulate-and-analyze runs) or from embedded data.
+rest-voltage model, or the periodic steady state of the simulated circuit)
+or from embedded data.
 Rendering is deterministic: the same grid always produces byte-identical CSV
 and SVG output.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,14 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyzer import ETA_SLACK, steady_window
+from .analyzer import ETA_SLACK
 from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP item 8)
 from .errors import (
     CapcycleError,
     ConfigError,
     InfeasibleEnergyRequirement,
     LossesExceedDelivery,
-    MalformedProtocol,
     NumericError,
     RankDeficientFit,
     WindowTooNarrow,
@@ -35,11 +34,10 @@ from .model import (
     DeviceParams,
     OperatingWindow,
     RestVoltages,
-    charge_duration,
     efficiency_no_rest,
     efficiency_with_rest,
 )
-from .simulator import AcquisitionConfig, Phase, run_phases
+from .simulator import periodic_etas
 from .simulator import run_protocol  # unused; perfbench patches this name (ROADMAP item 8)
 
 PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
@@ -48,11 +46,13 @@ PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
 MIN_FIT_QUALITY = 0.95
 """Minimum coefficient of determination to use a rest-voltage model in predictions."""
 
-GRID_CHUNK = 64
+GRID_CHUNK = 1024
 """Most cells :func:`build_grid` hands an objective at once.
 
-A simulated chunk advances as one block; its arrays take about 8 kB per
-cell, and its results 32 B per cell and cycle.
+A periodic chunk is solved as one set of arrays, about 1 kB per cell at
+its peak.  Each Newton or secant step costs a few dozen numpy calls per
+chunk, so fewer, larger chunks are faster: a 2,016-cell leaky 50F map
+took 115 ms in chunks of 64 and 26 ms in chunks of 1,024 (2 vCPUs).
 """
 
 MAX_GRID_CELLS = 1 << 20
@@ -246,183 +246,37 @@ class ClosedFormObjective:
         return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _trace_charge(n: int, i: float, dt: float) -> float:
-    """Charge of ``n`` samples of current ``i``, summed as the analyzer sums a trace.
-
-    ``n·i·dt`` can differ from numpy's pairwise sum in the last bit, which
-    can flip the steady test right at its tolerance.  Cells repeat the same
-    few sample counts, hence the cache.
-    """
-    return float(np.sum(np.full(n, i)) * dt)
-
-
-def simulated_cycles(
-    p: DeviceParams, specs, acq: AcquisitionConfig | None = None
-) -> list:
-    """Each spec's simulated cycles, as the analyzer integrates them, or its error.
-
-    The specs advance together as one block of :func:`~capcycle.simulator.run_phases`,
-    so they may differ only in their window.  Returns a list with an entry
-    per spec: a ``(cycles, 4)`` array of each cycle's
-    ``(e_in, q_in, e_out, q_out)``, or the :class:`CapcycleError` that the
-    spec met first.
-
-    No trace is built: the simulator folds each phase into its sample count
-    ``n``, first and last samples and their sum ``Σv``.  The analyzer's
-    trapezoid over a phase of current ``i`` regroups into
-    ``e = |i|·dt·(Σv + (v_prev − v_last)/2)``, ``v_prev`` being the sample
-    before the phase (the trace's first sample only opens the first
-    trapezoid), and its charge is ``n·|i|·dt``.  Rests carry no current and
-    only hand their last sample on, so one that the analyzer would merge
-    into the phase before it needs no special case.  The tests hold the
-    result to 1e-12 relative of :func:`~capcycle.analyzer.analyze_cycles` on
-    :func:`~capcycle.simulator.run_protocol`'s trace.
-
-    The cycles after a discharge depend only on its end's key ``(v_main,
-    v_branch, countdown, v_prev)``.  Each spec keeps one checkpoint key, that
-    of cycle 1, 2, 4, 8, ... (Brent's method).  Once a discharge's key
-    equals the checkpoint's bit for bit, the spec leaves the block and its
-    remaining cycles are copied from the period between them.  After ``μ``
-    transient cycles, a period of ``λ`` cycles is found at cycle ``2^k + λ``
-    for the first checkpoint ``2^k > μ`` with ``2^k ≥ λ``: up to about
-    ``2·max(μ, λ)`` cycles later than a search of every earlier key, but the
-    state kept per spec does not grow with the cycles.  An ideal device
-    repeats within a few cycles; a leaky one never does.
-
-    An active phase shorter than the analysis' minimum segment, which the
-    analyzer would merge away, is a :class:`MalformedProtocol` (exit 4)
-    naming the window.  ``acq`` must not ask for quantization.
-    """
-    acq = acq or AcquisitionConfig()
-    if acq.quantize:
-        raise ConfigError("folded cycles are not quantized; use run_protocol")
-    dt = acq.sample_period
-    m, n_cycles = len(specs), specs[0].max_cycles
-    errors: dict = {}
-    min_segment = np.zeros(m)
-    for c, s in enumerate(specs):
-        try:
-            # A narrow window's ramps can be shorter than the default
-            # 1-s glitch filter, which would merge them away.
-            min_segment[c] = min(1.0, 0.5 * charge_duration(p, s))
-        except CapcycleError as exc:
-            errors[c] = exc
-    floor = min_segment - 1e-12
-    out = np.full((m, n_cycles, 4), np.nan)  # each cycle's integrals
-    anchor, since = np.zeros((m, 4)), 0  # each spec's checkpoint key, and its cycle
-    head, period = np.full(m, n_cycles), np.ones(m, dtype=int)  # a stopped spec's copies
-    stopped: set = set()
-    e_in, q_in = np.zeros(m), np.zeros(m)
-    v_prev = np.zeros(m)  # the last sample so far
-    index = np.zeros(m, dtype=int)  # samples so far
-    phases = run_phases(p, specs, acq, errors, fold=True, stopped=stopped)
-    for cycle, phase, i, cols, _, (n, v_first, v_last, v_sum), state in phases:
-        if phase in (Phase.CHARGE, Phase.DISCHARGE):
-            short = (n == 0) | (n * dt < floor[cols])
-            for c, k in zip(cols[short].tolist(), n[short].tolist()):
-                errors[c] = MalformedProtocol(
-                    f"{_window(p, specs[c])}: cycle {cycle}'s {phase.value} spans "
-                    f"{k} sample(s), shorter than the {min_segment[c]:g}-s minimum "
-                    "segment of its analysis",
-                    boundary_index=int(index[c]),
-                )
-            if cycle == 1 and phase is Phase.CHARGE:  # the trace's first sample
-                count, v_sum, before = n - 1, v_sum - v_first, v_first
-            else:
-                count, before = n, v_prev[cols]
-            e = abs(i) * dt * (v_sum + (before - v_last) / 2)
-            # (an empty first phase counts -1 here; its error is already set)
-            q = np.array([_trace_charge(max(k, 0), abs(i), dt) for k in count.tolist()])
-            if phase is Phase.DISCHARGE:
-                out[cols, cycle - 1] = np.column_stack((e_in[cols], q_in[cols], e, q))
-            else:
-                taken_in = ~(e > 0)
-                for c, value in zip(cols[taken_in].tolist(), e[taken_in].tolist()):
-                    if c not in errors:
-                        errors[c] = NumericError(
-                            f"{_window(p, specs[c])}: cycle {cycle} takes in {value!r} J"
-                        )
-                e_in[cols], q_in[cols] = e, q
-        v_prev[cols] = np.where(n > 0, v_last, v_prev[cols])
-        index[cols] += n
-        if phase is Phase.DISCHARGE:
-            key = np.column_stack((*state, v_prev[cols]))
-            if since:
-                hit = cols[_repeats(key, anchor[cols])]
-                head[hit], period[hit] = since, cycle - since
-                stopped.update(hit.tolist())
-            if cycle & (cycle - 1) == 0:  # checkpoints at cycles 1, 2, 4, 8, ...
-                anchor[cols], since = key, cycle
-    r = np.arange(n_cycles)  # each stopped spec's rows from head on repeat its period
-    src = np.where(r >= head[:, None], head[:, None] + (r - head[:, None]) % period[:, None], r)
-    out = out[np.arange(m)[:, None], src]
-    return [errors.get(c, out[c]) for c in range(m)]
-
-
-def _repeats(key: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Per spec, whether its ``(specs, 4)`` key equals its anchor, bit for bit."""
-    return key.view("V32")[:, 0] == anchor.view("V32")[:, 0]  # 32 bytes as one value
-
-
-def _window(p: DeviceParams, s: CycleSpec) -> str:
-    return f"window ({s.v_min / p.v_rated:g}, {s.v_max / p.v_rated:g}) p.u."
-
-
 @dataclass(frozen=True)
-class SimulatedObjective:
-    """Efficiency of per-unit windows by simulating the protocol and analyzing it.
+class PeriodicObjective:
+    """Efficiency of per-unit windows on the simulated circuit's periodic steady state.
 
-    Each window analyzes ``cycles`` full cycles with ``rest`` seconds of
-    rest after each phase and takes the analyzer's steady-window mean
-    efficiency.  No trace is built: :func:`simulated_cycles` folds each
-    phase into the integrals η reads, and copies the cycles of a window
-    whose cycle repeats bit for bit instead of simulating them again;
-    :func:`~capcycle.analyzer.steady_window` picks the averaging window, as
-    the trace analysis would.
+    Each window is cycled at ``i_c`` with ``rest`` seconds of rest after
+    each phase, and :func:`~capcycle.simulator.periodic_etas` solves the
+    cycle it settles into, instead of stepping through cycles.  On an ideal
+    device it is the closed form.
     """
 
     method = GridMethod.SIMULATED
     device: DeviceParams
     i_c: float
     rest: float = 0.0
-    cycles: int = 20
 
     @property
     def with_rest(self) -> bool:
         return self.rest > 0
 
     def etas(self, windows) -> list:
-        """Steady-window mean efficiency, or the error met, of each per-unit window.
+        """Periodic-cycle efficiency, or the error met, of each per-unit window.
 
-        The windows advance together as one block, whose arrays grow with
-        their number; :func:`build_grid` hands over at most
-        :data:`GRID_CHUNK` at a time.
+        The errors are those of :func:`~capcycle.simulator.periodic_etas`,
+        and a window's η does not depend on the others.
         """
-        p = self.device
-        specs = []
-        out: list = [None] * len(windows)
-        for j, (vm_pu, vM_pu) in enumerate(windows):
-            try:
-                specs.append((j, CycleSpec(
-                    i_c=self.i_c, v_min=vm_pu * p.v_rated, v_max=vM_pu * p.v_rated,
-                    rest_after_charge=self.rest, rest_after_discharge=self.rest,
-                    max_cycles=self.cycles)))
-            except CapcycleError as exc:
-                out[j] = exc
-        if specs:
-            results = simulated_cycles(p, [s for _, s in specs])
-            for (j, _), cycles in zip(specs, results):
-                if isinstance(cycles, CapcycleError):
-                    out[j] = cycles
-                    continue
-                _, (first, last), _ = steady_window(cycles[:, [1, 3]].tolist())
-                window = cycles[first - 1 : last]
-                out[j] = float(np.mean(window[:, 2] / window[:, 0]))
-        return out
+        v_rated = self.device.v_rated
+        return periodic_etas(self.device, self.i_c, self.rest,
+                             [(vm * v_rated, vM * v_rated) for vm, vM in windows])
 
     def eta(self, vm_pu: float, vM_pu: float) -> float:
-        """Steady-window mean efficiency at a per-unit window."""
+        """Periodic-cycle efficiency at a per-unit window."""
         (value,) = self.etas([(vm_pu, vM_pu)])
         if isinstance(value, CapcycleError):
             raise value
@@ -430,7 +284,7 @@ class SimulatedObjective:
 
 
 def build_grid(
-    objective: ClosedFormObjective | SimulatedObjective, levels=PU_LEVELS
+    objective: ClosedFormObjective | PeriodicObjective, levels=PU_LEVELS
 ) -> EfficiencyGrid:
     """Evaluate ``objective.etas`` for every level pair ``vm < vM``.
 

@@ -30,19 +30,19 @@ successive states interleaved.  Rest phases run in blocks of up to
 blocks and stop at the first step whose terminal voltage crosses the limit.
 See Van Loan (1978), "Computing integrals involving the matrix exponential".
 
-The state is a block: ``Z`` is ``(3, m)``, one column per cell of a
-simulated map, and ``table[:2b] @ Z`` steps every cell at once.  The cells
-share the device, the step, the current, the rests and the cycle count;
-each column keeps its own limit, step budget, sample countdown and crossing
-step, and leaves the block's live set when its phase ends.  One phase
-loop, :func:`run_phases`, serves two consumers.  :func:`run_protocol` is the
-one-column case: it collects the samples into a
-:class:`~capcycle.trace.Trace`.  A simulated map has each phase of each
-column folded into its sufficient statistics instead, so that a rest takes
-no samples at all: each column jumps by its own power of ``M``, computed by
-repeated squaring and cached.  A folded column's arithmetic never depends
-on the other columns, so a map cell's result does not depend on the cells
-that share its block.
+The state is a block: ``Z`` is ``(3, m)``, one column per spec, and
+``table[:2b] @ Z`` steps every column at once.  The columns share the
+device, the step, the current, the rests and the cycle count; each keeps
+its own limit, step budget, sample countdown and crossing step, and leaves
+the block's live set when its phase ends.  :func:`run_phases` is the phase
+loop, and :func:`run_protocol`, its one consumer, drives a block of one
+column and collects the samples into a :class:`~capcycle.trace.Trace`.
+
+Simulated maps do not step at all.  :func:`periodic_etas` solves the cycle
+that repeated cycling settles into: the circuit's modal form, computed once
+per device, gives each phase's state and ``∫v_main dt`` in closed form,
+Newton's method finds each phase's end, and the secant method the cycle
+map's fixed point.
 
 ``M`` is the exponential of the augmented continuous-time matrix, computed
 in numpy by scaling and squaring of a truncated Taylor series: Moler and Van
@@ -58,10 +58,17 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapcycleError, ConfigError, DynamicsDiverged
+from .errors import (
+    CapcycleError,
+    ConfigError,
+    DynamicsDiverged,
+    LossesExceedDelivery,
+    NumericError,
+)
 from .model import CycleSpec, DeviceParams, charge_duration
 from .trace import CycleBoundary, Trace
 
@@ -90,6 +97,15 @@ V_QUANTUM = 0.093e-3
 
 I_QUANTUM = 0.93e-3
 """Current resolution of the emulated acquisition chain, in A."""
+
+ORBIT_STEPS = 50
+"""Most Newton steps that locate one phase end, and most secant steps of one orbit."""
+
+ORBIT_TOL = 1e-12
+"""Tolerance of the orbit's Newton residuals and secant steps, as a fraction of ``v_rated``."""
+
+_PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(17, -1, -1))
+"""Taylor coefficients of ``(expm1(z) − z) / z²``, highest order first; the tail past 17 is below 1e-17."""
 
 _PHASE_SAFETY_FACTOR = 50
 _GUARD_LOW = -0.1
@@ -201,46 +217,6 @@ def _power_table(coeffs: tuple[float, ...], n: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _sample_sums(coeffs: tuple[float, ...], n: int, n_sub: int) -> np.ndarray:
-    """Sums of the ``v_main`` rows of ``M^j, M^(j - n_sub), ...`` for ``j = 0 .. n``.
-
-    Row 0 is zero.  Times a state, row ``j`` is the sum of the samples that
-    end on steps ``j, j - n_sub, ...`` of a block, less their ``i*R``
-    offsets.
-    """
-    sums = np.zeros((n + 1, 3))
-    main = _power_table(coeffs, n)[0::2]
-    for r in range(min(n_sub, n)):
-        np.cumsum(main[r::n_sub], axis=0, out=sums[1 + r :: n_sub])
-    sums.flags.writeable = False
-    return sums
-
-
-@functools.lru_cache(maxsize=64)
-def _power(coeffs: tuple[float, ...], k: int) -> np.ndarray:
-    """State rows of ``M^k`` as a read-only ``(2, 3)`` array, by repeated squaring."""
-    a11, a12, a21, a22, b1, b2 = coeffs
-    m = np.array(((a11, a12, b1), (a21, a22, b2), (0.0, 0.0, 1.0)))
-    rows = np.linalg.matrix_power(m, k)[:2]
-    rows.flags.writeable = False
-    return rows
-
-
-def _advance(coeffs: tuple[float, ...], z: np.ndarray, k: np.ndarray) -> None:
-    """Set each column of ``z`` to ``M^k z`` in place, ``k`` per column.
-
-    A column reads its own power's rows, so its arithmetic does not depend
-    on the other columns.
-    """
-    if (k == k[0]).all():  # a rest's usual case: one power serves every column
-        rows = _power(coeffs, int(k[0]))[None]
-    else:
-        rows = np.stack([_power(coeffs, j) for j in k.tolist()])  # (columns, 2, 3)
-    z[:2] = (rows[:, :, 0] * z[0, :, None] + rows[:, :, 1] * z[1, :, None]
-             + rows[:, :, 2]).T
-
-
 def _per_cell(value, m: int) -> np.ndarray:
     """``value`` with an entry per cell; a scalar serves every cell."""
     return value if isinstance(value, np.ndarray) else np.full(m, value)
@@ -263,8 +239,6 @@ def run_phase(
     max_steps,
     n_sub,
     countdown,
-    *,
-    fold=False,
 ):
     """Advance a block of cells through one protocol phase, sampling every ``n_sub`` internal steps.
 
@@ -283,15 +257,6 @@ def run_phase(
     arrays with an entry per cell, apart from ``total``, the int sum of
     ``steps`` over the block, and ``samples``, a list holding each cell's
     sampled terminal voltages in order.
-
-    With ``fold``, ``samples`` is the phase's sufficient statistics
-    ``(n, v_first, v_last, v_sum)`` instead, an array each: the sample count,
-    the first and last samples (NaN when ``n`` is 0) and their sum.  A folded
-    fixed-length phase takes no samples: powers of ``M`` carry each cell to
-    its last sample and to its end, and its ``v_first`` and ``v_sum`` are
-    NaN.  Rests carry no current, so that last sample is all the
-    analyzer's trapezoid reads of them.  A folded cell's result does not
-    depend on the other cells of its block.
     """
     m = len(v_main)
     max_steps = _per_cell(max_steps, m)
@@ -300,38 +265,18 @@ def run_phase(
     z = np.empty((3, m))
     z[0], z[1], z[2] = v_main, v_branch, 1.0
     v_offset = i_applied * r_series
-    if fold and mode == MODE_FIXED:
-        n = (max_steps - countdown) // n_sub + 1
-        last = np.where(n > 0, countdown + (n - 1) * n_sub, 0)  # the last sample's step
-        at_last = z.copy()
-        _advance(coeffs, at_last, last)
-        v_last = np.where(n > 0, at_last[0] + v_offset, np.nan)
-        _advance(coeffs, z, max_steps)
-        countdown = (countdown - max_steps - 1) % n_sub + 1
-        stats = (n, np.full(m, np.nan), v_last, np.full(m, np.nan))
-        steps = max_steps.copy()
-        return z[0], z[1], int(steps.sum()), stats, countdown, np.zeros(m, bool), steps
     block = min(TABLE_CAP, int(max_steps.max())) if mode == MODE_FIXED else RAMP_BLOCK
     table = _power_table(coeffs, block)
     crossed = np.zeros(m, dtype=bool)
     steps = max_steps.copy()  # less the steps a cell leaves untaken
     parts = [[] for _ in range(m)]
-    # The cells still running, and their states, steps left, countdowns,
-    # limits and statistics so far; a cell leaves when it ends its phase.
+    # The cells still running, and their states, steps left, countdowns and
+    # limits; a cell leaves when it ends its phase.
     live, x, rem, cd = np.arange(m), z.copy(), max_steps, countdown
     limit = _per_cell(v_stop, m) + (-eps if mode == MODE_CHARGE else eps)
-    if fold:
-        sums = _sample_sums(coeffs, block, n_sub)
-        stats = (np.zeros(m, dtype=int), np.full(m, np.nan), np.full(m, np.nan), np.zeros(m))
-        n, v_first, v_last, v_sum = (a.copy() for a in stats)
     while live.size:
         b = min(block, int(rem.max()))
-        if fold and live.size == 1:
-            # numpy hands a single column to gemv, which rounds unlike gemm:
-            # a folded cell must not depend on whether it outlasts the others.
-            states = (table[: 2 * b] @ np.repeat(x, 2, axis=1))[:, :1]
-        else:
-            states = table[: 2 * b] @ x
+        states = table[: 2 * b] @ x
         vt = states[0::2] + v_offset  # (step, cell)
         k = np.arange(live.size)
         end = np.minimum(rem, b)  # the steps each cell takes in this block
@@ -343,18 +288,8 @@ def run_phase(
             end = np.where(stop, first + 1, end)
             done |= stop
         # Samples fall on each cell's steps cd, cd + n_sub, ... up to its end.
-        if fold:
-            count = np.maximum((end - cd) // n_sub + 1, 0)
-            last = np.maximum(cd + (count - 1) * n_sub, 0)  # its last sample's step, or 0
-            some = count > 0
-            v_last = np.where(some, vt[last - 1, k], v_last)
-            if not n.all():
-                v_first = np.where(some & (n == 0), vt[np.minimum(cd, b) - 1, k], v_first)
-            v_sum = v_sum + (sums[last] * x.T).sum(axis=1) + count * v_offset
-            n = n + count
-        else:
-            for j, c in enumerate(live):
-                parts[c].append(vt[cd[j] - 1 : end[j] : n_sub, j])
+        for j, c in enumerate(live):
+            parts[c].append(vt[cd[j] - 1 : end[j] : n_sub, j])
         cd = (cd - end - 1) % n_sub + 1
         rem = rem - end
         x[:2] = states.reshape(b, 2, -1)[end - 1, :, k].T
@@ -365,16 +300,11 @@ def run_phase(
                 crossed[cells] = stop[done]
             keep = ~done
             live, x, rem, cd, limit = live[keep], x[:, keep], rem[keep], cd[keep], limit[keep]
-            if fold:
-                for a, v in zip(stats, (n, v_first, v_last, v_sum)):
-                    a[cells] = v[done]
-                n, v_first, v_last, v_sum = n[keep], v_first[keep], v_last[keep], v_sum[keep]
-    samples = stats if fold else [np.concatenate(p) for p in parts]
+    samples = [np.concatenate(p) for p in parts]
     return z[0], z[1], int(steps.sum()), samples, countdown, crossed, steps
 
 
-def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fold: bool = False,
-               stopped: set | frozenset = frozenset()):
+def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict):
     """Run every spec's ``max_cycles`` full cycles in lockstep, phase by phase.
 
     Each cycle is charge, optional high rest, discharge, optional low rest.
@@ -384,19 +314,15 @@ def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fol
     device is periodic from the first cycle while a device with a
     redistribution branch stabilizes over several cycles.
 
-    ``errors`` maps a spec's index to its error, and a spec found there or
-    in ``stopped`` takes no further part.  This loop enters each spec that
-    fails one of its checks (the sample cap, termination, finiteness and the
-    guard band), and a consumer may enter specs in either between two phases
-    to drop them: in ``errors`` when they failed, in ``stopped`` when it
-    needs no more of their cycles.  Each spec meets its checks in the order
-    that it alone would.
+    ``errors`` maps a spec's index to its error, and a spec found there
+    takes no further part.  This loop enters each spec that fails one of its
+    checks (the sample cap, termination, finiteness and the guard band), in
+    the order that it alone would meet them.
 
-    Yields ``(cycle, phase, i_applied, cols, steps, samples, state)`` for
-    every phase that takes at least one internal step: ``cols`` indexes the
-    specs still running, ``steps`` and ``samples`` are theirs as
-    :func:`run_phase` returns them (statistics with ``fold``), and
-    ``state`` is their ``(v_main, v_branch, countdown)`` at the phase's end.
+    Yields ``(cycle, phase, i_applied, cols, steps, samples)`` for every
+    phase that takes at least one internal step: ``cols`` indexes the specs
+    still running, and ``steps`` and ``samples`` are theirs as
+    :func:`run_phase` returns them.
     """
     s0 = specs[0]
     shared = (s0.i_c, s0.rest_after_charge, s0.rest_after_discharge, s0.max_cycles)
@@ -478,7 +404,6 @@ def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fol
                 max_steps_live,
                 n_sub,
                 countdown,
-                fold=fold,
             )
             # NaN fails every comparison, so the band passes finite states only.
             bounds = (v_main.min(), v_main.max(), v_branch.min(), v_branch.max())
@@ -505,18 +430,10 @@ def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict, fol
                     ok[j] = False
                 live, v_main, v_branch, countdown, steps = (
                     a[ok] for a in (live, v_main, v_branch, countdown, steps))
-                if fold:
-                    samples = tuple(a[ok] for a in samples)
-                else:
-                    samples = [a for a, keep in zip(samples, ok) if keep]
+                samples = [a for a, keep in zip(samples, ok) if keep]
                 if not live.size:
                     continue
-            dropped = len(errors) + len(stopped)
-            yield cycle, phase, i_sig, live, steps, samples, (v_main, v_branch, countdown)
-            if len(errors) + len(stopped) > dropped:  # the consumer dropped some
-                ok = np.array([c not in errors and c not in stopped for c in live])
-                live, v_main, v_branch, countdown = (
-                    a[ok] for a in (live, v_main, v_branch, countdown))
+            yield cycle, phase, i_sig, live, steps, samples
 
 
 def run_protocol(
@@ -545,7 +462,7 @@ def run_protocol(
     t_charge: list[float] = []
     t_discharge: list[float] = []
     errors: dict = {}
-    for cycle, phase, i_sig, _, steps, samples, _ in run_phases(p, [s], acq, errors):
+    for cycle, phase, i_sig, _, steps, samples in run_phases(p, [s], acq, errors):
         steps = int(steps[0])
         t_start = global_step * dt_int
         global_step += steps
@@ -594,3 +511,224 @@ def quantize_trace(trace: Trace) -> Trace:
     return Trace(
         t=trace.t.copy(), v=v, i=i, sample_period=trace.sample_period, meta=meta
     )
+
+
+# ---------------------------------------------------------------------------
+# The periodic steady state
+
+
+class _Modes(NamedTuple):
+    """Modal form ``A = vec · diag(lam) · inv`` of one device's circuit."""
+
+    lam: tuple[float, float]
+    vec: np.ndarray  # row 0 reads v_main off the modes, row 1 v_branch
+    inv: np.ndarray
+    beta: tuple[float, float]  # each mode's input per ampere, ``inv @ b``
+
+
+@functools.lru_cache(maxsize=16)
+def _modes(p: DeviceParams) -> _Modes:
+    """The modal form of :func:`_continuous_system`'s circuit, in closed form.
+
+    The circuit is an RC network, so ``A = [[a, b], [c, d]]`` has ``b·c >= 0``
+    and real eigenvalues ``(a + d ± √((a − d)² + 4bc)) / 2``, distinct when
+    ``b·c > 0``.  The one nearer zero is ``det A`` over the other, which
+    keeps it exact (zero without a leak) where the sum would cancel.  With
+    ``b = c = 0`` (no branch) ``A`` is already diagonal.
+    """
+    (a, b), (c, d) = _continuous_system(p)[0].tolist()
+    b_main = 1.0 / p.c_main  # the input enters v_main only
+    if b == 0.0:
+        return _Modes((a, d), np.eye(2), np.eye(2), (b_main, 0.0))
+    fast = (a + d - math.sqrt((a - d) ** 2 + 4.0 * b * c)) / 2.0
+    lam = (fast, (a * d - b * c) / fast)
+    # eigenvector k is (b, λ_k − a); the inverse of that 2×2 basis by hand
+    vec = np.array([[b, b], [lam[0] - a, lam[1] - a]])
+    det = b * (lam[1] - lam[0])
+    inv = np.array([[lam[1] - a, -b], [a - lam[0], b]]) / det
+    return _Modes(lam, vec, inv, (inv[0, 0] * b_main, inv[1, 0] * b_main))
+
+
+def _phi2(z: np.ndarray) -> np.ndarray:
+    """``(expm1(z) − z) / z²``, by its Taylor series where ``|z| < 1``."""
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    series = np.zeros_like(z)
+    for c in _PHI2_SERIES:
+        series = series * zs + c
+    return np.where(small, series, (np.expm1(z) - z) / (z * z))
+
+
+def _flow(m: _Modes, y, i: float, t: np.ndarray):
+    """The modal state ``t`` seconds after ``y`` at constant current ``i``, and each mode's ``φ1``.
+
+    Mode ``k`` moves as ``y_k(t) = e^{λt} y_k + i β_k φ1`` with
+    ``φ1 = expm1(λt) / λ``, which is ``t`` at ``λ = 0``.
+    """
+    out, phi1 = [], []
+    for lam, beta, yk in zip(m.lam, m.beta, y):
+        z = lam * t
+        em = np.expm1(z)
+        p1 = t * np.where(z == 0.0, 1.0, em / z)
+        out.append((em + 1.0) * yk + (i * beta) * p1)
+        phi1.append(p1)
+    return out, phi1
+
+
+def _phase(m: _Modes, y, i: float, target: np.ndarray, tol: float):
+    """A phase of constant current ``i`` from modal state ``y`` until ``v_main`` reaches ``target``.
+
+    Newton's method on ``v_main(t) = target`` starts from the linear guess,
+    and each cell leaves it at the step whose residual is within ``tol``
+    volts, so that its arithmetic does not depend on the other cells.  A
+    cell that starts at or past its limit has an empty phase.
+
+    Returns ``(t, y, w, empty, failed)``: the duration, the end state,
+    ``∫v_main dt`` (closed form: mode ``k`` integrates to ``φ1 y_k + i β_k
+    φ2`` with ``φ2 = (expm1(λt) − λt) / λ²``), and whether the phase was
+    empty or Newton failed to converge within :data:`ORBIT_STEPS` steps.
+    """
+    (w0, w1), (l0, l1), (b0, b1) = m.vec[0], m.lam, m.beta
+    gap = target - (w0 * y[0] + w1 * y[1])
+    empty = gap * i <= 0
+    slope = w0 * (l0 * y[0] + i * b0) + w1 * (l1 * y[1] + i * b1)
+    t = np.where(empty, 0.0, gap / slope)
+    todo = np.flatnonzero(~empty)
+    for _ in range(ORBIT_STEPS):
+        if not todo.size:
+            break
+        (v0, v1), _ = _flow(m, (y[0][todo], y[1][todo]), i, t[todo])
+        residual = w0 * v0 + w1 * v1 - target[todo]
+        t[todo] -= residual / (w0 * (l0 * v0 + i * b0) + w1 * (l1 * v1 + i * b1))
+        todo = todo[~(np.abs(residual) <= tol)]
+    failed = np.zeros(t.size, dtype=bool)
+    failed[todo] = True
+    failed |= ~empty & ~(t > 0)  # Newton found no later crossing
+    end, phi1 = _flow(m, y, i, t)
+    w = sum(wk * (p1 * yk + (i * beta) * t * t * _phi2(lam * t))
+            for wk, p1, yk, lam, beta in zip(m.vec[0], phi1, y, m.lam, m.beta))
+    return t, end, w, empty, failed
+
+
+# What ended a cell's orbit: _cycle's codes, then _orbit's.
+_FINE, _EMPTY_CHARGE, _EMPTY_DISCHARGE, _STUCK_CHARGE, _STUCK_DISCHARGE, _NO_ORBIT = range(6)
+
+
+def _cycle(p: DeviceParams, m: _Modes, i: float, rest: float, v_lo, v_hi, vb, tol: float):
+    """One cycle from a discharge's end, where ``v_main = v_lo`` and ``v_branch = vb``.
+
+    Low rest, charge to ``v_hi``, high rest, discharge to ``v_lo``.  Returns
+    the branch voltage at the next discharge's end, the cycle's η and a code
+    per cell: ``_FINE``, or the first of an empty or a failed phase.
+    """
+    y = [m.inv[k, 0] * v_lo + m.inv[k, 1] * vb for k in (0, 1)]
+    ends = []
+    for current, target in ((i, v_hi), (-i, v_lo)):
+        if rest:
+            y = [math.exp(lam * rest) * yk for lam, yk in zip(m.lam, y)]
+        t, y, w, empty, failed = _phase(m, y, current, target, tol)
+        ends.append((t, w, empty, failed))
+    (t_c, w_c, empty_c, failed_c), (t_d, w_d, empty_d, failed_d) = ends
+    ohmic = i * i * p.r_series
+    eta = (i * w_d - ohmic * t_d) / (i * w_c + ohmic * t_c)
+    code = np.select([failed_c, failed_d, empty_c, empty_d],
+                     [_STUCK_CHARGE, _STUCK_DISCHARGE, _EMPTY_CHARGE, _EMPTY_DISCHARGE],
+                     _FINE)
+    return m.vec[1, 0] * y[0] + m.vec[1, 1] * y[1], eta, code
+
+
+def _orbit(p: DeviceParams, i: float, rest: float, v_lo: np.ndarray, v_hi: np.ndarray):
+    """η of each cell's periodic cycle, and the code of what ended it.
+
+    A discharge ends at ``v_main = v_lo``, so the cycle map has one unknown,
+    the branch voltage there, and without a branch it has none: one cycle
+    from anywhere is the orbit.  Otherwise the secant method solves ``G(vb)
+    = vb``, starting from the rest equilibrium ``vb = v_lo`` and one cycle
+    on.  A cell leaves once its secant step is within the tolerance, with
+    the η of the cycle evaluated last, or once a phase fails.
+    """
+    m, tol = _modes(p), ORBIT_TOL * p.v_rated
+    with np.errstate(all="ignore"):  # failed cells end with a code, not a value
+        g, eta, code = _cycle(p, m, i, rest, v_lo, v_hi, v_lo, tol)
+        if p.redistribution is None:
+            return eta, code
+        live = np.flatnonzero(code < _STUCK_CHARGE)
+        code[live] = _NO_ORBIT
+        x_prev, h_prev, x = v_lo[live], (g - v_lo)[live], g[live]
+        for _ in range(ORBIT_STEPS):
+            if not live.size:
+                break
+            g, eta_n, code_n = _cycle(p, m, i, rest, v_lo[live], v_hi[live], x, tol)
+            h = g - x
+            step = np.where(h == 0, 0.0, h * (x - x_prev) / (h - h_prev))
+            done = (np.abs(step) <= tol) | (code_n >= _STUCK_CHARGE)
+            eta[live[done]], code[live[done]] = eta_n[done], code_n[done]
+            keep = ~done
+            live, x_prev, h_prev, x = live[keep], x[keep], h[keep], (x - step)[keep]
+    return eta, code
+
+
+def _orbit_error(code: int, p: DeviceParams, s: CycleSpec) -> CapcycleError:
+    window = _window(p, s)
+    phase = "charge" if code in (_EMPTY_CHARGE, _STUCK_CHARGE) else "discharge"
+    if code in (_EMPTY_CHARGE, _EMPTY_DISCHARGE):
+        return LossesExceedDelivery(
+            f"{window}: the rest before the {phase} carries the capacitor past its "
+            "limit, so the cycle has an empty phase and delivers nothing"
+        )
+    if code == _NO_ORBIT:
+        return NumericError(f"{window}: the periodic cycle was not found within "
+                            f"{ORBIT_STEPS} secant steps")
+    return NumericError(f"{window}: Newton did not locate the {phase}'s end within "
+                        f"{ORBIT_STEPS} steps")
+
+
+def _window(p: DeviceParams, s: CycleSpec) -> str:
+    return f"window ({s.v_min / p.v_rated:g}, {s.v_max / p.v_rated:g}) p.u."
+
+
+def periodic_etas(p: DeviceParams, i_c: float, rest: float, windows) -> list:
+    """η of each ``(v_min, v_max)`` window's periodic steady cycle, or the error that ends it.
+
+    Each window is cycled at ``i_c`` with ``rest`` seconds of rest after
+    each phase.  The stabilized cycle that repeated cycling settles into is
+    the fixed point of a cycle map, solved directly (Aprille and Trick,
+    "Steady-state analysis of nonlinear circuits with periodic inputs",
+    Proc. IEEE 60(1), 1972) instead of by stepping through cycles.  η is
+    ``e_out / e_in`` of that cycle, with ``e_in = i∫v_main dt + i²R·t_c`` and
+    ``e_out = i∫v_main dt − i²R·t_d``, each integral in closed form on the
+    circuit's modes.  On an ideal device it is the closed form.
+
+    The windows are solved together, elementwise, so a window's η does not
+    depend on the others.  A window narrower than the resistive drops is
+    :class:`WindowTooNarrow`; one whose rest empties a phase,
+    :class:`LossesExceedDelivery`; a charge limit that the leakage never
+    lets the capacitor reach, :class:`DynamicsDiverged`; and a Newton or
+    secant iteration that does not converge, :class:`NumericError`.  Each
+    message names the window.
+    """
+    out: list = []
+    for v_min, v_max in windows:
+        try:
+            s = CycleSpec(i_c=i_c, v_min=v_min, v_max=v_max, rest_after_charge=rest,
+                          rest_after_discharge=rest)
+            s.validate_against(p)
+            charge_duration(p, s)  # refuses a window narrower than 2*i*R
+            if p.r_leak is not None and not i_c * p.r_leak > v_max - i_c * p.r_series:
+                raise DynamicsDiverged(
+                    f"{_window(p, s)}: the charge never reaches {v_max!r} V; the "
+                    f"leakage takes the whole {i_c!r}-A current once the capacitor "
+                    f"is at {i_c * p.r_leak!r} V"
+                )
+            out.append(s)
+        except CapcycleError as exc:
+            out.append(exc)
+    cells = [c for c, s in enumerate(out) if isinstance(s, CycleSpec)]
+    if cells:
+        drop = i_c * p.r_series
+        v_lo = np.array([out[c].v_min for c in cells]) + drop
+        v_hi = np.array([out[c].v_max for c in cells]) - drop
+        eta, code = _orbit(p, i_c, rest, v_lo, v_hi)
+        for c, value, k in zip(cells, eta.tolist(), code.tolist()):
+            out[c] = value if k == _FINE else _orbit_error(k, p, out[c])
+    return out

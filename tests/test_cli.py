@@ -9,10 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capcycle import efficiency_no_rest, preset, read_sidecar_csv
+from capcycle import efficiency_no_rest, preset, read_sidecar_csv, simulator
 from capcycle.cli import main
 from capcycle.model import CycleSpec
-from capcycle.simulator import MAX_SAMPLES
 
 
 def run(capsys, *argv):
@@ -319,21 +318,32 @@ class TestMap:
         "rest": (["--rest", "1800"], 1800),
         "ideal": (["--ideal"], True),
         "current": (["--current", "4.7"], 4.7),
-        "sim-cycles": (["--sim-cycles", "20"], 20),
     }
 
+    # An option no map takes any longer: a fixture map refuses it as well,
+    # the flag through argparse and the config key as unknown.
+    _FIXTURE_REMOVED = {"sim-cycles": (["--sim-cycles", "20"], 20)}
+
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("name", list(_FIXTURE_IGNORES))
+    @pytest.mark.parametrize("name", [*_FIXTURE_IGNORES, *_FIXTURE_REMOVED])
     def test_fixture_refuses_ignored_option(self, capsys, tmp_path, name, source):
-        flag_argv, config_value = self._FIXTURE_IGNORES[name]
+        removed = name in self._FIXTURE_REMOVED
+        flag_argv, config_value = {**self._FIXTURE_IGNORES, **self._FIXTURE_REMOVED}[name]
         argv = ["map", "--fixture", "table2", "--device", "100F",
                 "--out", str(tmp_path / "m")]
         if source == "flag":
             argv += flag_argv
         else:
             argv += ["--config", write_config(tmp_path, {name: config_value})]
-        code, _, err = run(capsys, *argv)
-        assert_rejected(code, err, f"--{name}")
+        if removed and source == "flag":
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag_argv)}" in capsys.readouterr().err
+        else:
+            code, _, err = run(capsys, *argv)
+            assert_rejected(code, err, f"unknown keys for map: ['{name}']" if removed
+                            else f"--{name}")
         assert not (tmp_path / "m.csv").exists()
 
     def test_fixture_null_config_keys_not_given(self, capsys, tmp_path):
@@ -347,10 +357,12 @@ class TestMap:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_closed_form_refuses_sim_cycles(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "map", "--sim-cycles", "5", "--out", str(tmp_path / "m"),
-        )
-        assert_rejected(code, err, "--sim-cycles")
+        # --sim-cycles is gone from every map; argparse refuses the flag
+        with pytest.raises(SystemExit) as info:
+            main(["map", "--sim-cycles", "5", "--out", str(tmp_path / "m")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --sim-cycles 5" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_closed_form_refuses_ideal(self, capsys, tmp_path, source):
@@ -393,18 +405,20 @@ class TestMap:
 
     @pytest.mark.parametrize("argv, csv, svg", [
         (("--device", "50F", "--rest", "1800"),
-         "90d6990ffa86edb2ab0dcff801ff8025520864f7c8cab4ad6a99991e2c069ab9",
-         "fcc72c99384a85715f5ad47b17b02d1c6371882d13bb2d6f82cf1285d633fd42"),
+         "22435d8a8ed6e349ad2085cfa4e137a3bb76c72a0f59e6aec5c0f24e67a28d81",
+         "6c4a6ae17bffa3750dc628ae382127e59588d0a75ef57c68eb6aa7955ebecb30"),
+        # an ideal device's orbit is the closed form, whose efficiency
+        # depends on the preset only through i*R, the same for every preset
         (("--device", "100F", "--ideal", "--levels", _FINE),
-         "1b63d7e2b8561a156f1142ba6c5ce316000bb5d3ce983aaac69fd451df236af1",
-         "ed10f10148171cf102c0a6cfb001c2e07d7b8610cc80eb581f421f61679d057e"),
+         "9609b3b65392788ffdd51ef42acd7045e9712caa4933796bf556b871009fcba3",
+         "7eb64746391e77d9cd8d5e3e51b9288e58943f61f3a277efb8755b339ecfd8ba"),
         (("--device", "50F", "--ideal", "--levels", _FINE),
-         "ddbb72e995e77cfb69bdc9b5cad0c24a9821041ad71485d03d5e552b8a2bd47e",
-         "abb2f544fc3088ec63e96856b3ed8c674ee126607f85a107803c2f7c5575ef3b"),
+         "9609b3b65392788ffdd51ef42acd7045e9712caa4933796bf556b871009fcba3",
+         "7eb64746391e77d9cd8d5e3e51b9288e58943f61f3a277efb8755b339ecfd8ba"),
     ], ids=["simmap", "rampmap", "50F-fine"])
     def test_simulated_map_bytes_unchanged(self, capsys, tmp_path, argv, csv, svg):
         # The simulated maps of the benchmark workloads: how the cells are
-        # grouped into blocks must not move a byte of them.
+        # grouped into chunks must not move a byte of them.
         code, _, err = run(capsys, "map", "--method", "simulated", *argv,
                            "--out", str(tmp_path / "m"))
         assert code == 0, err
@@ -421,28 +435,37 @@ class TestMap:
         monkeypatch.setattr("capcycle.cli.fit_self_discharge", refuse)
         code, _, err = run(
             capsys, "map", "--device", "10F", "--method", "simulated",
-            "--rest", "20", "--levels", "0,0.5,1", "--sim-cycles", "2",
-            "--out", str(tmp_path / "m"),
+            "--rest", "20", "--levels", "0,0.5,1", "--out", str(tmp_path / "m"),
         )
         assert code == 0, err
 
     def test_simulated_cell_with_merged_phase_exit_4(self, capsys, tmp_path):
-        # After the 60-s rest this device's first discharge spans 9 samples,
-        # less than the 1-s minimum segment the cell's analysis keeps.
+        # After the 60-s rest this device's first sampled discharge spans 9
+        # samples, less than the 1-s minimum segment of a trace's analysis,
+        # which merges it and exits 4.  The map solves the cell's periodic
+        # orbit, which samples nothing, so there the cell is defined.
         device = tmp_path / "dev.json"
         device.write_text(json.dumps({"c_main": 10.0, "r_series": 0.01, "redistribution":
                                       {"c_branch": 30.0, "r_branch": 0.5}}))
-        code, _, err = run(capsys, "map", "--device", str(device), "--method", "simulated",
-                           "--current", "1.0", "--levels", "0.7,0.8", "--rest", "60",
-                           "--sim-cycles", "6", "--out", str(tmp_path / "m"))
+        trace = str(tmp_path / "t.csv")
+        code, _, err = run(capsys, "simulate", "--device", str(device), "--current", "1.0",
+                           "--vmin", "1.89", "--vmax", "2.16", "--rest", "60",
+                           "--cycles", "6", "--out", trace)
+        assert code == 0, err
+        code, _, err = run(capsys, "analyze", trace)
         assert code == 4, err
-        assert "window (0.7, 0.8) p.u.: cycle 1's discharge spans 9 sample(s)" in err
+        assert "consecutive charge phases without the opposite phase between" in err
+        code, _, err = run(capsys, "map", "--device", str(device), "--method", "simulated",
+                           "--current", "1.0", "--levels", "0.6,0.7,0.8", "--rest", "60",
+                           "--out", str(tmp_path / "m"))
+        assert code == 0, err
+        row = (tmp_path / "m.csv").read_text().splitlines()[3]
+        assert row.startswith("0.8,") and 0 < float(row.split(",")[2]) < 100  # (0.7, 0.8)
 
     def test_simulated_zero_rest_is_the_no_rest_map(self, capsys, tmp_path):
         # --rest 0 used to exit 2; it is the rest-free protocol, while a
         # negative rest is still refused
-        argv = ["map", "--device", "10F", "--method", "simulated",
-                "--levels", "0,0.5,1", "--sim-cycles", "2"]
+        argv = ["map", "--device", "10F", "--method", "simulated", "--levels", "0,0.5,1"]
         for name, extra in (("none", []), ("zero", ["--rest", "0"])):
             code, _, err = run(capsys, *argv, *extra, "--out", str(tmp_path / name))
             assert code == 0, err
@@ -459,14 +482,19 @@ class TestMap:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_sim_cycles_names_option_and_command(self, capsys, tmp_path, source):
+        # A simulated cell is its periodic orbit, which has no cycle count:
+        # argparse refuses the flag, and the config key is unknown to map.
         argv = ["map", "--device", "10F", "--method", "simulated", "--levels", "0,0.5,1",
                 "--out", str(tmp_path / "m")]
         if source == "flag":
-            argv += ["--sim-cycles", "0"]
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--sim-cycles", "0"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --sim-cycles 0" in capsys.readouterr().err
         else:
-            argv += ["--config", write_config(tmp_path, {"sim-cycles": 0})]
-        code, _, err = run(capsys, *argv)
-        assert_rejected(code, err, "map: --sim-cycles must be >= 1, got 0")
+            code, _, err = run(capsys, *argv, "--config",
+                               write_config(tmp_path, {"sim-cycles": 0}))
+            assert_rejected(code, err, "unknown keys for map: ['sim-cycles']")
         assert not (tmp_path / "m.csv").exists()
 
 
@@ -684,8 +712,7 @@ CONFIG_KEYS = {
     },
     "map": {
         "device": "str", "ideal": "bool", "current": "float", "method": "str",
-        "fixture": "str", "rest": "float", "levels": "levels",
-        "sim-cycles": "int", "out": "str",
+        "fixture": "str", "rest": "float", "levels": "levels", "out": "str",
     },
     "optimize": {
         "device": "str", "current": "float", "min-energy": "float",
@@ -729,7 +756,7 @@ class TestOptionTable:
             options = COMMANDS[command].options
             assert {o.name: o.kind for o in options} == keys
         assert set(COMMANDS) == {*CONFIG_KEYS, "fixtures"}
-        assert sum(map(len, CONFIG_KEYS.values())) == 39
+        assert sum(map(len, CONFIG_KEYS.values())) == 38
 
     @pytest.mark.parametrize("kind, value, expected", [
         ("float", 2, 2.0),
@@ -865,12 +892,17 @@ class TestBudgets:
                            "--out", str(tmp_path / "x.csv"))
         assert_rejected(code, err, "samples")
 
-    def test_simulated_map_cell_sample_budget(self, capsys, tmp_path):
-        # A map cell takes no samples, yet the same cap keeps a mistyped
-        # rest from running for hours.
+    def test_simulated_map_cell_sample_budget(self, capsys, tmp_path, monkeypatch):
+        # A map cell neither samples nor steps, so it needs no sample budget:
+        # a mistyped 1e6-s rest costs what a short one does.  It sags every
+        # cell below its discharge limit, so no cell is defined.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map cell stepped the simulator")
+
+        monkeypatch.setattr(simulator, "run_phase", refuse)
         code, _, err = run(capsys, "map", "--method", "simulated", "--rest", "1e6",
                            "--out", str(tmp_path / "m"))
-        assert_rejected(code, err, f"more than the {MAX_SAMPLES:,} cap")
+        assert_rejected(code, err, "grid must have defined cells")
         assert not (tmp_path / "m.csv").exists()
 
     def test_grid_level_budget(self, capsys, tmp_path):

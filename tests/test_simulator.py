@@ -1,5 +1,6 @@
 """Protocol simulator: exact stepping, conservation, and sampling contracts."""
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -11,22 +12,21 @@ from hypothesis import strategies as st
 
 from capcycle import (
     AcquisitionConfig,
+    ClosedFormObjective,
     CycleSpec,
     DeviceParams,
     DynamicsDiverged,
+    PeriodicObjective,
     Redistribution,
     analyze_cycles,
     analyze_trace,
     branch_time_constant,
     charge_duration,
-    effmap,
     efficiency_no_rest,
     preset,
     quantize_trace,
     run_protocol,
-    simulated_cycles,
     simulator,
-    steady_window,
     write_sidecar_csv,
     write_trace_csv,
 )
@@ -294,7 +294,7 @@ class TestAcquisition:
 
 def _scalar_cell(
     v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
-    v_stop, eps, max_steps, n_sub, countdown, fold,
+    v_stop, eps, max_steps, n_sub, countdown,
 ):
     """One cell of the reference recurrence, one step at a time."""
     samples = []
@@ -317,19 +317,12 @@ def _scalar_cell(
         if mode == MODE_DISCHARGE and vt <= v_stop + eps:
             crossed = True
             break
-    if fold:
-        n = len(samples)
-        first, last = (samples[0], samples[-1]) if n else (math.nan, math.nan)
-        v_sum = math.fsum(samples)
-        if mode == MODE_FIXED:  # a folded rest reports its count and last sample
-            first = v_sum = math.nan
-        return v_main, v_branch, steps, (n, first, last, v_sum), countdown, crossed
     return v_main, v_branch, steps, np.array(samples), countdown, crossed
 
 
 def _scalar_phase_loop(
     v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
-    v_stop, eps, max_steps, n_sub, countdown, *, fold=False,
+    v_stop, eps, max_steps, n_sub, countdown,
 ):
     """Reference recurrence: ``run_phase``'s contract, one cell and one step at a time."""
     m = len(v_main)
@@ -338,31 +331,24 @@ def _scalar_phase_loop(
     cells = [
         _scalar_cell(float(v_main[c]), float(v_branch[c]), a11, a12, a21, a22, b1, b2,
                      i_applied, r_series, mode, float(v_stop[c]), eps, int(max_steps[c]),
-                     n_sub, int(countdown[c]), fold)
+                     n_sub, int(countdown[c]))
         for c in range(m)
     ]
     vm, vb, steps, samples, cd, crossed = zip(*cells)
-    samples = tuple(np.array(x) for x in zip(*samples)) if fold else list(samples)
-    return (np.array(vm), np.array(vb), sum(steps), samples, np.array(cd),
+    return (np.array(vm), np.array(vb), sum(steps), list(samples), np.array(cd),
             np.array(crossed), np.array(steps))
 
 
-def _assert_phases_agree(got, exp, fold):
+def _assert_phases_agree(got, exp):
     """A block's phase against the reference: counts exact, voltages to 1e-10."""
     assert type(got[2]) is int and got[2] == exp[2]
     for g, e in zip(got[4:], exp[4:]):  # countdown, crossed, steps
         np.testing.assert_array_equal(g, e)
     np.testing.assert_allclose(got[0], exp[0], rtol=0, atol=1e-10)
     np.testing.assert_allclose(got[1], exp[1], rtol=0, atol=1e-10)
-    if fold:
-        n = exp[3][0]
-        np.testing.assert_array_equal(got[3][0], n)
-        for g, e in zip(got[3][1:], exp[3][1:]):
-            np.testing.assert_allclose(g, e, rtol=0, atol=1e-10 * max(n.max(), 1))
-    else:
-        assert [s.shape for s in got[3]] == [s.shape for s in exp[3]]
-        for g, e in zip(got[3], exp[3]):
-            assert np.max(np.abs(g - e), initial=0.0) <= 1e-10
+    assert [s.shape for s in got[3]] == [s.shape for s in exp[3]]
+    for g, e in zip(got[3], exp[3]):
+        assert np.max(np.abs(g - e), initial=0.0) <= 1e-10
 
 
 class TestBlockedPropagation:
@@ -412,7 +398,7 @@ class TestBlockedPropagation:
         args = (*ad.ravel(), 0.0, 0.0, 0.0, 0.0, MODE_FIXED, 0.0, 1e-9, steps, 3, 2)
         got = run_phase(np.array([2.5]), np.array([2.0]), *args)
         exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args)
-        _assert_phases_agree(got, exp, fold=False)
+        _assert_phases_agree(got, exp)
         assert got[3][0].shape == ((steps - 2) // 3 + 1,)
 
     # Three cells: each starts elsewhere with its own countdown, limit and
@@ -420,7 +406,7 @@ class TestBlockedPropagation:
     _V_MAIN, _V_BRANCH = np.array([2.5, 2.3, 2.45]), np.array([2.0, 2.3, 2.1])
     _COUNTDOWN = np.array([1, 2, 3])
 
-    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("mode, i, max_steps, n_sub, v_stop", [
         (MODE_FIXED, 0.0, TABLE_CAP + 1000, 3, 0.0),  # several table blocks
         (MODE_FIXED, 0.0, 2, 3, 0.0),  # no sample falls due for some cells
@@ -430,16 +416,23 @@ class TestBlockedPropagation:
         (MODE_DISCHARGE, -1.0, np.array([10_000, 9_000, 400]), 3,
          np.array([2.2, 2.0, 0.5])),
     ])
-    def test_block_matches_scalar_recurrence(self, fold, mode, i, max_steps, n_sub, v_stop):
+    def test_block_matches_scalar_recurrence(self, reverse, mode, i, max_steps, n_sub,
+                                             v_stop):
         # Every cell of a block ends in the state, countdown and step count
-        # that it reaches alone, with the same samples or their statistics.
+        # that it reaches alone, with the same samples, in whichever column
+        # of the block it runs.
         ad, bd = simulator._discretize(TWO_BRANCH, 0.05)
         countdown = np.minimum(self._COUNTDOWN, n_sub)
         args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
                 max_steps, n_sub, countdown)
-        got = run_phase(self._V_MAIN, self._V_BRANCH, *args, fold=fold)
-        exp = _scalar_phase_loop(self._V_MAIN, self._V_BRANCH, *args, fold=fold)
-        _assert_phases_agree(got, exp, fold)
+        exp = _scalar_phase_loop(self._V_MAIN, self._V_BRANCH, *args)
+        if reverse:
+            flip = [a[::-1] if isinstance(a, np.ndarray) else a for a in args]
+            got = run_phase(self._V_MAIN[::-1], self._V_BRANCH[::-1], *flip)
+            got = (*(g[::-1] for g in got[:2]), got[2], *(g[::-1] for g in got[3:]))
+        else:
+            got = run_phase(self._V_MAIN, self._V_BRANCH, *args)
+        _assert_phases_agree(got, exp)
         if mode == MODE_DISCHARGE:
             assert got[6][0] > RAMP_BLOCK
             assert list(got[5]) == [True, True, False]
@@ -453,17 +446,31 @@ class TestBlockedPropagation:
     ])
     def test_folded_phase_matches_scalar_recurrence(self, mode, i, max_steps, n_sub,
                                                     countdown):
-        # A folded phase ends in the same state with the same countdown, and
-        # its statistics are those of the samples it would have yielded.
-        ad, bd = simulator._discretize(TWO_BRANCH, 0.05)
+        # The periodic orbit folds a phase into the closed form on the
+        # circuit's modes.  It passes through every sample the recurrence
+        # yields and ends in the same state, and Newton puts a ramp's end
+        # within the recurrence's crossing step.
+        dt, r = 0.05, TWO_BRANCH.r_series
+        ad, bd = simulator._discretize(TWO_BRANCH, dt)
         v_stop = {MODE_FIXED: 0.0, MODE_CHARGE: 2.6, MODE_DISCHARGE: 2.2}[mode]
-        args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
-                max_steps, n_sub, countdown)
-        got = run_phase(np.array([2.5]), np.array([2.0]), *args, fold=True)
-        exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args, fold=True)
-        _assert_phases_agree(got, exp, fold=True)
+        args = (*ad.ravel(), *(bd * i), i, r, mode, v_stop, 1e-9, max_steps, n_sub, countdown)
+        exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args)
+        steps = int(exp[6][0])
+        m = simulator._modes(TWO_BRANCH)
+        y = [np.array([m.inv[k] @ (2.5, 2.0)]) for k in (0, 1)]
+        if mode != MODE_FIXED:
+            t, _, _, empty, failed = simulator._phase(m, y, i, np.array([v_stop - i * r]),
+                                                      simulator.ORBIT_TOL * TWO_BRANCH.v_rated)
+            assert not empty[0] and not failed[0]
+            assert (steps - 1) * dt < t[0] <= steps * dt
+        times = np.append(np.arange(countdown, steps + 1, n_sub), steps) * dt
+        x, _ = simulator._flow(m, [np.repeat(yk, times.size) for yk in y], i, times)
+        v_main, v_branch = m.vec @ np.array(x)
+        np.testing.assert_allclose(v_main[:-1] + i * r, exp[3][0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose([v_main[-1], v_branch[-1]], [exp[0][0], exp[1][0]],
+                                   rtol=0, atol=1e-10)
         if mode == MODE_DISCHARGE:
-            assert got[2] > RAMP_BLOCK
+            assert steps > RAMP_BLOCK
 
     def test_leaky_charge_that_never_reaches_v_max_diverges(self):
         # Leakage settles the capacitor at i*R_leak = 2.0 V, below v_max:
@@ -486,18 +493,27 @@ class TestBlockedPropagation:
         assert trace.v.min() < -0.1 * 2.7
 
     def test_folded_guard_band_allows_one_step_past_the_limit(self):
+        # The same protocol, rests equal, as a map cell: its sampled run
+        # still steps past the band, and the orbit, whose discharge ends on
+        # the limit, defines the cell within the sampled-vs-orbit bound of
+        # test_sampled_cycles_approach_the_orbit.
         p, s, acq = self._COARSE
-        (cycles,) = simulated_cycles(p, [s], acq)
-        assert cycles.shape == (24, 4)
-        core = analyze_cycles(run_protocol(p, s, acq), min_segment=1.0)
-        traced = [(c.e_in, c.q_in, c.e_out, c.q_out) for c in core.cycles]
-        np.testing.assert_allclose(cycles, traced, rtol=1e-12, atol=0)
+        s = dataclasses.replace(s, rest_after_discharge=s.rest_after_charge)
+        trace = run_protocol(p, s, acq)
+        assert trace.v.min() < -0.1 * 2.7
+        traced = analyze_cycles(trace, min_segment=1.0).eta
+        orbit = PeriodicObjective(p, s.i_c, s.rest_after_charge).eta(
+            s.v_min / p.v_rated, s.v_max / p.v_rated)
+        swing = s.v_max - s.v_min - 2 * s.i_c * p.r_series
+        bound = (1 + 2 * s.v_max / (s.v_min + s.v_max)) * (s.i_c * 1.0 / p.c_main) / swing
+        assert 0 < orbit < 1
+        assert abs(traced - orbit) <= bound
 
 
 @st.composite
-def _protocols(draw, cycles=st.integers(1, 3)):
+def _protocols(draw, cycles=st.integers(1, 3), kinds=("ideal", "leaky", "two-branch")):
     """A device (ideal, leaky or two-branch), a feasible cycling spec, an acquisition."""
-    kind = draw(st.sampled_from(["ideal", "leaky", "two-branch"]))
+    kind = draw(st.sampled_from(kinds))
     c_main = draw(st.floats(1.0, 20.0))
     r_series = draw(st.floats(0.005, 0.1))
     r_leak = None if kind == "ideal" else draw(st.floats(2000.0, 20000.0))
@@ -539,7 +555,7 @@ def _ideal_protocols(draw):
 
 @st.composite
 def _blocks(draw):
-    """A device, 1-12 windows of mixed widths sharing one current, rests, an acquisition."""
+    """A device, a current, a rest and 1-12 per-unit windows of mixed widths."""
     kind = draw(st.sampled_from(["ideal", "leaky", "two-branch"]))
     c_main = draw(st.floats(1.0, 20.0))
     r_leak = None if kind == "ideal" else draw(st.floats(2000.0, 20000.0))
@@ -550,39 +566,42 @@ def _blocks(draw):
                      redistribution=branch, r_leak=r_leak)
     # The current that charges a full window in `duration` seconds, ideally.
     i_c = c_main * 2.7 / draw(st.floats(20.0, 120.0))
-    rest_high, rest_low = draw(st.floats(0.0, 120.0)), draw(st.floats(0.0, 120.0))
-    cycles = draw(st.integers(1, 6))
-    specs = []
+    windows = []
     for _ in range(draw(st.integers(1, 12))):
-        v_min = draw(st.floats(0.0, 2.4))
-        v_max = draw(st.floats(v_min + 0.3, 2.7))
-        specs.append(CycleSpec(i_c=i_c, v_min=v_min, v_max=v_max,
-                               rest_after_charge=rest_high, rest_after_discharge=rest_low,
-                               max_cycles=cycles))
-    acq = AcquisitionConfig(sample_period=draw(st.sampled_from([0.1, 0.5, 1.0])))
-    return p, specs, acq
+        vm = draw(st.floats(0.0, 0.89))
+        windows.append((vm, draw(st.floats(vm + 0.11, 1.0))))
+    return p, i_c, draw(st.floats(0.0, 120.0)), windows
+
+
+@st.composite
+def _ideal_windows(draw):
+    """An ideal device, a per-unit window and a current, down to swings near zero."""
+    p = DeviceParams(c_main=draw(st.floats(0.1, 1000.0)), r_series=draw(st.floats(0.005, 0.5)),
+                     v_rated=draw(st.floats(1.0, 5.0)))
+    vm = draw(st.floats(0.0, 0.99))
+    vM = draw(st.floats(vm + 0.01, 1.0))
+    # A fraction of the current whose resistive drops fill the window.
+    i_c = draw(st.floats(1e-6, 1.0 - 1e-9)) * (vM - vm) * p.v_rated / (2 * p.r_series)
+    return p, i_c, (vm, vM)
 
 
 class TestProtocolProperties:
     @settings(max_examples=25, deadline=None)
     @given(case=_blocks())
-    @example(case=(TWO_BRANCH, [CycleSpec(i_c=3.95, v_min=v_min, v_max=2.7,
-                                          rest_after_charge=30.0, rest_after_discharge=60.0,
-                                          max_cycles=4) for v_min in (0.0, 1.35, 2.4, 2.6)],
-                   AcquisitionConfig(sample_period=0.5)))
+    @example(case=(TWO_BRANCH, 3.95, 30.0, [(v_min / 2.7, 1.0) for v_min in (0.0, 1.35, 2.4, 2.6)]))
     def test_block_cells_equal_cells_run_alone(self, case):
-        # Cells advanced together fold to each cell's own cycles, and a cell
-        # that fails alone fails with the same error in a block.
-        p, specs, acq = case
-        block = simulated_cycles(p, specs, acq)
-        assert len(block) == len(specs)
-        for s, got in zip(specs, block):
-            (alone,) = simulated_cycles(p, [s], acq)
+        # Cells solved together give each cell's own η bit for bit, and a
+        # cell that fails alone fails with the same error among others.
+        p, i_c, rest, windows = case
+        objective = PeriodicObjective(p, i_c, rest)
+        block = objective.etas(windows)
+        assert len(block) == len(windows)
+        for window, got in zip(windows, block):
+            (alone,) = objective.etas([window])
             if isinstance(alone, Exception):
                 assert (type(got), str(got)) == (type(alone), str(alone))
             else:
-                assert got.shape == alone.shape == (s.max_cycles, 4)
-                np.testing.assert_allclose(got, alone, rtol=1e-12, atol=0)
+                assert got.hex() == alone.hex()
 
     @settings(max_examples=25, deadline=None)
     @given(case=_protocols())
@@ -635,8 +654,8 @@ class TestProtocolProperties:
                              rest_after_discharge=120.0, max_cycles=6),
                    AcquisitionConfig(sample_period=1.0)))
     def test_core_eta_equals_full_analysis(self, case):
-        # A simulated map cell reads analyze_cycles alone; its window mean
-        # must be the full report's, bit for bit.
+        # analyze_cycles alone must give the full report's window mean, bit
+        # for bit.
         p, s, acq = case
         trace = run_protocol(p, s, acq)
         min_segment = min(1.0, 0.5 * charge_duration(p, s))
@@ -645,61 +664,81 @@ class TestProtocolProperties:
         assert (core.window, core.window_rule) == (steady.window, steady.window_rule)
         assert core.eta.hex() == steady.mean.eta.hex()
 
-    @settings(max_examples=25, deadline=None)
-    @given(case=_protocols(cycles=st.integers(1, 25)))
-    # one case per window rule, and a rest shorter than the 1-s minimum
-    # segment, which the trace analysis merges into the phase before it
-    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=20),
-                   AcquisitionConfig(sample_period=1.0)))
-    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=5),
-                   AcquisitionConfig(sample_period=1.0)))
-    @example(case=(DeviceParams(c_main=10.0, r_series=0.03, v_rated=2.7, r_leak=500.0),
-                   CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, rest_after_charge=120.0,
-                             rest_after_discharge=120.0, max_cycles=6),
-                   AcquisitionConfig(sample_period=1.0)))
+    @settings(max_examples=50, deadline=None)
+    @given(case=_ideal_windows(), rest=st.floats(0.0, 1800.0))
+    def test_orbit_of_an_ideal_device_is_the_closed_form(self, case, rest):
+        # Without a branch or a leak each phase is a ramp that Newton's
+        # linear guess lands on, so the orbit's η is the closed form's up to
+        # rounding.  The phase durations carry the residual's rounding,
+        # about ε·v_max, over the swing S; the difference e_out = i∫v − i²R·t
+        # magnifies its rounding by about 1/η, as does the closed form's
+        # numerator.  Hypothesis, hunting over 3,000 cases for the largest
+        # multiple of ε·(v_max/S + 1/η), found 1.5; the test allows 4.
+        p, i_c, (vm, vM) = case
+        closed_form = ClosedFormObjective(p, i_c).eta(vm, vM)
+        eta = PeriodicObjective(p, i_c, rest).eta(vm, vM)
+        swing = (vM - vm) * p.v_rated - 2 * i_c * p.r_series
+        eps = np.finfo(float).eps
+        assert abs(eta - closed_form) <= 4 * eps * (vM * p.v_rated / swing + 1 / closed_form)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_protocols(kinds=("leaky", "two-branch")))
     @example(case=(TWO_BRANCH, CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7,
-                                         rest_after_charge=0.3, rest_after_discharge=0.3,
-                                         max_cycles=7),
-                   AcquisitionConfig(sample_period=0.1)))
-    def test_folded_cycles_equal_trace_analysis(self, case):
-        # A simulated map cell folds each phase into statistics instead of
-        # building the trace: same steady judgement, η to 1e-12 relative.
-        p, s, acq = case
+                                         rest_after_charge=60.0), None))
+    def test_sampled_cycles_approach_the_orbit(self, case):
+        # The sampled steady-window mean differs from the orbit by two
+        # one-sample effects, with ΔV = i·Δt/C and S the capacitor swing.
+        # The sampling term, ΔV/S: a phase overshoots its limit by up to one
+        # step (perfbench/README.md derives ¾·ΔV/S on ideal devices).  The
+        # reversal term: the analyzer credits the sample interval across a
+        # phase boundary wholly to one side, under one sample's energy, at
+        # most i·v_max·Δt, against a phase's i·T·(v_min + v_max)/2 with
+        # T ≈ C·S/i, so 2·v_max/(v_min + v_max)·ΔV/S.  Both shrink with the
+        # sample period.  Hypothesis, hunting for the largest share of the
+        # bound over 300 cases, found 0.70.
+        p, s, _ = case
+        s = dataclasses.replace(s, rest_after_discharge=s.rest_after_charge, max_cycles=20)
+        vm, vM = s.v_min / p.v_rated, s.v_max / p.v_rated
+        orbit = PeriodicObjective(p, s.i_c, s.rest_after_charge).eta(vm, vM)
+        swing = s.v_max - s.v_min - 2 * s.i_c * p.r_series
         min_segment = min(1.0, 0.5 * charge_duration(p, s))
-        core = analyze_cycles(run_protocol(p, s, acq), min_segment=min_segment)
-        (cycles,) = simulated_cycles(p, [s], acq)
-        traced = [(c.e_in, c.q_in, c.e_out, c.q_out) for c in core.cycles]
-        np.testing.assert_allclose(cycles, traced, rtol=1e-12, atol=0)
-        steady_from, window, rule = steady_window([(c[1], c[3]) for c in cycles])
-        assert (steady_from, window, rule) == (core.steady_from_cycle, core.window,
-                                               core.window_rule)
-        first, last = window
-        eta = np.mean([e_out / e_in for e_in, _, e_out, _ in cycles[first - 1 : last]])
-        assert eta == pytest.approx(core.eta, rel=1e-12, abs=0)
+        for dt in (0.1, 0.01):
+            trace = run_protocol(p, s, AcquisitionConfig(sample_period=dt))
+            eta = analyze_cycles(trace, min_segment=min_segment).eta
+            bound = (1 + 2 * s.v_max / (s.v_min + s.v_max)) * (s.i_c * dt / p.c_main) / swing
+            assert abs(eta - orbit) <= bound, dt
 
     @settings(max_examples=25, deadline=None)
-    @given(case=_protocols(cycles=st.integers(4, 25)))
-    # an ideal device that repeats with rests, and a two-branch one with
-    # three internal steps per sample
-    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, rest_after_charge=10.0,
-                                  rest_after_discharge=5.0, max_cycles=8),
-                   AcquisitionConfig(sample_period=0.5)))
+    @given(case=_protocols())
     @example(case=(TWO_BRANCH, CycleSpec(i_c=3.95, v_min=1.35, v_max=2.7,
-                                         rest_after_charge=30.0, rest_after_discharge=60.0,
-                                         max_cycles=5),
-                   AcquisitionConfig(sample_period=1.0)))
+                                         rest_after_charge=30.0), None))
     def test_copied_cycles_equal_simulated_cycles(self, case):
-        # A cell whose cycle repeats bit for bit stops and copies the rest:
-        # every row and error as if it had simulated them all.
-        p, s, acq = case
-        (copied,) = simulated_cycles(p, [s], acq)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(effmap, "_repeats", lambda key, anchor: np.zeros(len(key), dtype=bool))
-            (simulated,) = simulated_cycles(p, [s], acq)
-        if isinstance(simulated, Exception):
-            assert (type(copied), str(copied)) == (type(simulated), str(simulated))
+        # Once cycling settles, each cycle is a copy of the periodic orbit.
+        # Cycling the closed-form cycle map from rest, one cycle after
+        # another until the branch voltage stops moving, reaches the orbit's
+        # η, or the error that ends it.
+        p, s, _ = case
+        rest = s.rest_after_charge
+        s = dataclasses.replace(s, rest_after_discharge=rest)
+        (orbit,) = simulator.periodic_etas(p, s.i_c, rest, [(s.v_min, s.v_max)])
+        m, drop = simulator._modes(p), s.i_c * p.r_series
+        v_lo, v_hi = np.array([s.v_min + drop]), np.array([s.v_max - drop])
+        tol = simulator.ORBIT_TOL * p.v_rated
+        vb = v_lo
+        with np.errstate(all="ignore"):  # a failed phase ends with a code
+            for _ in range(10_000):
+                g, eta, code = simulator._cycle(p, m, s.i_c, rest, v_lo, v_hi, vb, tol)
+                if code[0] != simulator._FINE or abs(g[0] - vb[0]) <= 1e-3 * tol:
+                    break
+                vb = g
+            else:
+                raise AssertionError("cycling did not settle")
+        if isinstance(orbit, Exception):
+            assert code[0] != simulator._FINE
+            assert str(simulator._orbit_error(int(code[0]), p, s)) == str(orbit)
         else:
-            assert copied.tobytes() == simulated.tobytes()
+            assert code[0] == simulator._FINE
+            assert eta[0] == pytest.approx(orbit, rel=0, abs=1e-9)
 
     @settings(max_examples=15, deadline=None)
     @given(case=_ideal_protocols())
