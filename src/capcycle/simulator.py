@@ -30,13 +30,9 @@ successive states interleaved.  Rest phases run in blocks of up to
 blocks and stop at the first step whose terminal voltage crosses the limit.
 See Van Loan (1978), "Computing integrals involving the matrix exponential".
 
-The state is a block: ``Z`` is ``(3, m)``, one column per spec, and
-``table[:2b] @ Z`` steps every column at once.  The columns share the
-device, the step, the current, the rests and the cycle count; each keeps
-its own limit, step budget, sample countdown and crossing step, and leaves
-the block's live set when its phase ends.  :func:`run_phases` is the phase
-loop, and :func:`run_protocol`, its one consumer, drives a block of one
-column and collects the samples into a :class:`~capcycle.trace.Trace`.
+:func:`run_phase` advances one state through one phase, and
+:func:`run_protocol` drives it one phase at a time, checks each phase's end
+state and collects the samples into a :class:`~capcycle.trace.Trace`.
 
 Simulated maps do not step at all.  :func:`periodic_etas` solves the cycle
 that repeated cycling settles into: the circuit's modal form, computed once
@@ -217,11 +213,6 @@ def _power_table(coeffs: tuple[float, ...], n: int) -> np.ndarray:
     return table
 
 
-def _per_cell(value, m: int) -> np.ndarray:
-    """``value`` with an entry per cell; a scalar serves every cell."""
-    return value if isinstance(value, np.ndarray) else np.full(m, value)
-
-
 def run_phase(
     v_main,
     v_branch,
@@ -240,154 +231,113 @@ def run_phase(
     n_sub,
     countdown,
 ):
-    """Advance a block of cells through one protocol phase, sampling every ``n_sub`` internal steps.
+    """Advance one state through one protocol phase, sampling every ``n_sub`` internal steps.
 
-    The block holds one column per cell: ``v_main``, ``v_branch`` and
-    ``countdown`` are arrays with an entry per cell, and so may be ``v_stop``
-    and ``max_steps`` (a scalar serves every cell).  The cells share the
-    step coefficients, the current and the mode.  The state update is
-    ``x+ = Ad x + bd`` with ``bd`` already scaled by the phase current.  A
-    sample is the terminal voltage ``v_main + i*R`` at the end of an internal
-    step; the termination test applies to every step (sample or not), and the
-    crossing step still yields its sample when one falls due.  ``countdown``
-    is the number of steps until a cell's next sample.  ``max_steps`` must be
-    positive.
+    The state update is ``x+ = Ad x + bd`` with ``bd`` already scaled by the
+    phase current.  A sample is the terminal voltage ``v_main + i*R`` at the
+    end of an internal step; the termination test applies to every step
+    (sample or not), and the crossing step still yields its sample when one
+    falls due.  ``countdown`` is the number of steps until the next sample.
+    ``max_steps`` must be positive.
 
-    Returns ``(v_main, v_branch, total, samples, countdown, crossed, steps)``:
-    arrays with an entry per cell, apart from ``total``, the int sum of
-    ``steps`` over the block, and ``samples``, a list holding each cell's
-    sampled terminal voltages in order.
+    Returns ``(v_main, v_branch, steps, samples, countdown, crossed)``: the
+    end state, the int count of internal steps taken, the sampled terminal
+    voltages in order, the countdown to the next sample, and whether the
+    phase reached ``v_stop``.
     """
-    m = len(v_main)
-    max_steps = _per_cell(max_steps, m)
-    countdown = _per_cell(countdown, m).copy()
-    coeffs = (a11, a12, a21, a22, b1, b2)
-    z = np.empty((3, m))
-    z[0], z[1], z[2] = v_main, v_branch, 1.0
+    block = min(TABLE_CAP, max_steps) if mode == MODE_FIXED else RAMP_BLOCK
+    table = _power_table((a11, a12, a21, a22, b1, b2), block)
+    x = np.array([v_main, v_branch, 1.0])
     v_offset = i_applied * r_series
-    block = min(TABLE_CAP, int(max_steps.max())) if mode == MODE_FIXED else RAMP_BLOCK
-    table = _power_table(coeffs, block)
-    crossed = np.zeros(m, dtype=bool)
-    steps = max_steps.copy()  # less the steps a cell leaves untaken
-    parts = [[] for _ in range(m)]
-    # The cells still running, and their states, steps left, countdowns and
-    # limits; a cell leaves when it ends its phase.
-    live, x, rem, cd = np.arange(m), z.copy(), max_steps, countdown
-    limit = _per_cell(v_stop, m) + (-eps if mode == MODE_CHARGE else eps)
-    while live.size:
-        b = min(block, int(rem.max()))
-        states = table[: 2 * b] @ x
-        vt = states[0::2] + v_offset  # (step, cell)
-        k = np.arange(live.size)
-        end = np.minimum(rem, b)  # the steps each cell takes in this block
-        done = rem == end
+    limit = v_stop - eps if mode == MODE_CHARGE else v_stop + eps
+    parts = []
+    steps, crossed = 0, False
+    while steps < max_steps and not crossed:
+        end = min(block, max_steps - steps)  # the steps taken in this block
+        states = table[: 2 * end] @ x
+        vt = states[0::2] + v_offset
         if mode != MODE_FIXED:
             hit = vt >= limit if mode == MODE_CHARGE else vt <= limit
-            first = hit.argmax(axis=0)
-            stop = hit[first, k] & (first < end)
-            end = np.where(stop, first + 1, end)
-            done |= stop
-        # Samples fall on each cell's steps cd, cd + n_sub, ... up to its end.
-        for j, c in enumerate(live):
-            parts[c].append(vt[cd[j] - 1 : end[j] : n_sub, j])
-        cd = (cd - end - 1) % n_sub + 1
-        rem = rem - end
-        x[:2] = states.reshape(b, 2, -1)[end - 1, :, k].T
-        if done.any():
-            cells = live[done]
-            z[:, cells], countdown[cells], steps[cells] = x[:, done], cd[done], steps[cells] - rem[done]
-            if mode != MODE_FIXED:
-                crossed[cells] = stop[done]
-            keep = ~done
-            live, x, rem, cd, limit = live[keep], x[:, keep], rem[keep], cd[keep], limit[keep]
-    samples = [np.concatenate(p) for p in parts]
-    return z[0], z[1], int(steps.sum()), samples, countdown, crossed, steps
+            first = int(hit.argmax())
+            if hit[first]:
+                end, crossed = first + 1, True
+        # Samples fall on steps countdown, countdown + n_sub, ... up to end.
+        parts.append(vt[countdown - 1 : end : n_sub])
+        countdown = (countdown - end - 1) % n_sub + 1
+        steps += end
+        x[:2] = states[2 * end - 2 : 2 * end]
+    return float(x[0]), float(x[1]), steps, np.concatenate(parts), countdown, crossed
 
 
-def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict):
-    """Run every spec's ``max_cycles`` full cycles in lockstep, phase by phase.
+def run_protocol(
+    p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig | None = None
+) -> Trace:
+    """Simulate ``s.max_cycles`` full cycles and return the sampled trace.
 
-    Each cycle is charge, optional high rest, discharge, optional low rest.
-    The specs may differ only in their window, and each is one column of the
-    block that :func:`run_phase` advances.  A capacitor starts at
-    ``v_min + i*R`` (the steady-cycle charge entry point), so the ideal
-    device is periodic from the first cycle while a device with a
-    redistribution branch stabilizes over several cycles.
+    Each cycle is charge, optional high rest, discharge, optional low rest,
+    and :func:`run_phase` advances the state through one phase at a time.
+    The capacitor starts at ``v_min + i*R`` (the steady-cycle charge entry
+    point), so the ideal device is periodic from the first cycle while a
+    device with a redistribution branch stabilizes over several cycles.
 
-    ``errors`` maps a spec's index to its error, and a spec found there
-    takes no further part.  This loop enters each spec that fails one of its
-    checks (the sample cap, termination, finiteness and the guard band), in
-    the order that it alone would meet them.
+    The spec is checked against the device, the window's feasibility and the
+    sample cap before any step, and each phase's end state for termination,
+    finiteness and the guard band; the first failing check raises.
 
-    Yields ``(cycle, phase, i_applied, cols, steps, samples)`` for every
-    phase that takes at least one internal step: ``cols`` indexes the specs
-    still running, and ``steps`` and ``samples`` are theirs as
-    :func:`run_phase` returns them.
+    Trace ``meta`` carries ground truth: per-phase boundaries
+    (``boundaries``, a list of :class:`~capcycle.trace.CycleBoundary`),
+    per-cycle supplied and extracted charge (exact internal accounting) and
+    charge/discharge durations.  Whether a cycle is steady is the analyzer's
+    judgement, made on the samples; the simulator makes none.
     """
-    s0 = specs[0]
-    shared = (s0.i_c, s0.rest_after_charge, s0.rest_after_discharge, s0.max_cycles)
-    if any((s.i_c, s.rest_after_charge, s.rest_after_discharge, s.max_cycles) != shared
-           for s in specs):
-        raise ConfigError("the specs of one block may differ only in their window")
+    if acq is None:
+        acq = AcquisitionConfig()
     n_sub = _internal_substeps(p, acq.sample_period)
     dt_int = acq.sample_period / n_sub
     a11, a12, a21, a22, bd0, bd1 = _step_coefficients(p, dt_int)
-    rest_high_steps = round(s0.rest_after_charge / dt_int)
-    rest_low_steps = round(s0.rest_after_discharge / dt_int)
+    rest_high_steps = round(s.rest_after_charge / dt_int)
+    rest_low_steps = round(s.rest_after_discharge / dt_int)
 
-    max_active_steps = np.zeros(len(specs), dtype=int)
-    for c, s in enumerate(specs):
-        if c in errors:
-            continue
-        try:
-            s.validate_against(p)
-            ideal_duration = charge_duration(p, s)  # also validates window feasibility
-            ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
-            est_samples = (
-                s.max_cycles
-                * (2 * ideal_steps + rest_high_steps + rest_low_steps)
-                // n_sub
-                + 64
-            )
-            if est_samples > MAX_SAMPLES:
-                raise ConfigError(
-                    f"the run needs about {est_samples:,} samples, more than the "
-                    f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
-                    "or fewer cycles"
-                )
-        except CapcycleError as exc:
-            errors[c] = exc
-            continue
-        max_active_steps[c] = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
+    s.validate_against(p)
+    ideal_duration = charge_duration(p, s)  # also validates window feasibility
+    ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
+    est_samples = (
+        s.max_cycles * (2 * ideal_steps + rest_high_steps + rest_low_steps) // n_sub + 64
+    )
+    if est_samples > MAX_SAMPLES:
+        raise ConfigError(
+            f"the run needs about {est_samples:,} samples, more than the "
+            f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
+            "or fewer cycles"
+        )
+    max_active_steps = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
 
-    v_min = np.array([s.v_min for s in specs])
-    v_max = np.array([s.v_max for s in specs])
     # A phase may end one internal step past its limit.
-    swing = s0.i_c * dt_int / p.c_main
+    swing = s.i_c * dt_int / p.c_main
     guard_low = _GUARD_LOW * p.v_rated - swing
     guard_high = _GUARD_HIGH * p.v_rated + swing
     plan = (
-        (Phase.CHARGE, MODE_CHARGE, s0.i_c, v_max, max_active_steps),
-        (Phase.REST_HIGH, MODE_FIXED, 0.0, None, rest_high_steps),
-        (Phase.DISCHARGE, MODE_DISCHARGE, -s0.i_c, v_min, max_active_steps),
-        (Phase.REST_LOW, MODE_FIXED, 0.0, None, rest_low_steps),
+        (Phase.CHARGE, MODE_CHARGE, s.i_c, s.v_max, max_active_steps),
+        (Phase.REST_HIGH, MODE_FIXED, 0.0, 0.0, rest_high_steps),
+        (Phase.DISCHARGE, MODE_DISCHARGE, -s.i_c, s.v_min, max_active_steps),
+        (Phase.REST_LOW, MODE_FIXED, 0.0, 0.0, rest_low_steps),
     )
-    # The specs still running and their states, in step with each other.
-    live = np.array([c for c in range(len(specs)) if c not in errors], dtype=int)
-    v_main = (v_min + s0.i_c * p.r_series)[live]
-    v_branch = v_main.copy()
-    countdown = np.full(live.size, n_sub)
-    for cycle in range(1, s0.max_cycles + 1):
+    v_main = v_branch = s.v_min + s.i_c * p.r_series
+    countdown = n_sub
+    global_step = 0
+
+    boundaries: list[CycleBoundary] = []
+    phase_v: list[np.ndarray] = []
+    phase_i: list[float] = []
+    q_in: list[float] = []
+    q_out: list[float] = []
+    t_charge: list[float] = []
+    t_discharge: list[float] = []
+    for cycle in range(1, s.max_cycles + 1):
         for phase, mode, i_sig, v_stop, max_steps in plan:
-            if not live.size:
-                return
-            if mode == MODE_FIXED:
-                if max_steps <= 0:
-                    continue
-                v_stop_live, max_steps_live = 0.0, max_steps
-            else:
-                v_stop_live, max_steps_live = v_stop[live], max_steps[live]
-            v_main, v_branch, _, samples, countdown, crossed, steps = run_phase(
+            if max_steps <= 0:  # a rest of zero length
+                continue
+            v_main, v_branch, steps, samples, countdown, crossed = run_phase(
                 v_main,
                 v_branch,
                 a11,
@@ -399,86 +349,38 @@ def run_phases(p: DeviceParams, specs, acq: AcquisitionConfig, errors: dict):
                 i_sig,
                 p.r_series,
                 mode,
-                v_stop_live,
+                v_stop,
                 TERMINATION_EPS,
-                max_steps_live,
+                max_steps,
                 n_sub,
                 countdown,
             )
-            # NaN fails every comparison, so the band passes finite states only.
-            bounds = (v_main.min(), v_main.max(), v_branch.min(), v_branch.max())
-            if not ((mode == MODE_FIXED or crossed.all())
-                    and all(guard_low <= v <= guard_high for v in bounds)):
-                ok = np.ones(live.size, dtype=bool)
-                for j, c in enumerate(live.tolist()):
-                    vm, vb = float(v_main[j]), float(v_branch[j])
-                    if mode != MODE_FIXED and not crossed[j]:
-                        errors[c] = DynamicsDiverged(
-                            f"{phase.value} phase did not reach {float(v_stop[c])!r} V "
-                            f"within {int(max_steps[c])} internal steps; the applied "
-                            "current cannot overcome leakage near the voltage limit"
-                        )
-                    elif not (math.isfinite(vm) and math.isfinite(vb)):
-                        errors[c] = DynamicsDiverged(f"non-finite state after {phase.value} phase")
-                    elif not (guard_low <= vm <= guard_high and guard_low <= vb <= guard_high):
-                        errors[c] = DynamicsDiverged(
-                            f"state left the guard band after {phase.value} phase: "
-                            f"v_main={vm!r}, v_branch={vb!r}"
-                        )
-                    else:
-                        continue
-                    ok[j] = False
-                live, v_main, v_branch, countdown, steps = (
-                    a[ok] for a in (live, v_main, v_branch, countdown, steps))
-                samples = [a for a, keep in zip(samples, ok) if keep]
-                if not live.size:
-                    continue
-            yield cycle, phase, i_sig, live, steps, samples
-
-
-def run_protocol(
-    p: DeviceParams, s: CycleSpec, acq: AcquisitionConfig | None = None
-) -> Trace:
-    """Simulate ``s.max_cycles`` full cycles and return the sampled trace.
-
-    The phases come from :func:`run_phases`, driving a block of one column.
-    Trace ``meta`` carries ground truth: per-phase boundaries
-    (``boundaries``, a list of :class:`~capcycle.trace.CycleBoundary`),
-    per-cycle supplied and extracted charge (exact internal accounting) and
-    charge/discharge durations.  Whether a cycle is steady is the analyzer's
-    judgement, made on the samples; the simulator makes none.
-    """
-    if acq is None:
-        acq = AcquisitionConfig()
-    n_sub = _internal_substeps(p, acq.sample_period)
-    dt_int = acq.sample_period / n_sub
-    global_step = 0
-
-    boundaries: list[CycleBoundary] = []
-    phase_v: list[np.ndarray] = []
-    phase_i: list[float] = []
-    q_in: list[float] = []
-    q_out: list[float] = []
-    t_charge: list[float] = []
-    t_discharge: list[float] = []
-    errors: dict = {}
-    for cycle, phase, i_sig, _, steps, samples in run_phases(p, [s], acq, errors):
-        steps = int(steps[0])
-        t_start = global_step * dt_int
-        global_step += steps
-        boundaries.append(
-            CycleBoundary(cycle, phase.value, t_start, global_step * dt_int)
-        )
-        phase_v.append(samples[0])
-        phase_i.append(i_sig)
-        if phase is Phase.CHARGE:
-            q_in.append(s.i_c * steps * dt_int)
-            t_charge.append(steps * dt_int)
-        elif phase is Phase.DISCHARGE:
-            q_out.append(s.i_c * steps * dt_int)
-            t_discharge.append(steps * dt_int)
-    if errors:
-        raise errors[0]
+            if mode != MODE_FIXED and not crossed:
+                raise DynamicsDiverged(
+                    f"{phase.value} phase did not reach {float(v_stop)!r} V "
+                    f"within {max_steps} internal steps; the applied "
+                    "current cannot overcome leakage near the voltage limit"
+                )
+            if not (math.isfinite(v_main) and math.isfinite(v_branch)):
+                raise DynamicsDiverged(f"non-finite state after {phase.value} phase")
+            if not (guard_low <= v_main <= guard_high and guard_low <= v_branch <= guard_high):
+                raise DynamicsDiverged(
+                    f"state left the guard band after {phase.value} phase: "
+                    f"v_main={v_main!r}, v_branch={v_branch!r}"
+                )
+            t_start = global_step * dt_int
+            global_step += steps
+            boundaries.append(
+                CycleBoundary(cycle, phase.value, t_start, global_step * dt_int)
+            )
+            phase_v.append(samples)
+            phase_i.append(i_sig)
+            if phase is Phase.CHARGE:
+                q_in.append(s.i_c * steps * dt_int)
+                t_charge.append(steps * dt_int)
+            elif phase is Phase.DISCHARGE:
+                q_out.append(s.i_c * steps * dt_int)
+                t_discharge.append(steps * dt_int)
 
     v = np.concatenate(phase_v)
     trace = Trace(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from capcycle import (
     AcquisitionConfig,
     ClosedFormObjective,
+    ConfigError,
     CycleSpec,
     DeviceParams,
     DynamicsDiverged,
@@ -296,7 +297,7 @@ def _scalar_cell(
     v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
     v_stop, eps, max_steps, n_sub, countdown,
 ):
-    """One cell of the reference recurrence, one step at a time."""
+    """Reference recurrence: ``run_phase``'s contract, one step at a time."""
     samples = []
     steps = 0
     crossed = False
@@ -320,35 +321,14 @@ def _scalar_cell(
     return v_main, v_branch, steps, np.array(samples), countdown, crossed
 
 
-def _scalar_phase_loop(
-    v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
-    v_stop, eps, max_steps, n_sub, countdown,
-):
-    """Reference recurrence: ``run_phase``'s contract, one cell and one step at a time."""
-    m = len(v_main)
-    v_stop, max_steps, countdown = (np.broadcast_to(x, (m,)) for x in (v_stop, max_steps,
-                                                                       countdown))
-    cells = [
-        _scalar_cell(float(v_main[c]), float(v_branch[c]), a11, a12, a21, a22, b1, b2,
-                     i_applied, r_series, mode, float(v_stop[c]), eps, int(max_steps[c]),
-                     n_sub, int(countdown[c]))
-        for c in range(m)
-    ]
-    vm, vb, steps, samples, cd, crossed = zip(*cells)
-    return (np.array(vm), np.array(vb), sum(steps), list(samples), np.array(cd),
-            np.array(crossed), np.array(steps))
-
-
 def _assert_phases_agree(got, exp):
-    """A block's phase against the reference: counts exact, voltages to 1e-10."""
+    """A phase against the reference: counts exact, voltages to 1e-10."""
     assert type(got[2]) is int and got[2] == exp[2]
-    for g, e in zip(got[4:], exp[4:]):  # countdown, crossed, steps
-        np.testing.assert_array_equal(g, e)
-    np.testing.assert_allclose(got[0], exp[0], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(got[1], exp[1], rtol=0, atol=1e-10)
-    assert [s.shape for s in got[3]] == [s.shape for s in exp[3]]
-    for g, e in zip(got[3], exp[3]):
-        assert np.max(np.abs(g - e), initial=0.0) <= 1e-10
+    assert (got[4], got[5]) == (exp[4], exp[5])  # countdown, crossed
+    assert abs(got[0] - exp[0]) <= 1e-10
+    assert abs(got[1] - exp[1]) <= 1e-10
+    assert got[3].shape == exp[3].shape
+    assert np.max(np.abs(got[3] - exp[3]), initial=0.0) <= 1e-10
 
 
 class TestBlockedPropagation:
@@ -378,7 +358,7 @@ class TestBlockedPropagation:
     def test_matches_scalar_recurrence(self, case, monkeypatch):
         p, s, acq = self.CASES[case]
         blocked = run_protocol(p, s, acq)
-        monkeypatch.setattr(simulator, "run_phase", _scalar_phase_loop)
+        monkeypatch.setattr(simulator, "run_phase", _scalar_cell)
         ref = run_protocol(p, s, acq)
         if case == "two-branch-n_sub-2":
             assert blocked.meta["n_sub"] == 2
@@ -396,46 +376,42 @@ class TestBlockedPropagation:
         ad, _ = simulator._discretize(TWO_BRANCH, 0.05)
         # coefficients, zero current, zero R, fixed mode, n_sub=3, countdown=2
         args = (*ad.ravel(), 0.0, 0.0, 0.0, 0.0, MODE_FIXED, 0.0, 1e-9, steps, 3, 2)
-        got = run_phase(np.array([2.5]), np.array([2.0]), *args)
-        exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args)
+        got = run_phase(2.5, 2.0, *args)
+        exp = _scalar_cell(2.5, 2.0, *args)
         _assert_phases_agree(got, exp)
-        assert got[3][0].shape == ((steps - 2) // 3 + 1,)
+        assert got[3].shape == ((steps - 2) // 3 + 1,)
 
-    # Three cells: each starts elsewhere with its own countdown, limit and
-    # step budget, so they cross, run out or rest apart.
-    _V_MAIN, _V_BRANCH = np.array([2.5, 2.3, 2.45]), np.array([2.0, 2.3, 2.1])
-    _COUNTDOWN = np.array([1, 2, 3])
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("mode, i, max_steps, n_sub, v_stop", [
-        (MODE_FIXED, 0.0, TABLE_CAP + 1000, 3, 0.0),  # several table blocks
-        (MODE_FIXED, 0.0, 2, 3, 0.0),  # no sample falls due for some cells
-        (MODE_FIXED, 0.0, 7, 1, 0.0),
-        (MODE_CHARGE, 1.0, np.array([10_000, 10_000, 300]), 2, np.array([2.6, 2.55, 2.6])),
+    # Three cells, each starting elsewhere with its own countdown, and five
+    # phases, each giving every cell its own limit and step budget, so the
+    # cells cross, run out or rest apart.
+    _CELLS = [(2.5, 2.0, 1), (2.3, 2.3, 2), (2.45, 2.1, 3)]  # v_main, v_branch, countdown
+    _PHASES = {
+        # mode, current, n_sub, each cell's (step budget, limit)
+        "rest-several-table-blocks": (MODE_FIXED, 0.0, 3, [(TABLE_CAP + 1000, 0.0)] * 3),
+        "rest-no-sample-for-some": (MODE_FIXED, 0.0, 3, [(2, 0.0)] * 3),
+        "rest-n_sub-1": (MODE_FIXED, 0.0, 1, [(7, 0.0)] * 3),
+        "charge": (MODE_CHARGE, 1.0, 2, [(10_000, 2.6), (10_000, 2.55), (300, 2.6)]),
         # more than one ramp block; the last cell never reaches its limit
-        (MODE_DISCHARGE, -1.0, np.array([10_000, 9_000, 400]), 3,
-         np.array([2.2, 2.0, 0.5])),
-    ])
-    def test_block_matches_scalar_recurrence(self, reverse, mode, i, max_steps, n_sub,
-                                             v_stop):
-        # Every cell of a block ends in the state, countdown and step count
-        # that it reaches alone, with the same samples, in whichever column
-        # of the block it runs.
+        "discharge": (MODE_DISCHARGE, -1.0, 3, [(10_000, 2.2), (9_000, 2.0), (400, 0.5)]),
+    }
+
+    @pytest.mark.parametrize("cell", range(3), ids=["cell0", "cell1", "cell2"])
+    @pytest.mark.parametrize("phase", list(_PHASES))
+    def test_kernel_matches_scalar_recurrence(self, phase, cell):
+        # The blocked kernel ends each phase in the state, countdown and
+        # step count of the step-by-step recurrence, with the same samples.
+        mode, i, n_sub, budgets = self._PHASES[phase]
+        v_main, v_branch, countdown = self._CELLS[cell]
+        max_steps, v_stop = budgets[cell]
         ad, bd = simulator._discretize(TWO_BRANCH, 0.05)
-        countdown = np.minimum(self._COUNTDOWN, n_sub)
         args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
-                max_steps, n_sub, countdown)
-        exp = _scalar_phase_loop(self._V_MAIN, self._V_BRANCH, *args)
-        if reverse:
-            flip = [a[::-1] if isinstance(a, np.ndarray) else a for a in args]
-            got = run_phase(self._V_MAIN[::-1], self._V_BRANCH[::-1], *flip)
-            got = (*(g[::-1] for g in got[:2]), got[2], *(g[::-1] for g in got[3:]))
-        else:
-            got = run_phase(self._V_MAIN, self._V_BRANCH, *args)
-        _assert_phases_agree(got, exp)
+                max_steps, n_sub, min(countdown, n_sub))
+        got = run_phase(v_main, v_branch, *args)
+        _assert_phases_agree(got, _scalar_cell(v_main, v_branch, *args))
         if mode == MODE_DISCHARGE:
-            assert got[6][0] > RAMP_BLOCK
-            assert list(got[5]) == [True, True, False]
+            assert got[5] == (cell != 2)
+            if cell == 0:
+                assert got[2] > RAMP_BLOCK
 
     @pytest.mark.parametrize("mode, i, max_steps, n_sub, countdown", [
         (MODE_FIXED, 0.0, TABLE_CAP + 1000, 3, 2),  # several table blocks
@@ -444,9 +420,9 @@ class TestBlockedPropagation:
         (MODE_CHARGE, 1.0, 10_000, 2, 1),
         (MODE_DISCHARGE, -1.0, 10_000, 3, 3),  # more than one ramp block
     ])
-    def test_folded_phase_matches_scalar_recurrence(self, mode, i, max_steps, n_sub,
-                                                    countdown):
-        # The periodic orbit folds a phase into the closed form on the
+    def test_orbit_phase_matches_scalar_recurrence(self, mode, i, max_steps, n_sub,
+                                                   countdown):
+        # The periodic orbit solves a phase in closed form on the
         # circuit's modes.  It passes through every sample the recurrence
         # yields and ends in the same state, and Newton puts a ramp's end
         # within the recurrence's crossing step.
@@ -454,8 +430,8 @@ class TestBlockedPropagation:
         ad, bd = simulator._discretize(TWO_BRANCH, dt)
         v_stop = {MODE_FIXED: 0.0, MODE_CHARGE: 2.6, MODE_DISCHARGE: 2.2}[mode]
         args = (*ad.ravel(), *(bd * i), i, r, mode, v_stop, 1e-9, max_steps, n_sub, countdown)
-        exp = _scalar_phase_loop(np.array([2.5]), np.array([2.0]), *args)
-        steps = int(exp[6][0])
+        exp = _scalar_cell(2.5, 2.0, *args)
+        steps = exp[2]
         m = simulator._modes(TWO_BRANCH)
         y = [np.array([m.inv[k] @ (2.5, 2.0)]) for k in (0, 1)]
         if mode != MODE_FIXED:
@@ -466,8 +442,8 @@ class TestBlockedPropagation:
         times = np.append(np.arange(countdown, steps + 1, n_sub), steps) * dt
         x, _ = simulator._flow(m, [np.repeat(yk, times.size) for yk in y], i, times)
         v_main, v_branch = m.vec @ np.array(x)
-        np.testing.assert_allclose(v_main[:-1] + i * r, exp[3][0], rtol=0, atol=1e-10)
-        np.testing.assert_allclose([v_main[-1], v_branch[-1]], [exp[0][0], exp[1][0]],
+        np.testing.assert_allclose(v_main[:-1] + i * r, exp[3], rtol=0, atol=1e-10)
+        np.testing.assert_allclose([v_main[-1], v_branch[-1]], [exp[0], exp[1]],
                                    rtol=0, atol=1e-10)
         if mode == MODE_DISCHARGE:
             assert steps > RAMP_BLOCK
@@ -477,8 +453,49 @@ class TestBlockedPropagation:
         # the charge phase scans many blocks up to its step budget and stops.
         leaky = DeviceParams(c_main=1.0, r_series=0.01, v_rated=2.7, r_leak=5.0)
         spec = CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5)
-        with pytest.raises(DynamicsDiverged, match="charge phase did not reach"):
+        with pytest.raises(DynamicsDiverged) as err:
             run_protocol(leaky, spec)
+        assert str(err.value) == (
+            "charge phase did not reach 2.5 V within 3500 internal steps; the applied "
+            "current cannot overcome leakage near the voltage limit")
+
+    def test_divergence_prints_an_int_limit_as_a_float(self):
+        # CycleSpec keeps an int v_max as it is; the message prints it as 2.0.
+        leaky = DeviceParams(c_main=1.0, r_series=0.01, v_rated=2.7, r_leak=4.0)
+        spec = CycleSpec(i_c=0.4, v_min=0.5, v_max=2)
+        assert type(spec.v_max) is int
+        with pytest.raises(DynamicsDiverged) as err:
+            run_protocol(leaky, spec)
+        assert str(err.value) == (
+            "charge phase did not reach 2.0 V within 2900 internal steps; the applied "
+            "current cannot overcome leakage near the voltage limit")
+
+    def test_check_messages_and_order(self, monkeypatch):
+        # The rating check comes before the sample cap, and a phase's state
+        # is checked for finiteness before the guard band.
+        fine = AcquisitionConfig(sample_period=1e-7)
+        with pytest.raises(ConfigError) as err:
+            run_protocol(DEV, dataclasses.replace(SPEC, v_max=3.0), fine)
+        assert str(err.value) == "spec.v_max 3.0 exceeds device.v_rated 2.7"
+        with pytest.raises(ConfigError) as err:
+            run_protocol(DEV, SPEC, fine)
+        assert str(err.value) == (
+            "the run needs about 963,120,064 samples, more than the 16,777,216 cap; use a "
+            "longer sample period, shorter rests or fewer cycles")
+        real = simulator.run_phase
+        for shift, message in (
+            (math.nan, "non-finite state after charge phase"),
+            (10.0, "state left the guard band after charge phase: v_main=12.46488, "
+                   "v_branch=0.53688"),
+        ):
+            def shifted(*args, shift=shift):  # the phase ends with v_main moved
+                v_main, *rest = real(*args)
+                return (v_main + shift, *rest)
+
+            monkeypatch.setattr(simulator, "run_phase", shifted)
+            with pytest.raises(DynamicsDiverged) as err:
+                run_protocol(DEV, SPEC)
+            assert str(err.value) == message
 
     # One 1-s step moves this capacitor by i*dt/C = 0.51 V, so a discharge to
     # 0 V can end at -0.28 V, past the -0.1*v_rated band of the voltage rating.
@@ -492,7 +509,7 @@ class TestBlockedPropagation:
         assert len(trace.meta["boundaries"]) == 3 * 24
         assert trace.v.min() < -0.1 * 2.7
 
-    def test_folded_guard_band_allows_one_step_past_the_limit(self):
+    def test_orbit_guard_band_allows_one_step_past_the_limit(self):
         # The same protocol, rests equal, as a map cell: its sampled run
         # still steps past the band, and the orbit, whose discharge ends on
         # the limit, defines the cell within the sampled-vs-orbit bound of
@@ -589,7 +606,7 @@ class TestProtocolProperties:
     @settings(max_examples=25, deadline=None)
     @given(case=_blocks())
     @example(case=(TWO_BRANCH, 3.95, 30.0, [(v_min / 2.7, 1.0) for v_min in (0.0, 1.35, 2.4, 2.6)]))
-    def test_block_cells_equal_cells_run_alone(self, case):
+    def test_windows_solved_together_equal_windows_alone(self, case):
         # Cells solved together give each cell's own η bit for bit, and a
         # cell that fails alone fails with the same error among others.
         p, i_c, rest, windows = case
@@ -626,7 +643,7 @@ class TestProtocolProperties:
     def test_matches_scalar_recurrence(self, case):
         blocked = run_protocol(*case)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "run_phase", _scalar_phase_loop)
+            mp.setattr(simulator, "run_phase", _scalar_cell)
             ref = run_protocol(*case)
         assert np.array_equal(blocked.t, ref.t)
         assert np.array_equal(blocked.i, ref.i)
@@ -712,7 +729,7 @@ class TestProtocolProperties:
     @given(case=_protocols())
     @example(case=(TWO_BRANCH, CycleSpec(i_c=3.95, v_min=1.35, v_max=2.7,
                                          rest_after_charge=30.0), None))
-    def test_copied_cycles_equal_simulated_cycles(self, case):
+    def test_orbit_equals_repeated_closed_form_cycling(self, case):
         # Once cycling settles, each cycle is a copy of the periodic orbit.
         # Cycling the closed-form cycle map from rest, one cycle after
         # another until the branch voltage stops moving, reaches the orbit's
