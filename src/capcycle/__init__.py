@@ -8,13 +8,11 @@ and a constrained operating-window optimizer.
 
 from .analyzer import (
     AnalysisReport,
-    CycleAnalysis,
     CycleMetrics,
     Estimate,
     IntegratedCycle,
     Segment,
     SteadyReport,
-    analyze_cycles,
     analyze_trace,
     cycle_metrics,
     detect_steady,

@@ -1,9 +1,9 @@
 """Trace analysis: segmentation, per-cycle metrics, steady state, identification.
 
-:func:`analyze_cycles` is the core: it segments a trace, integrates each
-complete cycle once and picks the averaging window, which is all a
-steady-window efficiency needs.  :func:`analyze_trace` adds parameter
-identification and the per-cycle loss split on top of it.
+One pipeline, :func:`analyze_trace`, turns a trace into a report: it
+segments the trace, integrates each complete cycle once, identifies the
+series resistance and capacitance on the steady cycles, splits each cycle's
+loss and averages the steady window.
 
 Integration convention: the interval between consecutive samples belongs to
 the segment of its **right** endpoint, because each sample carries the current
@@ -286,24 +286,6 @@ class IntegratedCycle:
     w_discharge: float
 
 
-@dataclass(frozen=True)
-class CycleAnalysis:
-    """The complete cycles of a trace and the window its efficiency averages."""
-
-    segments: list[Segment]
-    cycles: list[IntegratedCycle]
-    steady_from_cycle: int | None
-    window: tuple[int, int]
-    window_rule: str
-    warnings: list[str]
-
-    @property
-    def eta(self) -> float:
-        """Mean of ``e_out / e_in`` over the averaging window."""
-        first, last = self.window
-        return float(np.mean([c.e_out / c.e_in for c in self.cycles[first - 1 : last]]))
-
-
 def _group_cycles(
     segments: list[Segment],
 ) -> tuple[list[dict[Phase, Segment]], list[str]]:
@@ -499,27 +481,13 @@ def identify_capacitance(trace: Trace, segments: list[Segment]) -> Estimate:
     return Estimate(value=float(arr.mean()), stdev=float(arr.std()), n=arr.size)
 
 
-def analyze_cycles(
-    trace: Trace,
-    i_threshold_frac: float = 0.05,
-    min_segment: float = 1.0,
-    steady_tol: float = 0.01,
-) -> CycleAnalysis:
-    """Segment the trace, integrate each complete cycle once, pick the window.
+def _integrated_cycles(
+    trace: Trace, grouped: list[dict[Phase, Segment]]
+) -> list[IntegratedCycle]:
+    """Integrate each complete cycle's active phases once.
 
-    This is all a steady-window efficiency needs; :func:`analyze_trace` adds
-    identification and the loss split on top.  Segments before the first
-    charge and cycles without a discharge are dropped with a logged warning.
     A cycle that takes in no energy raises :class:`NumericError`.
     """
-    trace.validate()
-    segs = segment(trace, i_threshold_frac, min_segment)
-    grouped, warnings = _group_cycles(segs)
-    for w in warnings:
-        logger.warning(w)
-    if not grouped:
-        raise NoCyclesFound("no complete charge-discharge cycle in the trace")
-
     cycles = []
     for n, cyc in enumerate(grouped, start=1):
         charge, discharge = cyc[Phase.CHARGE], cyc[Phase.DISCHARGE]
@@ -534,9 +502,7 @@ def analyze_cycles(
             charge, cyc.get(Phase.REST_HIGH), discharge, cyc.get(Phase.REST_LOW),
             e_in, q_in, w_c, -e_dis, q_out, w_d,
         ))
-    charges = [(c.q_in, c.q_out) for c in cycles]
-    steady_from, window, rule = steady_window(charges, steady_tol)
-    return CycleAnalysis(segs, cycles, steady_from, window, rule, warnings)
+    return cycles
 
 
 def analyze_trace(
@@ -545,17 +511,25 @@ def analyze_trace(
     min_segment: float = 1.0,
     steady_tol: float = 0.01,
 ) -> AnalysisReport:
-    """Full pipeline: :func:`analyze_cycles`, identification, loss split, steady report.
+    """Segment the trace, integrate its complete cycles, identify, split, average.
 
-    Identification runs on the segments of steady cycles only, so early
-    transient cycles cannot skew the estimates; when identification is
-    impossible the report carries null entries plus a warning instead of
-    failing.
+    Segments before the first charge and cycles without a discharge are
+    dropped with a logged warning.  Identification runs on the segments of
+    steady cycles only, so early transient cycles cannot skew the estimates;
+    when identification is impossible the report carries null entries plus a
+    warning instead of failing.
     """
-    core = analyze_cycles(trace, i_threshold_frac, min_segment, steady_tol)
-    warnings = list(core.warnings)
-    steady0 = core.steady_from_cycle
-    steady_cycles = core.cycles if steady0 is None else core.cycles[steady0 - 1 :]
+    trace.validate()
+    segs = segment(trace, i_threshold_frac, min_segment)
+    grouped, warnings = _group_cycles(segs)
+    for w in warnings:
+        logger.warning(w)
+    if not grouped:
+        raise NoCyclesFound("no complete charge-discharge cycle in the trace")
+
+    cycles = _integrated_cycles(trace, grouped)
+    steady0, _, _ = steady_window([(c.q_in, c.q_out) for c in cycles], steady_tol)
+    steady_cycles = cycles if steady0 is None else cycles[steady0 - 1 :]
     steady_segs = [
         s
         for cyc in steady_cycles
@@ -575,11 +549,11 @@ def analyze_trace(
         warnings.append(f"capacitance not identified: {exc}")
 
     metrics = cycle_metrics(
-        core.cycles, trace.sample_period, c_est=c_est.value if c_est else None
+        cycles, trace.sample_period, c_est=c_est.value if c_est else None
     )
     steady = detect_steady(metrics, steady_tol)
     return AnalysisReport(
-        segments=core.segments,
+        segments=segs,
         steady=steady,
         r_series=r_series,
         c_main=c_est,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analyzer import ETA_SLACK
-from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP item 8)
+from .analyzer import analyze_trace  # unused; perfbench patches this name (ROADMAP items 1 and 9)
 from .errors import (
     CapcycleError,
     ConfigError,
@@ -38,7 +38,7 @@ from .model import (
     efficiency_with_rest,
 )
 from .simulator import periodic_etas
-from .simulator import run_protocol  # unused; perfbench patches this name (ROADMAP item 8)
+from .simulator import run_protocol  # unused; perfbench patches this name (ROADMAP items 1 and 9)
 
 PU_LEVELS = (0.0, 0.25, 0.5, 0.7, 0.9, 1.0)
 """Default per-unit grid levels of the test campaign."""

@@ -281,8 +281,9 @@ def run_protocol(
     device with a redistribution branch stabilizes over several cycles.
 
     The spec is checked against the device, the window's feasibility and the
-    sample cap before any step, and each phase's end state for termination,
-    finiteness and the guard band; the first failing check raises.
+    sample cap before any step, each phase's end state for termination,
+    finiteness and the guard band, and the run for at least 2 samples; the
+    first failing check raises.
 
     Trace ``meta`` carries ground truth: per-phase boundaries
     (``boundaries``, a list of :class:`~capcycle.trace.CycleBoundary`),
@@ -383,6 +384,12 @@ def run_protocol(
                 t_discharge.append(steps * dt_int)
 
     v = np.concatenate(phase_v)
+    if v.size < 2:
+        raise ConfigError(
+            f"the run gives {v.size} sample(s) at a sample period of "
+            f"{acq.sample_period!r} s, and a trace needs at least 2; use a "
+            "shorter sample period or more cycles"
+        )
     trace = Trace(
         t=np.arange(1, v.size + 1) * acq.sample_period,
         v=v,

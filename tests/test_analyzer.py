@@ -26,7 +26,6 @@ from capcycle import (
     Segment,
     Trace,
     TraceParseError,
-    analyze_cycles,
     analyze_trace,
     cycle_metrics,
     detect_steady,
@@ -39,7 +38,7 @@ from capcycle import (
     write_trace_csv,
 )
 from capcycle import analyzer
-from capcycle.analyzer import _integrate
+from capcycle.analyzer import _group_cycles, _integrate, _integrated_cycles
 
 DEV = DeviceParams(c_main=10.0, r_series=0.0922, v_rated=2.7)
 SPEC_RESTS = CycleSpec(
@@ -257,7 +256,8 @@ class TestEnergyBookkeeping:
         # without one, they are the rests' share of the cycle's duration.
         rests = [s for s in rest_segments[:4] if s.kind in (Phase.REST_HIGH, Phase.REST_LOW)]
         assert len(rests) == 2
-        cycles, sp = analyze_cycles(rest_trace).cycles, rest_trace.sample_period
+        cycles = _integrated_cycles(rest_trace, _group_cycles(rest_segments)[0])
+        sp = rest_trace.sample_period
         stored = cycle_metrics(cycles, sp, c_est=10.0)[0]
         drop = sum(0.5 * 10.0 * (s.v_start**2 - s.v_end**2) for s in rests)
         assert stored.loss_rest == pytest.approx(drop, abs=1e-12)
@@ -274,9 +274,10 @@ class TestEnergyBookkeeping:
         split = timed.loss_charge / (timed.loss_charge + timed.loss_discharge)
         assert split == pytest.approx(w_c / (w_c + w_d), rel=1e-12)
         no_rest = run_protocol(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=2))
-        core = analyze_cycles(no_rest)
-        segs = core.segments
-        first = cycle_metrics(core.cycles, no_rest.sample_period)[0]
+        segs = segment(no_rest)
+        first = cycle_metrics(
+            _integrated_cycles(no_rest, _group_cycles(segs)[0]), no_rest.sample_period
+        )[0]
         assert first.loss_rest == 0.0
         w_c, w_d = (_fancy_index_integrals(no_rest, s)[2] for s in segs[:2])
         share = first.loss_charge / (first.e_in - first.e_out)

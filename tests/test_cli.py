@@ -46,6 +46,19 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    def test_sample_period_longer_than_the_run_exit_2(self, capsys, tmp_path):
+        # One 10F cycle is over before the first 200-s sample: the run would
+        # write a trace that `analyze` cannot read, so nothing is written.
+        out = tmp_path / "e.csv"
+        code, stdout, err = run(
+            capsys, "simulate", "--device", "10F", "--sample-period", "200",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "sample period of 200.0 s" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_window_exit_4(self, capsys, tmp_path):
         device = tmp_path / "dev.json"
         device.write_text(json.dumps({"c_main": 10.0, "r_series": 0.5}))

@@ -28,7 +28,7 @@ from capcycle import (
     Redistribution,
     RestVoltages,
     Trace,
-    analyze_cycles,
+    analyze_trace,
     build_grid,
     charge_duration,
     efficiency_no_rest,
@@ -265,7 +265,8 @@ class TestBuildGridSimulated:
             s = CycleSpec(i_c=i_c, v_min=vm * p.v_rated, v_max=vM * p.v_rated,
                           rest_after_charge=0.3, rest_after_discharge=0.3, max_cycles=20)
             min_segment = min(1.0, 0.5 * charge_duration(p, s))
-            traced = analyze_cycles(run_protocol(p, s), min_segment=min_segment).eta
+            report = analyze_trace(run_protocol(p, s), min_segment=min_segment)
+            traced = report.steady.mean.eta
             orbit = PeriodicObjective(p, i_c, rest=0.3).eta(vm, vM)
             swing = s.v_max - s.v_min - 2 * i_c * p.r_series
             bound = (1 + 2 * s.v_max / (s.v_min + s.v_max)) * (i_c * 0.1 / p.c_main) / swing
@@ -282,7 +283,7 @@ class TestBuildGridSimulated:
         s = CycleSpec(i_c=1.0, v_min=0.7 * 2.7, v_max=0.8 * 2.7, rest_after_charge=60.0,
                       rest_after_discharge=60.0, max_cycles=6)
         with pytest.raises(MalformedProtocol):
-            analyze_cycles(run_protocol(self._SHORT, s), min_segment=1.0)
+            analyze_trace(run_protocol(self._SHORT, s), min_segment=1.0)
         assert 0 < PeriodicObjective(self._SHORT, 1.0, rest=60.0).eta(0.7, 0.8) < 1
 
     def test_active_phase_without_a_sample_is_refused(self):

@@ -19,7 +19,6 @@ from capcycle import (
     DynamicsDiverged,
     PeriodicObjective,
     Redistribution,
-    analyze_cycles,
     analyze_trace,
     branch_time_constant,
     charge_duration,
@@ -518,7 +517,7 @@ class TestBlockedPropagation:
         s = dataclasses.replace(s, rest_after_discharge=s.rest_after_charge)
         trace = run_protocol(p, s, acq)
         assert trace.v.min() < -0.1 * 2.7
-        traced = analyze_cycles(trace, min_segment=1.0).eta
+        traced = analyze_trace(trace, min_segment=1.0).steady.mean.eta
         orbit = PeriodicObjective(p, s.i_c, s.rest_after_charge).eta(
             s.v_min / p.v_rated, s.v_max / p.v_rated)
         swing = s.v_max - s.v_min - 2 * s.i_c * p.r_series
@@ -659,28 +658,6 @@ class TestProtocolProperties:
             losses = m.loss_charge + m.loss_rest + m.loss_discharge
             assert abs(losses - (m.e_in - m.e_out)) <= 1e-9 * m.e_in
 
-    @settings(max_examples=25, deadline=None)
-    @given(case=_protocols(cycles=st.integers(1, 25)))
-    # one case per window rule: cycles-17-20, last-steady-cycles, never-steady-fallback
-    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=20),
-                   AcquisitionConfig(sample_period=1.0)))
-    @example(case=(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=5),
-                   AcquisitionConfig(sample_period=1.0)))
-    @example(case=(DeviceParams(c_main=10.0, r_series=0.03, v_rated=2.7, r_leak=500.0),
-                   CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, rest_after_charge=120.0,
-                             rest_after_discharge=120.0, max_cycles=6),
-                   AcquisitionConfig(sample_period=1.0)))
-    def test_core_eta_equals_full_analysis(self, case):
-        # analyze_cycles alone must give the full report's window mean, bit
-        # for bit.
-        p, s, acq = case
-        trace = run_protocol(p, s, acq)
-        min_segment = min(1.0, 0.5 * charge_duration(p, s))
-        core = analyze_cycles(trace, min_segment=min_segment)
-        steady = analyze_trace(trace, min_segment=min_segment).steady
-        assert (core.window, core.window_rule) == (steady.window, steady.window_rule)
-        assert core.eta.hex() == steady.mean.eta.hex()
-
     @settings(max_examples=50, deadline=None)
     @given(case=_ideal_windows(), rest=st.floats(0.0, 1800.0))
     def test_orbit_of_an_ideal_device_is_the_closed_form(self, case, rest):
@@ -721,7 +698,7 @@ class TestProtocolProperties:
         min_segment = min(1.0, 0.5 * charge_duration(p, s))
         for dt in (0.1, 0.01):
             trace = run_protocol(p, s, AcquisitionConfig(sample_period=dt))
-            eta = analyze_cycles(trace, min_segment=min_segment).eta
+            eta = analyze_trace(trace, min_segment=min_segment).steady.mean.eta
             bound = (1 + 2 * s.v_max / (s.v_min + s.v_max)) * (s.i_c * dt / p.c_main) / swing
             assert abs(eta - orbit) <= bound, dt
 

@@ -81,7 +81,9 @@ def test_perfbench_reads_kernel_counts(tracing):
 def test_perfbench_counts_analyzer_and_map_layers(tracing, tmp_path):
     # The analyzer's counts come from segment() and cycle_metrics() results,
     # the map's from build_grid() and the run_phase calls, of which a
-    # simulated map makes none.
+    # simulated map makes none.  analyze_trace calls its stages through the
+    # analyzer's module globals, where the harness wraps them; a stage called
+    # any other way would read 0 s, its time filed under analyze_trace's own.
     csv_path, report = tmp_path / "t.csv", tmp_path / "r.json"
     assert cli.main(["simulate", "--device", "10F", "--cycles", "2", "--rest", "10",
                      "--out", str(csv_path)]) == 0
@@ -92,6 +94,8 @@ def test_perfbench_counts_analyzer_and_map_layers(tracing, tmp_path):
     doc = json.loads(report.read_text(encoding="utf-8"))
     assert (values["analyzer.cycles"], values["analyzer.segments"]) == (
         len(doc["cycles"]), len(doc["segments"]))
+    stages = ("analyze_trace", "segment", "identify", "cycle_metrics", "detect_steady")
+    assert [s for s in stages if not values[f"analyzer.{s}_s"] > 0] == []
 
     tracer = tracing.Tracer()
     with tracing.Patches(tracer) as patches:
