@@ -124,15 +124,21 @@ def coerce(kind: str, value, where: str, choices=None):
     raise ConfigError(f"{where}: expected {expected}, got {value!r}")
 
 
-def _load_config(path: str | None, allowed: set[str], command: str) -> dict:
-    if path is None:
-        return {}
+def _json_object(path: str | Path, where: str) -> dict:
+    """The JSON object in a UTF-8 file; errors start with ``where``."""
     try:
         doc = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
-        raise TraceParseError(f"config {path}: {exc}") from exc
+        raise TraceParseError(f"{where}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: top level must be a JSON object")
+        raise ConfigError(f"{where}: top level must be a JSON object")
+    return doc
+
+
+def _load_config(path: str | None, allowed: set[str], command: str) -> dict:
+    if path is None:
+        return {}
+    doc = _json_object(path, f"config {path}")
     version = doc.pop("schema_version", None)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
@@ -192,12 +198,7 @@ _BRANCH_FIELDS = {"c_branch": REQUIRED, "r_branch": REQUIRED}
 
 def _device_from_json(path: Path) -> DeviceParams:
     where = f"device file {path}"
-    try:
-        doc = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(f"{where}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: top level must be a JSON object")
+    doc = _json_object(path, where)
     unknown = set(doc) - {*_DEVICE_FIELDS, "redistribution"}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")

@@ -9,7 +9,6 @@ to SI units and to :class:`~capcycle.effmap.EfficiencyGrid` objects.
 
 from __future__ import annotations
 
-import csv
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .effmap import PU_LEVELS, EfficiencyGrid, GridMethod
 from .errors import ConfigError, TraceParseError
-from .trace import read_utf8
+from .trace import csv_lines
 
 DEVICES = ("10F", "50F", "100F")
 
@@ -40,14 +39,10 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files("capcycle").joinpath(f"data/{name}.csv")))
 
 
-def _read_rows(name: str) -> list[list[str]]:
-    with data_path(name).open(newline="") as fh:
-        return [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-
-
 def load_current_sweep() -> list[tuple[float, float]]:
     """(current in A, efficiency as a fraction) rows of the 10 F sweep."""
-    return [(float(r[0]), float(r[1]) / 100.0) for r in _read_rows("table1")]
+    rows = csv_lines(data_path("table1"), 2)
+    return [(float(i), float(eta) / 100.0) for _, (i, eta) in rows]
 
 
 def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, ...]]:
@@ -58,21 +53,10 @@ def load_rest_voltage_rows(path: Path | str | None = None) -> list[tuple[float, 
     ``vM_V - vm_V`` by more than :data:`SPAN_TOLERANCE_V` raises
     :class:`~capcycle.errors.TraceParseError` carrying its line number.
     """
-    text = read_utf8(data_path("table3") if path is None else path)
     rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise TraceParseError(
-                f"expected 5 columns (span_V, vm_V, vM_V, v_sd_mV, v_sc_mV), "
-                f"got {len(parts)}",
-                line_no=line_no,
-            )
+    for line_no, fields in csv_lines(data_path("table3") if path is None else path, 5):
         try:
-            span, vm, vM, v_sd, v_sc = (float(x) for x in parts)
+            span, vm, vM, v_sd, v_sc = (float(x) for x in fields)
         except ValueError as exc:
             raise TraceParseError(str(exc), line_no=line_no) from exc
         if not np.isfinite((span, vm, vM, v_sd, v_sc)).all():
@@ -97,7 +81,7 @@ def measured_grid(device: str, rest: bool = False) -> EfficiencyGrid:
         raise ConfigError(f"unknown device {device!r}; choose from {DEVICES}")
     col = 2 + DEVICES.index(device)
     eta = np.full((len(PU_LEVELS), len(PU_LEVELS)), np.nan)
-    for r in _read_rows("table4" if rest else "table2"):
+    for _, r in csv_lines(data_path("table4" if rest else "table2"), 5):
         vm, vM = float(r[0]), float(r[1])
         eta[PU_LEVELS.index(vM), PU_LEVELS.index(vm)] = float(r[col]) / 100.0
     return EfficiencyGrid(

@@ -182,39 +182,48 @@ def read_trace_csv(path: str | Path) -> Trace:
     return _validated(path, t, v, i)
 
 
+def csv_lines(path: str | Path, width: int, header: str | None = None):
+    """Yield ``(line number, fields)`` for each data line of a UTF-8 CSV file.
+
+    Lines end at LF, CRLF or a lone CR and are numbered as :func:`read_utf8`
+    numbers them.  With a ``header`` (traces, sidecars) the first line must
+    equal it, and every other line loses only its line ending.  Without one
+    (rows files, packaged tables) each line is stripped, and ``#`` comments
+    are skipped.  Empty lines are skipped; a line of other than ``width``
+    comma-separated fields raises :class:`TraceParseError`.
+    """
+    lines = io.StringIO(read_utf8(path), newline="")
+    if header is not None and (first := lines.readline().rstrip("\r\n")) != header:
+        raise TraceParseError(f"expected header {header!r}, got {first!r}", line_no=1)
+    for line_no, line in enumerate(lines, start=1 if header is None else 2):
+        line = line.rstrip("\r\n") if header is not None else line.strip()
+        if not line or (header is None and line.startswith("#")):
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise TraceParseError(
+                f"expected {width} comma-separated fields, got {len(fields)}",
+                line_no=line_no,
+            )
+        yield line_no, fields
+
+
 def _read_trace_csv_lines(path: Path) -> Trace:
     """The line-by-line trace parser: slow, but it names the offending line."""
-    with io.StringIO(read_utf8(path), newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != TRACE_HEADER:
-            raise TraceParseError(
-                f"expected header {TRACE_HEADER!r}, got {header!r}", line_no=1
-            )
-        t_list: list[float] = []
-        v_list: list[float] = []
-        i_list: list[float] = []
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise TraceParseError(
-                    f"expected 3 comma-separated fields, got {len(parts)}",
-                    line_no=line_no,
-                )
-            try:
-                t, v, i = (float(p) for p in parts)
-            except ValueError:
-                raise TraceParseError(f"unparseable number in {line!r}", line_no=line_no)
-            if not (math.isfinite(t) and math.isfinite(v) and math.isfinite(i)):
-                raise TraceParseError("non-finite value", line_no=line_no)
-            t_list.append(t)
-            v_list.append(v)
-            i_list.append(i)
-    if len(t_list) < 2:
+    rows: list[tuple[float, ...]] = []
+    for line_no, fields in csv_lines(path, 3, TRACE_HEADER):
+        try:
+            row = tuple(float(p) for p in fields)
+        except ValueError:
+            line = ",".join(fields)
+            raise TraceParseError(f"unparseable number in {line!r}", line_no=line_no)
+        if not all(math.isfinite(x) for x in row):
+            raise TraceParseError("non-finite value", line_no=line_no)
+        rows.append(row)
+    if len(rows) < 2:
         raise TraceParseError("trace needs at least 2 samples")
-    return _validated(path, np.array(t_list), np.array(v_list), np.array(i_list))
+    t, v, i = np.array(rows).T.copy()
+    return _validated(path, t, v, i)
 
 
 def _validated(path: Path, t: np.ndarray, v: np.ndarray, i: np.ndarray) -> Trace:
@@ -240,33 +249,13 @@ def write_sidecar_csv(boundaries: list[CycleBoundary], path: str | Path) -> Path
 
 
 def read_sidecar_csv(path: str | Path) -> list[CycleBoundary]:
-    path = Path(path)
     out: list[CycleBoundary] = []
-    with io.StringIO(read_utf8(path), newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != SIDECAR_HEADER:
-            raise TraceParseError(
-                f"expected header {SIDECAR_HEADER!r}, got {header!r}", line_no=1
-            )
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise TraceParseError(
-                    f"expected 4 comma-separated fields, got {len(parts)}",
-                    line_no=line_no,
-                )
-            try:
-                out.append(
-                    CycleBoundary(
-                        cycle=int(parts[0]),
-                        phase=parts[1],
-                        t_start=float(parts[2]),
-                        t_end=float(parts[3]),
-                    )
-                )
-            except ValueError:
-                raise TraceParseError(f"unparseable field in {line!r}", line_no=line_no)
+    for line_no, fields in csv_lines(Path(path), 4, SIDECAR_HEADER):
+        cycle, phase, t_start, t_end = fields
+        try:
+            out.append(CycleBoundary(cycle=int(cycle), phase=phase,
+                                     t_start=float(t_start), t_end=float(t_end)))
+        except ValueError:
+            line = ",".join(fields)
+            raise TraceParseError(f"unparseable field in {line!r}", line_no=line_no)
     return out

@@ -622,6 +622,27 @@ class TestFitSelfDischarge:
         code, _, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
         assert code == 3 and "line 3" in err, err
 
+    def test_rows_lines_are_stripped(self, capsys, tmp_path):
+        # unlike a trace, a rows file strips each line and skips # comments
+        rows = tmp_path / "rows.csv"
+        rows.write_text("0.3,0.0,0.3,20,15\n   \n  # c\n0.9,0.0,0.9,50,40\n"
+                        " 2.1 ,0.0,2.1,120,95 \n")
+        code, out, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
+        assert code == 0, err
+        assert json.loads(out)["n_rows"] == 3
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028"],
+                             ids=["x0c", "x1c", "x85", "u2028"])
+    def test_rows_line_numbers_count_as_read_utf8(self, capsys, tmp_path, sep):
+        # only LF, CRLF and a lone CR end a line, as in read_utf8's own errors;
+        # str.splitlines() would also break at sep and call the bad row line 4
+        rows = tmp_path / "rows.csv"
+        rows.write_bytes(f"0.3,0.0,0.3,20,15{sep}\n0.9,0.0,0.9,50,40\n"
+                         "abc,0.0,1.5,80,60\n2.1,0.0,2.1,120,95\n".encode())
+        code, out, err = run(capsys, "fit-selfdischarge", "--rows", str(rows))
+        assert (code, out) == (3, "")
+        assert err == "error: line 3: could not convert string to float: 'abc'\n"
+
 
 class TestIecCurrent:
     def test_derived_resistance_value(self, capsys):

@@ -17,6 +17,7 @@ from capcycle.trace import (
     Trace,
     _block_field,
     _read_trace_csv_lines,
+    read_sidecar_csv,
     read_trace_csv,
     write_trace_csv,
 )
@@ -243,6 +244,32 @@ def test_loadtxt_reads_from_the_path(tmp_path, monkeypatch):
     path.write_bytes(b"t_s,v_V,i_A\n0.1,1,2\n0.2,1.5,2\n")
     assert read_trace_csv(path).v.tolist() == [1.0, 1.5]
     assert seen == [str(path)]
+
+
+@pytest.mark.parametrize("reader", [read_trace_csv, _read_trace_csv_lines],
+                         ids=["read_trace_csv", "line_parser"])
+@pytest.mark.parametrize("content, message", [
+    (b"t_s,v_V,i_A\n0.1,1,2\n   \n0.2,1.5,2\n",
+     "line 3: expected 3 comma-separated fields, got 1"),
+    (b"t_s,v_V,i_A\n0.1,1,2\n0.2,1.5,2\x1c\n",
+     "line 3: unparseable number in '0.2,1.5,2\\x1c'"),
+], ids=["spaces", "separator"])
+def test_trace_lines_are_not_stripped(tmp_path, reader, content, message):
+    # a trace line loses only its line ending: spaces and the separators that
+    # str.strip() would remove stay part of it
+    path = tmp_path / "t.csv"
+    path.write_bytes(content)
+    with pytest.raises(TraceParseError) as exc:
+        reader(path)
+    assert str(exc.value) == message
+
+
+def test_sidecar_line_of_spaces_is_refused(tmp_path):
+    path = tmp_path / "t.cycles.csv"
+    path.write_bytes(b"cycle,phase,t_start_s,t_end_s\n1,charge,0,1\n   \n")
+    with pytest.raises(TraceParseError) as exc:
+        read_sidecar_csv(path)
+    assert str(exc.value) == "line 3: expected 4 comma-separated fields, got 1"
 
 
 # ---------------------------------------------------------------------------
