@@ -383,17 +383,22 @@ def run_protocol(
                 q_out.append(s.i_c * steps * dt_int)
                 t_discharge.append(steps * dt_int)
 
+    # From here on the trace's columns are the only sample arrays alive.
+    sizes = [a.size for a in phase_v]
     v = np.concatenate(phase_v)
+    del phase_v, samples
     if v.size < 2:
         raise ConfigError(
             f"the run gives {v.size} sample(s) at a sample period of "
             f"{acq.sample_period!r} s, and a trace needs at least 2; use a "
             "shorter sample period or more cycles"
         )
+    t = np.arange(1.0, v.size + 1.0)  # whole numbers below 2**53 are exact
+    t *= acq.sample_period
     trace = Trace(
-        t=np.arange(1, v.size + 1) * acq.sample_period,
+        t=t,
         v=v,
-        i=np.repeat(phase_i, [a.size for a in phase_v]),
+        i=np.repeat(phase_i, sizes),
         sample_period=acq.sample_period,
         meta={
             "boundaries": boundaries,
@@ -412,14 +417,25 @@ def run_protocol(
 
 
 def quantize_trace(trace: Trace) -> Trace:
-    """Round voltage and current to ``V_QUANTUM`` and ``I_QUANTUM`` (idempotent)."""
-    v = np.round(trace.v / V_QUANTUM) * V_QUANTUM
-    i = np.round(trace.i / I_QUANTUM) * I_QUANTUM
+    """Round voltage and current to ``V_QUANTUM`` and ``I_QUANTUM`` (idempotent).
+
+    Returns a new trace; each column is one new array, rounded in place.
+    """
+    v = _quantized(trace.v, V_QUANTUM)
+    i = _quantized(trace.i, I_QUANTUM)
     meta = dict(trace.meta)
     meta["quantized"] = True
     return Trace(
         t=trace.t.copy(), v=v, i=i, sample_period=trace.sample_period, meta=meta
     )
+
+
+def _quantized(x: np.ndarray, q: float) -> np.ndarray:
+    """``np.round(x / q) * q`` in one new array: the same operations and bits."""
+    y = x / q
+    np.round(y, out=y)
+    y *= q
+    return y
 
 
 # ---------------------------------------------------------------------------

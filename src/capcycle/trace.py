@@ -13,6 +13,7 @@ import io
 import math
 import os
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,8 +59,10 @@ class Trace:
         if not np.all(dt > 0):
             bad = int(np.flatnonzero(dt <= 0)[0]) + 1
             raise TraceParseError(f"time not strictly increasing at sample {bad}")
-        if np.max(np.abs(dt - self.sample_period)) > 1e-6 * self.sample_period:
-            bad = int(np.argmax(np.abs(dt - self.sample_period))) + 1
+        off = dt - self.sample_period
+        np.abs(off, out=off)
+        bad = int(off.argmax()) + 1  # a NaN counts as largest, as in np.max
+        if off[bad - 1] > 1e-6 * self.sample_period:
             raise TraceParseError(
                 f"non-uniform sampling at sample {bad}: spacing {dt[bad - 1]!r} "
                 f"vs period {self.sample_period!r}"
@@ -156,7 +159,9 @@ def read_trace_csv(path: str | Path) -> Trace:
     so that it reads the file in chunks.  Anything else goes to the line
     parser, which decides whether the file is valid and reports where it is
     not; so does a file named with a suffix on which ``np.loadtxt`` would
-    decompress it, so that every file is read as the bytes it holds.
+    decompress it, so that every file is read as the bytes it holds.  The
+    ``np.loadtxt`` block is released as soon as its columns are copied out,
+    so validation runs beside one copy of the samples.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -179,6 +184,7 @@ def read_trace_csv(path: str | Path) -> Trace:
     if data.shape[1] != 3 or len(data) < 2 or not np.isfinite(data).all():
         return _read_trace_csv_lines(path)
     t, v, i = data.T.copy()
+    del data  # not held while the columns are validated
     return _validated(path, t, v, i)
 
 
@@ -210,19 +216,20 @@ def csv_lines(path: str | Path, width: int, header: str | None = None):
 
 def _read_trace_csv_lines(path: Path) -> Trace:
     """The line-by-line trace parser: slow, but it names the offending line."""
-    rows: list[tuple[float, ...]] = []
+    values = array("d")  # the samples row by row, 8 bytes a value
     for line_no, fields in csv_lines(path, 3, TRACE_HEADER):
         try:
-            row = tuple(float(p) for p in fields)
+            row = [float(p) for p in fields]
         except ValueError:
             line = ",".join(fields)
             raise TraceParseError(f"unparseable number in {line!r}", line_no=line_no)
         if not all(math.isfinite(x) for x in row):
             raise TraceParseError("non-finite value", line_no=line_no)
-        rows.append(row)
-    if len(rows) < 2:
+        values.extend(row)
+    if len(values) < 6:
         raise TraceParseError("trace needs at least 2 samples")
-    t, v, i = np.array(rows).T.copy()
+    t, v, i = np.frombuffer(values).reshape(-1, 3).T.copy()
+    del values
     return _validated(path, t, v, i)
 
 

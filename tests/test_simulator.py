@@ -279,6 +279,20 @@ class TestAcquisition:
         assert np.allclose(scaled, np.round(scaled), atol=1e-6)
         assert tr.meta["quantized"] is True
 
+    def test_quantized_run_peaks_at_two_traces(self, traced_peak):
+        # At the peak the unquantized trace's three columns and the quantized
+        # trace's three are live: 2x the result's bytes.  The allowance is for
+        # the meta lists and the Trace objects; no column-sized temporary or
+        # phase sample array may stay alive (the power table is cached first).
+        spec = CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=300.0,
+                         rest_after_discharge=300.0, max_cycles=2)
+        acq = AcquisitionConfig(quantize=True)
+        run_protocol(preset("50F"), spec, acq)
+        tr, peak = traced_peak(run_protocol, preset("50F"), spec, acq)
+        nbytes = tr.t.nbytes + tr.v.nbytes + tr.i.nbytes
+        assert len(tr) > 10_000
+        assert peak <= 2 * nbytes + 16 * 1024, peak / nbytes
+
     def test_sample_period_respected(self):
         acq = AcquisitionConfig(sample_period=0.5)
         tr = run_protocol(DEV, SPEC, acq)

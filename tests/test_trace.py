@@ -246,6 +246,36 @@ def test_loadtxt_reads_from_the_path(tmp_path, monkeypatch):
     assert seen == [str(path)]
 
 
+def _memory_trace(tmp_path, n=20_000):
+    """A written ``n``-sample trace's path and its three columns' bytes."""
+    rng = np.random.default_rng(3)
+    third = n // 3
+    trace = Trace(t=np.arange(1, n + 1) * 0.1, v=rng.uniform(0.0, 2.7, n),
+                  i=np.repeat([3.95, 0.0, -3.95], [third, third, n - 2 * third]),
+                  sample_period=0.1)
+    return write_trace_csv(trace, tmp_path / "t.csv"), 24 * n
+
+
+def test_fast_reader_peaks_at_the_loadtxt_block_and_its_copy(tmp_path, traced_peak):
+    # At the peak the (n, 3) loadtxt block and the three contiguous columns
+    # copied from it are live: 2x the columns' bytes.  The block is released
+    # before validation, whose diff and offset arrays are 2/3 of the columns.
+    path, nbytes = _memory_trace(tmp_path)
+    _, peak = traced_peak(read_trace_csv, path)
+    assert peak <= 2 * nbytes + 16 * 1024, peak / nbytes
+
+
+def test_line_parser_peak_is_the_text_and_one_copy_of_the_samples(tmp_path, traced_peak):
+    # At the peak csv_lines' StringIO holds the text at 4 bytes a character
+    # (ASCII, so 4x the file), and the array('d') of samples is full, with at
+    # most 1/16 of its size over-allocated.  Once the text is gone the samples
+    # and their columns make 2x the columns' bytes, which is less.  The
+    # allowance covers the per-line strings and floats.
+    path, nbytes = _memory_trace(tmp_path)
+    _, peak = traced_peak(_read_trace_csv_lines, path)
+    assert peak <= 4 * path.stat().st_size + nbytes * 17 / 16 + 16 * 1024, peak / nbytes
+
+
 @pytest.mark.parametrize("reader", [read_trace_csv, _read_trace_csv_lines],
                          ids=["read_trace_csv", "line_parser"])
 @pytest.mark.parametrize("content, message", [
