@@ -9,9 +9,10 @@ boundaries with header ``cycle,phase,t_start_s,t_end_s``.
 
 from __future__ import annotations
 
-import io
+import functools
 import math
 import os
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -84,7 +85,7 @@ def _fmt(x: float) -> str:
 
 
 WRITE_BLOCK_ROWS = 4096
-"""Rows formatted by one ``%`` operation in :func:`write_trace_csv`."""
+"""Rows :func:`write_trace_csv` assembles into one byte matrix."""
 
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
@@ -95,42 +96,109 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     """Write the trace in the canonical CSV format; returns the path.
 
-    Rows go out in blocks of :data:`WRITE_BLOCK_ROWS`, each formatted by one
-    ``%`` operation whose fields :func:`_block_field` chooses per column.
+    Rows go out in blocks of :data:`WRITE_BLOCK_ROWS`.  A block is one
+    ``uint8`` matrix with a row per sample, each field NUL-padded to its
+    column's width, and its non-NUL bytes are the block's lines.  The time
+    column's block is spelled from integers by :func:`_grid_field` when every
+    value in it passes that function's check; any other block column is
+    formatted at ``%.9g`` by :func:`_text_field`.
     """
     path = Path(path)
     if not trace.t.size == trace.v.size == trace.i.size:
         raise ValueError("t, v, i arrays differ in length")
-    columns = (trace.t, trace.v, trace.i)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
+    e = _decimals(trace.sample_period)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_BYTES + b"\n")
         for start in range(0, len(trace), WRITE_BLOCK_ROWS):
-            fields, cells = zip(
-                *(_block_field(c[start : start + WRITE_BLOCK_ROWS]) for c in columns)
-            )
-            rows = np.stack(cells, axis=1)
-            row_format = ",".join(fields) + "\n"
-            fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            times = _grid_field(trace.t[block], e)
+            rows = np.concatenate([
+                _text_field(trace.t[block], ",") if times is None else times,
+                _text_field(trace.v[block], ","),
+                _text_field(trace.i[block], "\n"),
+            ], axis=1)
+            fh.write(rows[rows != 0].tobytes())
     return path
 
 
-def _block_field(column: np.ndarray) -> tuple[str, np.ndarray]:
-    """A block column's row-format field and the values that fill it.
+def _decimals(period: float) -> int:
+    """Digits after the point of ``period`` at ``%.9g``, clipped to 0..12.
 
-    A column with fewer runs of bitwise-equal values than half its rows
-    formats each run's first value once and enters as ``%s`` strings; any
-    other enters as floats under ``%.9g``.  Bits, not ``==``, delimit the
-    runs: ``-0.0`` and ``0.0`` stay apart, and a NaN repeats like any value.
+    Past 12 decimals ``N = D*10**e`` has over 9 digits for any ``D >= 1e-4``,
+    so :func:`_grid_field` would accept nothing.
+    """
+    mantissa, _, exponent = f"{period:.9g}".partition("e")
+    return min(max(len(mantissa.partition(".")[2]) - int(exponent or 0), 0), 12)
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of 0000 to 9999, four bytes each, as ``uint32``."""
+    return np.array([b"%04d" % k for k in range(10000)]).view(np.uint32)
+
+
+def _grid_field(t: np.ndarray, e: int) -> np.ndarray | None:
+    """The column's ``%.9g`` fields and commas, spelled from ``N = rint(t*10**e)``.
+
+    Used only if, for every value, ``%.9g`` prints the decimal ``D =
+    N/10**e``: ``D`` lies in ``[1e-4, 1e9)``, where ``%g`` writes fixed
+    notation, ``N`` has at most 9 digits, and ``t`` is within ``1e-12*t`` of
+    ``N/10**e``.  Otherwise returns None.
+    """
+    # Why the checks suffice.  N < 10**9 and 10.0**e (e <= 12) are exact, so
+    # n / scale is fl(D), within 2**-53*D of D, and t is within
+    # (1e-12 + 2**-53)*t of D.  Let u = 10**(p-8), t in [10**p, 10**(p+1)),
+    # be the unit of t's 9th significant digit: u > 1e-9*t.  D has at most 9
+    # significant digits, so it is a multiple of u unless it lies below
+    # 10**p, and then it is at most 10**p - u/10, over 1e-10*t below t,
+    # which the margin excludes.  So D is the multiple of u nearest t, closer
+    # than u/2, over 5e-10*t: %.9g rounds t to D, with no tie.  The margin
+    # 1e-12 lies 500 times inside u/2, and it is thousands of times the ulp
+    # or two by which fl(k*dt), or fl(k/10) read back from a file, misses D.
+    scale = 10.0**e
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN fail
+        n = np.rint(t * scale)
+        ok = (n >= 10.0 ** (e - 4)) & (n < 1e9) & (np.abs(t - n / scale) <= 1e-12 * t)
+    if not ok.all():
+        return None
+    n = n.astype(np.int64)
+    width = 4 * -(-max(len(str(n.max())), e + 1) // 4)
+    digits = np.empty((len(t), width // 4), np.uint32)
+    for k in range(width // 4):
+        digits[:, -1 - k] = _digit_groups()[n // 10 ** (4 * k) % 10000]
+    digits = digits.view(np.uint8)
+    point = width - e  # columns of the integer part, whose units digit stays
+    for j in range(point - 1):
+        digits[:, j] *= n >= 10 ** (width - 1 - j)
+    for j in range(point, width):
+        digits[:, j] *= n % 10 ** (width - j) != 0
+    field = np.empty((len(t), width + 2), np.uint8)
+    field[:, :point] = digits[:, :point]
+    field[:, point] = 0 if e == 0 else (digits[:, point] != 0) * ord(".")
+    field[:, point + 1 : -1] = digits[:, point:]
+    field[:, -1] = ord(",")
+    return field
+
+
+def _text_field(column: np.ndarray, sep: str) -> np.ndarray:
+    """The column's ``%.9g`` fields, each followed by ``sep``, NUL-padded.
+
+    Each run of bitwise-equal values is formatted once: bits, not ``==``,
+    delimit the runs, so ``-0.0`` and ``0.0`` stay apart and a NaN repeats
+    like any value.  The runs' text is encoded once, its bytes scattered into
+    a matrix with a row per run, and that matrix gathered with a row per value.
     """
     bits = column.view(np.int64)
     head = np.empty(bits.size, dtype=bool)
     head[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    runs = np.count_nonzero(head)
-    if 2 * runs >= column.size:
-        return "%.9g", column
-    firsts = ("%.9g\n" * runs % tuple(column[head].tolist())).split("\n")[:-1]
-    return "%s", np.array(firsts, dtype=object)[np.cumsum(head) - 1]
+    firsts = column[head]
+    text = np.frombuffer((f"%.9g{sep}" * firsts.size % tuple(firsts.tolist())).encode(),
+                         np.uint8)
+    widths = np.diff(np.flatnonzero(text == ord(sep)), prepend=-1)
+    runs = np.zeros((firsts.size, widths.max()), np.uint8)
+    runs[np.arange(widths.max()) < widths[:, None]] = text
+    return runs[np.cumsum(head) - 1]
 
 
 def read_utf8(path: str | Path) -> str:
@@ -198,11 +266,15 @@ def csv_lines(path: str | Path, width: int, header: str | None = None):
     are skipped.  Empty lines are skipped; a line of other than ``width``
     comma-separated fields raises :class:`TraceParseError`.
     """
-    lines = io.StringIO(read_utf8(path), newline="")
-    if header is not None and (first := lines.readline().rstrip("\r\n")) != header:
+    # Each match is one line and its ending; the text is not copied.  At the
+    # end of the text \Z matches an empty line, which is skipped like any.
+    matches = re.finditer(r"([^\r\n]*)(?:\r\n|\r|\n|\Z)", read_utf8(path))
+    lines = (match[1] for match in matches)
+    if header is not None and (first := next(lines)) != header:
         raise TraceParseError(f"expected header {header!r}, got {first!r}", line_no=1)
     for line_no, line in enumerate(lines, start=1 if header is None else 2):
-        line = line.rstrip("\r\n") if header is not None else line.strip()
+        if header is None:
+            line = line.strip()
         if not line or (header is None and line.startswith("#")):
             continue
         fields = line.split(",")
