@@ -13,39 +13,29 @@ boundary sample therefore still carries the active current, which is what a
 real acquisition chain integrating over the preceding interval reports, and
 what makes the interruption voltage jump cleanly visible to the analyzer.
 
-Phase propagation uses blocked exact powers.  Within one phase the circuit is
-linear and time-invariant, so on the augmented state
-``z = (v_main, v_branch, 1)`` one internal step is ``z+ = M z`` with
-
-    M = [[a11, a12, b1],
-         [a21, a22, b2],
-         [  0,   0,  1]]
-
-and the state after ``k`` steps is ``M^k z``.  A table of ``M^1 .. M^B``
-(built by doubling, cached per coefficient tuple) turns a block of ``B`` steps
-into one matrix product: only the two state rows of each power are kept,
-stacked into a ``(2B, 3)`` array, so ``table[:2b] @ z`` yields the ``b``
-successive states interleaved.  Rest phases run in blocks of up to
-``TABLE_CAP`` steps; charge and discharge phases run in ``RAMP_BLOCK``-step
-blocks and stop at the first step whose terminal voltage crosses the limit.
-See Van Loan (1978), "Computing integrals involving the matrix exponential".
+Phase propagation evaluates the circuit's exact solution.  Within one phase
+the current is constant and the circuit linear, and on its modes (computed
+once per device by :func:`_modes`) each mode moves on its own: mode ``k`` is
+``y_k(t) = e^{λt} y_k + i β_k φ1`` with ``φ1 = expm1(λt) / λ``
+(:func:`_flow`).  The state after ``k`` internal steps is that solution at
+``t = k·dt`` from the phase's start state, so no step's rounding carries into
+the next.  Rest phases are evaluated in blocks of up to ``TABLE_CAP`` steps;
+charge and discharge phases in ``RAMP_BLOCK``-step blocks, stopping at the
+first step whose terminal voltage crosses the limit.
 
 :func:`run_phase` advances one state through one phase, and
 :func:`run_protocol` drives it one phase at a time, checks each phase's end
 state and collects the samples into a :class:`~capcycle.trace.Trace`.
 
 Simulated maps do not step at all.  :func:`periodic_etas` solves the cycle
-that repeated cycling settles into: the circuit's modal form, computed once
-per device, gives each phase's state and ``∫v_main dt`` in closed form,
-Newton's method finds each phase's end, and the secant method the cycle
-map's fixed point.
+that repeated cycling settles into: the same modal solution gives each
+phase's state and ``∫v_main dt`` in closed form, Newton's method finds each
+phase's end, and the secant method the cycle map's fixed point.
 
-``M`` is the exponential of the augmented continuous-time matrix, computed
-in numpy by scaling and squaring of a truncated Taylor series: Moler and Van
-Loan, "Nineteen dubious ways to compute the exponential of a matrix,
-twenty-five years later", SIAM Review 45(1), 2003; Higham, "The scaling and
-squaring method for the matrix exponential revisited", SIAM J. Matrix Anal.
-Appl. 26(4), 2005.
+The modal form is Moler and Van Loan's "method 14" (eigenvectors), in
+"Nineteen dubious ways to compute the exponential of a matrix, twenty-five
+years later", SIAM Review 45(1), 2003: the 2×2 matrix of an RC network has
+real eigenvalues, in closed form.
 """
 
 from __future__ import annotations
@@ -83,10 +73,10 @@ MODE_DISCHARGE = 1   # terminate when terminal voltage falls to v_stop
 MODE_FIXED = 2       # run exactly max_steps (rest phases)
 
 TABLE_CAP = 1 << 15
-"""Most powers kept in one table (1.5 MB); longer sampled rests loop over blocks."""
+"""Most steps of one rest block, which bounds its arrays (256 kB each); longer rests loop over blocks."""
 
 RAMP_BLOCK = 256
-"""Block length of charge and discharge phases, which stop at a crossing."""
+"""Steps of one charge or discharge block, which bounds the steps evaluated past a crossing."""
 
 V_QUANTUM = 0.093e-3
 """Voltage resolution of the emulated acquisition chain, in V."""
@@ -148,35 +138,53 @@ def _continuous_system(p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _discretize(p: DeviceParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization over one step of length dt.
+class _Modes(NamedTuple):
+    """Modal form ``A = vec · diag(lam) · inv`` of one device's circuit."""
 
-    Exponentiates the (A, b) pair on an augmented matrix, which handles
-    singular A (the ideal integrator) without special-casing.  The exponential
-    is scaling and squaring: ``m / 2**s`` has ∞-norm below 0.5 (never 0, since
-    ``b·dt > 0``), where the order-18 Taylor sum is exact to double precision,
-    and ``s`` squarings undo the scaling.
-    """
-    a, b = _continuous_system(p)
-    m = np.zeros((3, 3))
-    m[:2, :2] = a * dt
-    m[:2, 2] = b * dt
-    s = max(0, math.frexp(np.linalg.norm(m, np.inf))[1] + 1)
-    x = m / 2.0**s
-    phi = term = np.eye(3)
-    for k in range(1, 19):
-        term = term @ x / k
-        phi = phi + term
-    for _ in range(s):
-        phi = phi @ phi
-    return phi[:2, :2], phi[:2, 2]
+    lam: tuple[float, float]
+    vec: np.ndarray  # row 0 reads v_main off the modes, row 1 v_branch
+    inv: np.ndarray
+    beta: tuple[float, float]  # each mode's input per ampere, ``inv @ b``
 
 
 @functools.lru_cache(maxsize=16)
-def _step_coefficients(p: DeviceParams, dt: float) -> tuple[float, ...]:
-    """``(a11, a12, a21, a22, b1, b2)`` of :func:`_discretize`, cached per device and step."""
-    ad, bd = _discretize(p, dt)
-    return (*map(float, ad.ravel()), *map(float, bd))
+def _modes(p: DeviceParams) -> _Modes:
+    """The modal form of :func:`_continuous_system`'s circuit, in closed form.
+
+    The circuit is an RC network, so ``A = [[a, b], [c, d]]`` has ``b·c >= 0``
+    and real eigenvalues ``(a + d ± √((a − d)² + 4bc)) / 2``, distinct when
+    ``b·c > 0``.  The one nearer zero is ``det A`` over the other, which
+    keeps it exact (zero without a leak) where the sum would cancel.  With
+    ``b = c = 0`` (no branch) ``A`` is already diagonal.
+    """
+    (a, b), (c, d) = _continuous_system(p)[0].tolist()
+    b_main = 1.0 / p.c_main  # the input enters v_main only
+    if b == 0.0:
+        return _Modes((a, d), np.eye(2), np.eye(2), (b_main, 0.0))
+    fast = (a + d - math.sqrt((a - d) ** 2 + 4.0 * b * c)) / 2.0
+    lam = (fast, (a * d - b * c) / fast)
+    # eigenvector k is (b, λ_k − a); the inverse of that 2×2 basis by hand
+    vec = np.array([[b, b], [lam[0] - a, lam[1] - a]])
+    det = b * (lam[1] - lam[0])
+    inv = np.array([[lam[1] - a, -b], [a - lam[0], b]]) / det
+    return _Modes(lam, vec, inv, (inv[0, 0] * b_main, inv[1, 0] * b_main))
+
+
+def _flow(lam, drive, y, t: np.ndarray):
+    """The modal state ``t`` seconds after ``y``, and each mode's ``φ1``.
+
+    Mode ``k`` has rate ``lam[k]`` and drive ``drive[k]``, the constant
+    current times ``β_k``, and moves as ``y_k(t) = e^{λt} y_k + drive_k φ1``
+    with ``φ1 = expm1(λt) / λ``, which is ``t`` at ``λ = 0``.
+    """
+    out, phi1 = [], []
+    for lam_k, drive_k, yk in zip(lam, drive, y):
+        z = lam_k * t
+        em = np.expm1(z)
+        p1 = t * np.where(z == 0.0, 1.0, em / z)
+        out.append((em + 1.0) * yk + drive_k * p1)
+        phi1.append(p1)
+    return out, phi1
 
 
 def branch_time_constant(p: DeviceParams) -> float | None:
@@ -195,35 +203,17 @@ def _internal_substeps(p: DeviceParams, sample_period: float) -> int:
     return max(1, math.ceil(sample_period / finest))
 
 
-@functools.lru_cache(maxsize=8)
-def _power_table(coeffs: tuple[float, ...], n: int) -> np.ndarray:
-    """State rows of ``M^1 .. M^n`` as a read-only ``(2n, 3)`` array."""
-    a11, a12, a21, a22, b1, b2 = coeffs
-    # The last row of every power is (0, 0, 1), so the state rows of M^j
-    # times the whole of M^k give the state rows of M^(j+k).
-    rows = np.empty((n, 2, 3))
-    rows[0] = ((a11, a12, b1), (a21, a22, b2))
-    k = 1
-    while k < n:  # rows[:k] holds M^1..M^k
-        c = min(k, n - k)
-        rows[k : k + c] = rows[:c] @ np.vstack((rows[k - 1], (0.0, 0.0, 1.0)))
-        k += c
-    table = rows.reshape(2 * n, 3)
-    table.flags.writeable = False
-    return table
-
-
 def run_phase(
-    v_main,
-    v_branch,
-    a11,
-    a12,
-    a21,
-    a22,
-    b1,
-    b2,
-    i_applied,
-    r_series,
+    y0,
+    y1,
+    lam0,
+    lam1,
+    drive0,
+    drive1,
+    w0,
+    w1,
+    dt,
+    v_offset,
     mode,
     v_stop,
     eps,
@@ -231,31 +221,35 @@ def run_phase(
     n_sub,
     countdown,
 ):
-    """Advance one state through one protocol phase, sampling every ``n_sub`` internal steps.
+    """Advance one modal state through one protocol phase, sampling every ``n_sub`` internal steps.
 
-    The state update is ``x+ = Ad x + bd`` with ``bd`` already scaled by the
-    phase current.  A sample is the terminal voltage ``v_main + i*R`` at the
-    end of an internal step; the termination test applies to every step
-    (sample or not), and the crossing step still yields its sample when one
-    falls due.  ``countdown`` is the number of steps until the next sample.
+    The state ``k`` internal steps into the phase is :func:`_flow` at ``t =
+    k·dt`` from the phase's start state ``(y0, y1)``, in the device's modal
+    coordinates: coordinate ``j`` has rate ``lamj`` and drive ``drivej``, the
+    phase current times ``β_j``.  A sample is the terminal voltage
+    ``v_main + i*R``, that is ``w0·y0(t) + w1·y1(t) + v_offset`` with ``(w0,
+    w1)`` the basis row that reads ``v_main``, at the end of an internal
+    step; the termination test applies to every step (sample or not), and
+    the crossing step still yields its sample when one falls due.
+    ``countdown`` is the number of steps until the next sample.
     ``max_steps`` must be positive.
 
-    Returns ``(v_main, v_branch, steps, samples, countdown, crossed)``: the
-    end state, the int count of internal steps taken, the sampled terminal
+    Returns ``(y0, y1, steps, samples, countdown, crossed)``: the modal end
+    state, the int count of internal steps taken, the sampled terminal
     voltages in order, the countdown to the next sample, and whether the
     phase reached ``v_stop``.
     """
-    block = min(TABLE_CAP, max_steps) if mode == MODE_FIXED else RAMP_BLOCK
-    table = _power_table((a11, a12, a21, a22, b1, b2), block)
-    x = np.array([v_main, v_branch, 1.0])
-    v_offset = i_applied * r_series
+    block = TABLE_CAP if mode == MODE_FIXED else RAMP_BLOCK
     limit = v_stop - eps if mode == MODE_CHARGE else v_stop + eps
     parts = []
     steps, crossed = 0, False
     while steps < max_steps and not crossed:
         end = min(block, max_steps - steps)  # the steps taken in this block
-        states = table[: 2 * end] @ x
-        vt = states[0::2] + v_offset
+        t = np.arange(steps + 1.0, steps + end + 1.0)
+        t *= dt
+        with np.errstate(invalid="ignore"):  # at λ = 0, _flow divides 0 by 0 in lanes it discards
+            (y0_t, y1_t), _ = _flow((lam0, lam1), (drive0, drive1), (y0, y1), t)
+        vt = w0 * y0_t + w1 * y1_t + v_offset
         if mode != MODE_FIXED:
             hit = vt >= limit if mode == MODE_CHARGE else vt <= limit
             first = int(hit.argmax())
@@ -265,8 +259,8 @@ def run_phase(
         parts.append(vt[countdown - 1 : end : n_sub])
         countdown = (countdown - end - 1) % n_sub + 1
         steps += end
-        x[:2] = states[2 * end - 2 : 2 * end]
-    return float(x[0]), float(x[1]), steps, np.concatenate(parts), countdown, crossed
+    return (float(y0_t[end - 1]), float(y1_t[end - 1]), steps, np.concatenate(parts),
+            countdown, crossed)
 
 
 def run_protocol(
@@ -295,7 +289,8 @@ def run_protocol(
         acq = AcquisitionConfig()
     n_sub = _internal_substeps(p, acq.sample_period)
     dt_int = acq.sample_period / n_sub
-    a11, a12, a21, a22, bd0, bd1 = _step_coefficients(p, dt_int)
+    m = _modes(p)
+    (w0, w1), (u0, u1) = m.vec.tolist()
     rest_high_steps = round(s.rest_after_charge / dt_int)
     rest_low_steps = round(s.rest_after_discharge / dt_int)
 
@@ -323,7 +318,8 @@ def run_protocol(
         (Phase.DISCHARGE, MODE_DISCHARGE, -s.i_c, s.v_min, max_active_steps),
         (Phase.REST_LOW, MODE_FIXED, 0.0, 0.0, rest_low_steps),
     )
-    v_main = v_branch = s.v_min + s.i_c * p.r_series
+    v_start = s.v_min + s.i_c * p.r_series
+    y0, y1 = (m.inv @ (v_start, v_start)).tolist()
     countdown = n_sub
     global_step = 0
 
@@ -338,17 +334,16 @@ def run_protocol(
         for phase, mode, i_sig, v_stop, max_steps in plan:
             if max_steps <= 0:  # a rest of zero length
                 continue
-            v_main, v_branch, steps, samples, countdown, crossed = run_phase(
-                v_main,
-                v_branch,
-                a11,
-                a12,
-                a21,
-                a22,
-                bd0 * i_sig,
-                bd1 * i_sig,
-                i_sig,
-                p.r_series,
+            y0, y1, steps, samples, countdown, crossed = run_phase(
+                y0,
+                y1,
+                *m.lam,
+                i_sig * m.beta[0],
+                i_sig * m.beta[1],
+                w0,
+                w1,
+                dt_int,
+                i_sig * p.r_series,
                 mode,
                 v_stop,
                 TERMINATION_EPS,
@@ -362,6 +357,7 @@ def run_protocol(
                     f"within {max_steps} internal steps; the applied "
                     "current cannot overcome leakage near the voltage limit"
                 )
+            v_main, v_branch = w0 * y0 + w1 * y1, u0 * y0 + u1 * y1
             if not (math.isfinite(v_main) and math.isfinite(v_branch)):
                 raise DynamicsDiverged(f"non-finite state after {phase.value} phase")
             if not (guard_low <= v_main <= guard_high and guard_low <= v_branch <= guard_high):
@@ -442,38 +438,6 @@ def _quantized(x: np.ndarray, q: float) -> np.ndarray:
 # The periodic steady state
 
 
-class _Modes(NamedTuple):
-    """Modal form ``A = vec · diag(lam) · inv`` of one device's circuit."""
-
-    lam: tuple[float, float]
-    vec: np.ndarray  # row 0 reads v_main off the modes, row 1 v_branch
-    inv: np.ndarray
-    beta: tuple[float, float]  # each mode's input per ampere, ``inv @ b``
-
-
-@functools.lru_cache(maxsize=16)
-def _modes(p: DeviceParams) -> _Modes:
-    """The modal form of :func:`_continuous_system`'s circuit, in closed form.
-
-    The circuit is an RC network, so ``A = [[a, b], [c, d]]`` has ``b·c >= 0``
-    and real eigenvalues ``(a + d ± √((a − d)² + 4bc)) / 2``, distinct when
-    ``b·c > 0``.  The one nearer zero is ``det A`` over the other, which
-    keeps it exact (zero without a leak) where the sum would cancel.  With
-    ``b = c = 0`` (no branch) ``A`` is already diagonal.
-    """
-    (a, b), (c, d) = _continuous_system(p)[0].tolist()
-    b_main = 1.0 / p.c_main  # the input enters v_main only
-    if b == 0.0:
-        return _Modes((a, d), np.eye(2), np.eye(2), (b_main, 0.0))
-    fast = (a + d - math.sqrt((a - d) ** 2 + 4.0 * b * c)) / 2.0
-    lam = (fast, (a * d - b * c) / fast)
-    # eigenvector k is (b, λ_k − a); the inverse of that 2×2 basis by hand
-    vec = np.array([[b, b], [lam[0] - a, lam[1] - a]])
-    det = b * (lam[1] - lam[0])
-    inv = np.array([[lam[1] - a, -b], [a - lam[0], b]]) / det
-    return _Modes(lam, vec, inv, (inv[0, 0] * b_main, inv[1, 0] * b_main))
-
-
 def _phi2(z: np.ndarray) -> np.ndarray:
     """``(expm1(z) − z) / z²``, by its Taylor series where ``|z| < 1``."""
     small = np.abs(z) < 1.0
@@ -482,22 +446,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     for c in _PHI2_SERIES:
         series = series * zs + c
     return np.where(small, series, (np.expm1(z) - z) / (z * z))
-
-
-def _flow(m: _Modes, y, i: float, t: np.ndarray):
-    """The modal state ``t`` seconds after ``y`` at constant current ``i``, and each mode's ``φ1``.
-
-    Mode ``k`` moves as ``y_k(t) = e^{λt} y_k + i β_k φ1`` with
-    ``φ1 = expm1(λt) / λ``, which is ``t`` at ``λ = 0``.
-    """
-    out, phi1 = [], []
-    for lam, beta, yk in zip(m.lam, m.beta, y):
-        z = lam * t
-        em = np.expm1(z)
-        p1 = t * np.where(z == 0.0, 1.0, em / z)
-        out.append((em + 1.0) * yk + (i * beta) * p1)
-        phi1.append(p1)
-    return out, phi1
 
 
 def _phase(m: _Modes, y, i: float, target: np.ndarray, tol: float):
@@ -513,25 +461,26 @@ def _phase(m: _Modes, y, i: float, target: np.ndarray, tol: float):
     φ2`` with ``φ2 = (expm1(λt) − λt) / λ²``), and whether the phase was
     empty or Newton failed to converge within :data:`ORBIT_STEPS` steps.
     """
-    (w0, w1), (l0, l1), (b0, b1) = m.vec[0], m.lam, m.beta
+    (w0, w1), (l0, l1) = m.vec[0], m.lam
+    drive = d0, d1 = i * m.beta[0], i * m.beta[1]
     gap = target - (w0 * y[0] + w1 * y[1])
     empty = gap * i <= 0
-    slope = w0 * (l0 * y[0] + i * b0) + w1 * (l1 * y[1] + i * b1)
+    slope = w0 * (l0 * y[0] + d0) + w1 * (l1 * y[1] + d1)
     t = np.where(empty, 0.0, gap / slope)
     todo = np.flatnonzero(~empty)
     for _ in range(ORBIT_STEPS):
         if not todo.size:
             break
-        (v0, v1), _ = _flow(m, (y[0][todo], y[1][todo]), i, t[todo])
+        (v0, v1), _ = _flow(m.lam, drive, (y[0][todo], y[1][todo]), t[todo])
         residual = w0 * v0 + w1 * v1 - target[todo]
-        t[todo] -= residual / (w0 * (l0 * v0 + i * b0) + w1 * (l1 * v1 + i * b1))
+        t[todo] -= residual / (w0 * (l0 * v0 + d0) + w1 * (l1 * v1 + d1))
         todo = todo[~(np.abs(residual) <= tol)]
     failed = np.zeros(t.size, dtype=bool)
     failed[todo] = True
     failed |= ~empty & ~(t > 0)  # Newton found no later crossing
-    end, phi1 = _flow(m, y, i, t)
-    w = sum(wk * (p1 * yk + (i * beta) * t * t * _phi2(lam * t))
-            for wk, p1, yk, lam, beta in zip(m.vec[0], phi1, y, m.lam, m.beta))
+    end, phi1 = _flow(m.lam, drive, y, t)
+    w = sum(wk * (p1 * yk + dk * t * t * _phi2(lam * t))
+            for wk, p1, yk, lam, dk in zip(m.vec[0], phi1, y, m.lam, drive))
     return t, end, w, empty, failed
 
 

@@ -1,6 +1,7 @@
 """Protocol simulator: exact stepping, conservation, and sampling contracts."""
 
 import dataclasses
+import decimal
 import math
 import tempfile
 from pathlib import Path
@@ -53,14 +54,91 @@ TWO_BRANCH = DeviceParams(
 )
 
 
-def _step(p, v_main, v_branch, i_applied, dt):
-    """One exact step of ``simulator._discretize``'s update: ``(v_main, v_branch)``."""
-    ad, bd = simulator._discretize(p, dt)
-    return ad @ np.array([v_main, v_branch]) + bd * i_applied
+def _phase_args(p, v_main, v_branch, i, dt, mode, v_stop, max_steps, n_sub, countdown):
+    """``run_phase``'s arguments for a phase of ``p`` at current ``i`` from ``(v_main, v_branch)``."""
+    m = simulator._modes(p)
+    y0, y1 = (m.inv @ (v_main, v_branch)).tolist()
+    return (y0, y1, *m.lam, i * m.beta[0], i * m.beta[1], *m.vec[0].tolist(), dt,
+            i * p.r_series, mode, v_stop, 1e-9, max_steps, n_sub, countdown)
+
+
+def _volts(p, y0, y1):
+    """``(v_main, v_branch)`` of the modal state ``(y0, y1)`` of ``p``."""
+    return tuple((simulator._modes(p).vec @ (y0, y1)).tolist())
+
+
+def _step(p, v_main, v_branch, i_applied, dt, steps=1):
+    """``(v_main, v_branch)`` after ``steps`` internal steps of ``dt``, as ``run_phase`` gives it."""
+    got = run_phase(*_phase_args(p, v_main, v_branch, i_applied, dt, MODE_FIXED, 0.0,
+                                 steps, 1, 1))
+    return _volts(p, *got[:2])
+
+
+D = decimal.Decimal
+EPS = np.finfo(float).eps
+
+
+def _exact(p, v_main, v_branch, phases):
+    """``(v_main, v_branch)`` after ``phases`` of ``(current, seconds)``, to 40 digits, and bounds.
+
+    The modal solution of ``simulator._continuous_system``'s matrix, taken
+    as its float entries exactly, in stdlib ``decimal``: a reference for the
+    propagator's rounding alone.  The slow rate is ``det A`` over the fast
+    one, so it is exactly 0 without a leak.  Durations are exact decimals.
+
+    Each voltage's bound is ``ε·Σ_phases (11 + m·T)·S``, on how far the
+    propagator may be from it (see below), with ``S = Σ_k |w_k|·(|y_k| +
+    |i β_k|·T)``, ``w`` the basis row that reads the voltage, ``y`` the modal
+    state at the phase's start, and ``m = min(|A_00|, |A_11|)``.
+    """
+    with decimal.localcontext(decimal.Context(prec=40)):
+        a_matrix, b_vector = simulator._continuous_system(p)
+        (a, b), (c, d) = [[D(x) for x in row] for row in a_matrix.tolist()]
+        if b == 0:
+            lam, vec = (a, d), ((D(1), D(0)), (D(0), D(1)))
+        else:
+            fast = (a + d - ((a - d) ** 2 + 4 * b * c).sqrt()) / 2
+            lam = (fast, (a * d - b * c) / fast)
+            vec = ((b, b), (lam[0] - a, lam[1] - a))
+        det = vec[0][0] * vec[1][1] - vec[0][1] * vec[1][0]
+        inv = ((vec[1][1] / det, -vec[0][1] / det), (-vec[1][0] / det, vec[0][0] / det))
+        beta = [inv[k][0] * D(b_vector[0]) for k in (0, 1)]  # the input enters v_main only
+        y = [inv[k][0] * D(v_main) + inv[k][1] * D(v_branch) for k in (0, 1)]
+        bound = [D(0), D(0)]
+        for i, t in phases:
+            drive = [D(i) * beta[k] for k in (0, 1)]
+            for r in (0, 1):
+                scale = sum(abs(vec[r][k]) * (abs(y[k]) + abs(drive[k]) * t) for k in (0, 1))
+                bound[r] += D(EPS) * (11 + min(abs(a), abs(d)) * t) * scale
+            for k in (0, 1):
+                e = (lam[k] * t).exp()
+                y[k] = e * y[k] + drive[k] * (t if lam[k] == 0 else (e - 1) / lam[k])
+        return [vec[r][0] * y[0] + vec[r][1] * y[1] for r in (0, 1)], bound
+
+
+# The bound of one phase.  With u = ε/2, mode k's y_k(t) = (expm1(z) + 1)·y_k
+# + d_k·t·expm1(z)/z, z = λ·fl(k·dt): rounding t and z costs 2u relative in
+# z, and |z|·e^z stays within 1/e for z <= 0, so the first term is off by at
+# most 4u·|y_k| (expm1 within 1u, the sum and the product 1u each) and the
+# second by 8u·|d_k|·t (t, expm1, the quotient's sensitivity to z, the
+# quotient, two products and d_k = fl(i·β_k)); their sum adds u·|y_k(t)|.
+# Reading a voltage off the modes adds 2u·Σ|w_k|·|y_k(t)|: 11u·S in all.  The
+# float basis, β and fast rate each sit a few roundings from the exact ones,
+# which at most doubles that: 11ε·S.  The slow rate is det A / λ_fast, and
+# det A = A_00·A_11 − A_01·A_10 cancels, so it is off by up to 2u·|A_00·A_11|
+# / |λ_fast| <= 2u·m (λ_fast <= min(A_00, A_11) for an RC network); that moves
+# the slow mode by up to 2u·m·T·S = ε·m·T·S over T seconds.  A phase starts
+# where the last one ended, in modal coordinates, and |e^{λt}| <= 1, so the
+# phases' bounds add.
+
+
+def _within(got, ref):
+    """Whether each voltage of ``got`` is within its bound of the reference ``ref``."""
+    return all(abs(D(g) - r) <= bound for g, r, bound in zip(got, *ref))
 
 
 class TestStepDynamics:
-    """The zero-order-hold step against the circuit's analytic solutions."""
+    """The propagator against the circuit's analytic and 40-digit solutions."""
 
     def test_pure_integrator_without_branch(self):
         # dv/dt = i/C exactly, for any step size
@@ -71,13 +149,15 @@ class TestStepDynamics:
         d = DeviceParams(c_main=10.0, r_series=0.0, v_rated=2.7, r_leak=100.0)
         tau = 100.0 * 10.0
         v, _ = _step(d, 2.0, 2.0, 0.0, 37.0)
-        assert v == pytest.approx(2.0 * math.exp(-37.0 / tau), rel=1e-12)
+        assert v == pytest.approx(2.0 * math.exp(-37.0 / tau), rel=1e-14)
+        v, _ = _step(d, 2.0, 2.0, 0.0, 0.1, steps=20_000)
+        assert v == pytest.approx(2.0 * math.exp(-2000.0 / tau), rel=1e-14)
 
     def test_two_step_composition_equals_one_big_step(self):
         a = _step(TWO_BRANCH, *_step(TWO_BRANCH, 1.5, 1.5, 2.0, 7.0), 2.0, 7.0)
         b = _step(TWO_BRANCH, 1.5, 1.5, 2.0, 14.0)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[1] == pytest.approx(b[1], rel=1e-12)
+        assert a[0] == pytest.approx(b[0], rel=1e-14)
+        assert a[1] == pytest.approx(b[1], rel=1e-14)
 
     def test_branch_relaxation_matches_closed_form(self):
         # no leak: two capacitors through r_branch relax exponentially to the
@@ -95,9 +175,13 @@ class TestStepDynamics:
         for t in (0.5, 3.0, 20.0, 120.0):
             v, _ = _step(d, v0, vb0, 0.0, t)
             expect = v_eq + (v0 - v_eq) * math.exp(-t / tau)
-            assert v == pytest.approx(expect, rel=1e-12)
+            assert v == pytest.approx(expect, rel=1e-14)
+            v, _ = _step(d, v0, vb0, 0.0, t / 1000, steps=1000)
+            assert v == pytest.approx(expect, rel=1e-14)
 
     def test_matches_scipy_expm(self):
+        # One step from each unit state, and from rest at 1 A, gives the
+        # columns of the zero-order-hold exponential of the augmented matrix.
         expm = pytest.importorskip("scipy.linalg").expm
         devices = [preset(n, ideal=ideal) for n in ("10F", "50F", "100F")
                    for ideal in (True, False)]
@@ -110,16 +194,21 @@ class TestStepDynamics:
                 m[:2, :2] = a * dt
                 m[:2, 2] = b * dt
                 ref = expm(m)[:2]
-                ad, bd = simulator._discretize(p, dt)
-                dev = np.max(np.abs(np.column_stack((ad, bd)) - ref))
+                got = np.column_stack([_step(p, *x, i, dt) for *x, i in
+                                       ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))])
+                dev = np.max(np.abs(got - ref))
                 assert dev <= 1e-12 * np.max(np.abs(ref)), (p, dt)
 
     def test_ideal_integrator_is_exact(self):
+        # Without a branch or a leak both rates are zero: after k steps v_main
+        # has gained exactly fl(i/C)·fl(k·dt), from any state, and the dummy
+        # branch has not moved.
         for name in ("10F", "50F", "100F"):
+            p = preset(name, ideal=True)
             for dt in np.logspace(-3, math.log10(1800.0), 40):
-                ad, bd = simulator._discretize(preset(name, ideal=True), dt)
-                assert np.array_equal(ad, np.eye(2))
-                assert bd[1] == 0.0
+                for steps in (1, 1000):
+                    got = _step(p, 1.25, 0.5, 3.0, dt, steps)
+                    assert got == (1.25 + 3.0 * (1.0 / p.c_main) * (steps * dt), 0.5)
 
     def test_charge_conserved_during_redistribution(self):
         d = DeviceParams(
@@ -129,8 +218,21 @@ class TestStepDynamics:
             redistribution=Redistribution(c_branch=5.0, r_branch=4.0),
         )
         q0 = 50 * 2.7 + 5 * 1.0
-        v, vb = _step(d, 2.7, 1.0, 0.0, 300.0)
-        assert 50 * v + 5 * vb == pytest.approx(q0, rel=1e-12)
+        for dt, steps in ((300.0, 1), (0.1, 3000)):
+            v, vb = _step(d, 2.7, 1.0, 0.0, dt, steps)
+            assert 50 * v + 5 * vb == pytest.approx(q0, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [preset("50F"), TWO_BRANCH], ids=["50F", "two-branch"])
+    def test_matches_the_decimal_reference(self, p):
+        # A few points, each within the one-phase bound of the 40-digit
+        # modal solution: a long rest, a charge, a discharge of a few long
+        # steps, and one 1800-s step from rest.
+        for v_main, v_branch, i, dt, steps in ((2.66, 2.5, 0.0, 0.1, 18_000),
+                                               (0.5, 0.9, 3.95, 0.1, 400),
+                                               (1.2, 1.2, -3.95, 7.0, 3),
+                                               (2.0, 1.0, 0.0, 1800.0, 1)):
+            got = _step(p, v_main, v_branch, i, dt, steps)
+            assert _within(got, _exact(p, v_main, v_branch, [(i, steps * D(dt))]))
 
 
 class TestRunProtocolIdeal:
@@ -283,7 +385,8 @@ class TestAcquisition:
         # At the peak the unquantized trace's three columns and the quantized
         # trace's three are live: 2x the result's bytes.  The allowance is for
         # the meta lists and the Trace objects; no column-sized temporary or
-        # phase sample array may stay alive (the power table is cached first).
+        # phase sample array may stay alive (the first run fills the cache of
+        # the device's modes).
         spec = CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=300.0,
                          rest_after_discharge=300.0, max_cycles=2)
         acq = AcquisitionConfig(quantize=True)
@@ -307,45 +410,50 @@ class TestAcquisition:
 
 
 def _scalar_cell(
-    v_main, v_branch, a11, a12, a21, a22, b1, b2, i_applied, r_series, mode,
+    y0, y1, lam0, lam1, drive0, drive1, w0, w1, dt, v_offset, mode,
     v_stop, eps, max_steps, n_sub, countdown,
 ):
-    """Reference recurrence: ``run_phase``'s contract, one step at a time."""
+    """Reference recurrence: ``run_phase``'s contract, one modal step at a time.
+
+    Each step multiplies mode ``k`` by ``e^{λ_k dt}`` and adds ``drive_k·φ1(dt)``
+    in scalar ``math``, sharing no arithmetic with ``simulator._flow``; its
+    rounding accumulates step by step, about ε a step.
+    """
+    (e0, f0), (e1, f1) = [
+        (math.exp(lam * dt), drive * (math.expm1(lam * dt) / lam if lam else dt))
+        for lam, drive in ((lam0, drive0), (lam1, drive1))
+    ]
     samples = []
     steps = 0
     crossed = False
     while steps < max_steps:
-        v_main, v_branch = (
-            a11 * v_main + a12 * v_branch + b1,
-            a21 * v_main + a22 * v_branch + b2,
-        )
+        y0, y1 = e0 * y0 + f0, e1 * y1 + f1
         steps += 1
+        vt = w0 * y0 + w1 * y1 + v_offset
         countdown -= 1
         if countdown == 0:
-            samples.append(v_main + i_applied * r_series)
+            samples.append(vt)
             countdown = n_sub
-        vt = v_main + i_applied * r_series
         if mode == MODE_CHARGE and vt >= v_stop - eps:
             crossed = True
             break
         if mode == MODE_DISCHARGE and vt <= v_stop + eps:
             crossed = True
             break
-    return v_main, v_branch, steps, np.array(samples), countdown, crossed
+    return y0, y1, steps, np.array(samples), countdown, crossed
 
 
-def _assert_phases_agree(got, exp):
-    """A phase against the reference: counts exact, voltages to 1e-10."""
+def _assert_phases_agree(got, exp, p):
+    """A phase of ``p`` against the reference: counts exact, voltages to 1e-10."""
     assert type(got[2]) is int and got[2] == exp[2]
     assert (got[4], got[5]) == (exp[4], exp[5])  # countdown, crossed
-    assert abs(got[0] - exp[0]) <= 1e-10
-    assert abs(got[1] - exp[1]) <= 1e-10
+    np.testing.assert_allclose(_volts(p, *got[:2]), _volts(p, *exp[:2]), rtol=0, atol=1e-10)
     assert got[3].shape == exp[3].shape
     assert np.max(np.abs(got[3] - exp[3]), initial=0.0) <= 1e-10
 
 
 class TestBlockedPropagation:
-    """The blocked kernel against the step-by-step recurrence it replaces."""
+    """``run_phase``'s blocks against a modal recurrence that takes one step at a time."""
 
     CASES = {
         "50F-rests": (
@@ -383,15 +491,13 @@ class TestBlockedPropagation:
         assert np.max(np.abs(blocked.v - ref.v)) <= 1e-10
 
     def test_rest_longer_than_one_table_block(self):
-        # A rest past the table cap runs as several blocks; the sample
+        # A rest past the block cap runs as several blocks; the sample
         # countdown must carry across them exactly.
         steps = TABLE_CAP + 1000
-        ad, _ = simulator._discretize(TWO_BRANCH, 0.05)
-        # coefficients, zero current, zero R, fixed mode, n_sub=3, countdown=2
-        args = (*ad.ravel(), 0.0, 0.0, 0.0, 0.0, MODE_FIXED, 0.0, 1e-9, steps, 3, 2)
-        got = run_phase(2.5, 2.0, *args)
-        exp = _scalar_cell(2.5, 2.0, *args)
-        _assert_phases_agree(got, exp)
+        # zero current, fixed mode, n_sub=3, countdown=2
+        args = _phase_args(TWO_BRANCH, 2.5, 2.0, 0.0, 0.05, MODE_FIXED, 0.0, steps, 3, 2)
+        got = run_phase(*args)
+        _assert_phases_agree(got, _scalar_cell(*args), TWO_BRANCH)
         assert got[3].shape == ((steps - 2) // 3 + 1,)
 
     # Three cells, each starting elsewhere with its own countdown, and five
@@ -416,11 +522,10 @@ class TestBlockedPropagation:
         mode, i, n_sub, budgets = self._PHASES[phase]
         v_main, v_branch, countdown = self._CELLS[cell]
         max_steps, v_stop = budgets[cell]
-        ad, bd = simulator._discretize(TWO_BRANCH, 0.05)
-        args = (*ad.ravel(), *(bd * i), i, TWO_BRANCH.r_series, mode, v_stop, 1e-9,
-                max_steps, n_sub, min(countdown, n_sub))
-        got = run_phase(v_main, v_branch, *args)
-        _assert_phases_agree(got, _scalar_cell(v_main, v_branch, *args))
+        args = _phase_args(TWO_BRANCH, v_main, v_branch, i, 0.05, mode, v_stop, max_steps,
+                           n_sub, min(countdown, n_sub))
+        got = run_phase(*args)
+        _assert_phases_agree(got, _scalar_cell(*args), TWO_BRANCH)
         if mode == MODE_DISCHARGE:
             assert got[5] == (cell != 2)
             if cell == 0:
@@ -440,10 +545,9 @@ class TestBlockedPropagation:
         # yields and ends in the same state, and Newton puts a ramp's end
         # within the recurrence's crossing step.
         dt, r = 0.05, TWO_BRANCH.r_series
-        ad, bd = simulator._discretize(TWO_BRANCH, dt)
         v_stop = {MODE_FIXED: 0.0, MODE_CHARGE: 2.6, MODE_DISCHARGE: 2.2}[mode]
-        args = (*ad.ravel(), *(bd * i), i, r, mode, v_stop, 1e-9, max_steps, n_sub, countdown)
-        exp = _scalar_cell(2.5, 2.0, *args)
+        exp = _scalar_cell(*_phase_args(TWO_BRANCH, 2.5, 2.0, i, dt, mode, v_stop, max_steps,
+                                        n_sub, countdown))
         steps = exp[2]
         m = simulator._modes(TWO_BRANCH)
         y = [np.array([m.inv[k] @ (2.5, 2.0)]) for k in (0, 1)]
@@ -453,10 +557,11 @@ class TestBlockedPropagation:
             assert not empty[0] and not failed[0]
             assert (steps - 1) * dt < t[0] <= steps * dt
         times = np.append(np.arange(countdown, steps + 1, n_sub), steps) * dt
-        x, _ = simulator._flow(m, [np.repeat(yk, times.size) for yk in y], i, times)
+        x, _ = simulator._flow(m.lam, [i * b for b in m.beta],
+                               [np.repeat(yk, times.size) for yk in y], times)
         v_main, v_branch = m.vec @ np.array(x)
         np.testing.assert_allclose(v_main[:-1] + i * r, exp[3], rtol=0, atol=1e-10)
-        np.testing.assert_allclose([v_main[-1], v_branch[-1]], [exp[0], exp[1]],
+        np.testing.assert_allclose([v_main[-1], v_branch[-1]], _volts(TWO_BRANCH, *exp[:2]),
                                    rtol=0, atol=1e-10)
         if mode == MODE_DISCHARGE:
             assert steps > RAMP_BLOCK
@@ -538,6 +643,64 @@ class TestBlockedPropagation:
         bound = (1 + 2 * s.v_max / (s.v_min + s.v_max)) * (s.i_c * 1.0 / p.c_main) / swing
         assert 0 < orbit < 1
         assert abs(traced - orbit) <= bound
+
+
+# A two-branch device whose 0.026-s branch takes 1,943 internal steps per 1-s
+# sample: a full charge at 0.275 A is about 1.0 M steps.
+FAST_BRANCH = DeviceParams(c_main=52.0, r_series=0.0088, v_rated=2.7,
+                           redistribution=Redistribution(c_branch=0.52, r_branch=0.05),
+                           r_leak=9000.0)
+
+
+class TestLongPhases:
+    """Long phases within the derived bound of the 40-digit solution.
+
+    A stepped propagator, ``x+ = M x``, gains about ε of error a step: about
+    3.6e-12 V over the 50F preset's 1800-s rest, and 1.4e-10 V over a long
+    fast-branch charge.  Each sample and end state here is the flow from its
+    phase's start, so the bound is per phase, not per step (``PHASE_ERROR``);
+    it is about 1e-14 V on 50F and 1e-13 V on the fast branch.
+    """
+
+    CASES = {
+        "50F-rest": (preset("50F"), (2.66, 2.5), 0.0, 0.1, MODE_FIXED, 0.0, 18_000, 1),
+        "fast-branch-charge": (FAST_BRANCH, (0.0, 0.0), 0.275, 1.0 / 1943, MODE_CHARGE, 2.7,
+                               2_000_000, 1943),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_end_state_matches_the_decimal_reference(self, case):
+        p, start, i, dt, mode, v_stop, max_steps, n_sub = self.CASES[case]
+        got = run_phase(*_phase_args(p, *start, i, dt, mode, v_stop, max_steps, n_sub, n_sub))
+        assert got[5] == (mode == MODE_CHARGE) and got[2] >= 18_000
+        assert _within(_volts(p, *got[:2]), _exact(p, *start, [(i, got[2] * D(dt))]))
+
+    @pytest.mark.parametrize("case", ["50F-rest", "fast-branch-charge"])
+    def test_samples_match_the_decimal_reference(self, case):
+        # The last sample of each phase of one cycle, from the protocol's
+        # start: sample j ends internal step (j + 1)·n_sub, and on 50F the
+        # rest's last sample is its end state.
+        if case == "50F-rest":
+            p, acq = preset("50F"), AcquisitionConfig()
+            s = CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=1800.0)
+        else:
+            p, acq = FAST_BRANCH, AcquisitionConfig(sample_period=1.0)
+            s = CycleSpec(i_c=0.275, v_min=0.0, v_max=2.7)
+        trace = run_protocol(p, s, acq)
+        dt, n_sub = trace.meta["dt_internal"], trace.meta["n_sub"]
+        v_start = s.v_min + s.i_c * p.r_series
+        current = {"charge": s.i_c, "discharge": -s.i_c}
+        phases, done = [], 0
+        for b in trace.meta["boundaries"]:
+            i = current.get(b.phase, 0.0)
+            steps = round((b.t_end - b.t_start) / dt)
+            j = (done + steps) // n_sub - 1  # the phase's last sample
+            phases.append((i, (j + 1) * n_sub - done))
+            done += steps
+            (v, _), (bound, _) = _exact(p, v_start, v_start,
+                                        [(c, k * D(dt)) for c, k in phases])
+            assert abs(D(trace.v[j]) - v - D(i) * D(p.r_series)) <= bound, b
+            phases[-1] = (i, steps)
 
 
 @st.composite
