@@ -283,36 +283,50 @@ class PeriodicObjective:
         return value
 
 
+def _cell_etas(objective, windows) -> np.ndarray:
+    """``objective.etas(windows)`` under the one rule for a usable efficiency.
+
+    A window narrower than the resistive drops, or whose rest losses exceed
+    its delivery, is undefined (NaN), not an error; any other error is
+    raised, that of the first such window in order.  An efficiency within
+    ``ETA_SLACK`` above 1 reads 1; any other outside (0, 1] raises
+    :class:`NumericError`.
+    """
+    out = np.full(len(windows), np.nan)
+    for k, ((vm, vM), value) in enumerate(zip(windows, objective.etas(windows))):
+        if isinstance(value, (WindowTooNarrow, LossesExceedDelivery)):
+            continue
+        if isinstance(value, CapcycleError):
+            raise value
+        if 1.0 < value < 1.0 + ETA_SLACK:
+            value = 1.0
+        if not 0.0 < value <= 1.0:
+            raise NumericError(
+                f"grid cell ({vm}, {vM}) produced efficiency {value!r} outside (0, 1]"
+            )
+        out[k] = value
+    return out
+
+
 def build_grid(
     objective: ClosedFormObjective | PeriodicObjective, levels=PU_LEVELS
 ) -> EfficiencyGrid:
     """Evaluate ``objective.etas`` for every level pair ``vm < vM``.
 
     Cells go to the objective in row-major chunks of at most
-    :data:`GRID_CHUNK`.  Infeasible windows (narrower than the resistive
-    drops, or with rest losses exceeding delivery) are marked undefined, not
-    errors; any other error of a cell is raised, that of the first such cell
-    in row-major order.
+    :data:`GRID_CHUNK`, under :func:`_cell_etas`'s rule for a usable
+    efficiency, which :func:`optimize_window` shares: infeasible windows
+    (narrower than the resistive drops, or with rest losses exceeding
+    delivery) are marked undefined, not errors; any other error of a cell
+    is raised, that of the first such cell in row-major order.
     """
     levels = _validate_levels(levels)
     n = len(levels)
     eta = np.full((n, n), np.nan)
     cells = ((r, j) for r in range(n) for j in range(r))  # vm < vM, row-major
     while chunk := list(itertools.islice(cells, GRID_CHUNK)):
-        values = objective.etas([(levels[j], levels[r]) for r, j in chunk])
-        for (r, j), value in zip(chunk, values):
-            if isinstance(value, (WindowTooNarrow, LossesExceedDelivery)):
-                continue
-            if isinstance(value, CapcycleError):
-                raise value
-            if 1.0 < value < 1.0 + ETA_SLACK:
-                value = 1.0
-            if not 0.0 < value <= 1.0:
-                raise NumericError(
-                    f"grid cell ({levels[j]}, {levels[r]}) produced efficiency {value!r} "
-                    "outside (0, 1]"
-                )
-            eta[r, j] = value
+        rows, cols = zip(*chunk)
+        eta[rows, cols] = _cell_etas(objective, [(levels[j], levels[r]) for r, j in chunk])
     return EfficiencyGrid(levels, eta, objective.method, objective.with_rest)
 
 
@@ -346,45 +360,19 @@ def _floor_vm(vM: float, f: float) -> float:
     return vm
 
 
-def _boundary_windows(
-    objective: ClosedFormObjective, f: float
-) -> list[tuple[float, float, float]]:
-    """``(vm, vM, eta)`` of the feasible windows on the boundary ``vM² − vm² = f``.
-
-    Each window's ``vM² − vm²`` is at least ``f`` as computed in floats.
-    Without rest the analytic point ``vM = 1`` is the optimum whenever it is
-    feasible; otherwise a dense scan of the boundary stands in.
-    """
-    if objective.rest_model is None:
-        vm = _floor_vm(1.0, f)
-        try:
-            return [(vm, 1.0, objective.eta(vm, 1.0))]
-        except WindowTooNarrow:
-            pass  # analytic point infeasible for this current; scan the boundary
-    windows = []
-    for vM in np.linspace(math.sqrt(f), 1.0, _BOUNDARY_SCAN_POINTS):
-        vM = float(vM)
-        vm = _floor_vm(vM, f)
-        if vM * vM - vm * vm < f:
-            continue
-        try:
-            windows.append((vm, vM, objective.eta(vm, vM)))
-        except (WindowTooNarrow, LossesExceedDelivery):
-            continue
-    return windows
-
-
 def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
     """Maximize efficiency subject to a minimum usable-energy fraction.
 
-    ``target`` is an :class:`EfficiencyGrid` (exhaustive search over defined
-    cells) or a :class:`ClosedFormObjective`.  Without rest the closed-form
-    optimum is analytic (``vM = 1``, ``vm = sqrt(1 - f)``: efficiency grows
-    with both voltages, so the constraint binds at the rated ceiling); with
-    rest the optimum still lies on the constraint boundary (raising ``vm`` at
-    fixed ``vM`` both raises the voltage sum and shrinks the span, helping
-    twice), which a dense boundary scan locates.  Ties break toward larger
-    energy fraction, then larger ``vm``.
+    An :class:`EfficiencyGrid` is searched exhaustively over its defined
+    cells.  Any other ``target`` is an objective (anything with ``etas``,
+    such as :class:`ClosedFormObjective` or :class:`PeriodicObjective`),
+    searched on the constraint boundary ``vM² − vm² = f``: raising ``vm`` at
+    fixed ``vM`` both raises the voltage sum and shrinks the span, so the
+    optimum lies there.  The boundary is sampled at evenly spaced ``vM``
+    from ``sqrt(f)`` to exactly 1, each window with ``vM*vM - vm*vm >= f``
+    in floats, and the windows go to ``etas`` in one call under
+    :func:`_cell_etas`'s rule.  Ties break toward larger energy
+    fraction, then larger ``vm``.
     """
     f = energy_fraction_min
     if f > 1:
@@ -396,27 +384,26 @@ def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
 
     if isinstance(target, EfficiencyGrid):
         levels = target.levels
-        candidates = [
-            (levels[j], levels[r], float(target.eta[r, j]))
-            for r, j in zip(*np.nonzero(target.defined_mask()))
-        ]
+        rows, cols = np.nonzero(target.defined_mask())
+        windows = [(levels[j], levels[r]) for r, j in zip(rows, cols)]
+        etas = target.eta[rows, cols]
         none_found = f"no defined grid cell reaches energy fraction {f}"
-    elif isinstance(target, ClosedFormObjective):
-        candidates = _boundary_windows(target, f)
+    else:
+        windows = []
+        for vM in np.linspace(math.sqrt(f), 1.0, _BOUNDARY_SCAN_POINTS).tolist():
+            vm = _floor_vm(vM, f)
+            if vM * vM - vm * vm >= f:
+                windows.append((vm, vM))
+        etas = _cell_etas(target, windows)
         none_found = (
             f"no window on the energy-fraction boundary {f} is feasible "
             "for this device and current"
         )
-    else:
-        raise ConfigError(
-            f"optimize_window target must be EfficiencyGrid or ClosedFormObjective, "
-            f"got {type(target).__name__}"
-        )
 
     best = None
-    for vm, vM, value in candidates:
+    for (vm, vM), value in zip(windows, etas.tolist()):
         frac = vM * vM - vm * vm
-        if frac < f - 1e-12:
+        if math.isnan(value) or frac < f - 1e-12:
             continue
         key = (value, frac, vm)
         if best is None or key > best[0]:

@@ -67,6 +67,16 @@ BRANCH_STEPS_PER_TAU = 50
 MAX_SAMPLES = 1 << 24
 """Sample cap of :func:`run_protocol`, checked before simulating (~400 MB of t, v, i)."""
 
+MAX_STEPS = 1 << 25
+"""Internal-step cap of :func:`run_protocol`, checked before simulating.
+
+A fast redistribution branch takes ``n_sub`` internal steps per sample, so
+the sample cap alone does not bound the work.  Charge and discharge phases
+run about 6 million steps a second and rests about 36 million (2 vCPUs), so
+a run at the cap takes 1 to 6 seconds.  It is at least :data:`MAX_SAMPLES`,
+so without a branch (one step per sample) the sample cap is met first.
+"""
+
 # Phase-loop modes of :func:`run_phase`.
 MODE_CHARGE = 0      # terminate when terminal voltage rises to v_stop
 MODE_DISCHARGE = 1   # terminate when terminal voltage falls to v_stop
@@ -274,10 +284,10 @@ def run_protocol(
     point), so the ideal device is periodic from the first cycle while a
     device with a redistribution branch stabilizes over several cycles.
 
-    The spec is checked against the device, the window's feasibility and the
-    sample cap before any step, each phase's end state for termination,
-    finiteness and the guard band, and the run for at least 2 samples; the
-    first failing check raises.
+    The spec is checked against the device, the window's feasibility, the
+    sample cap and the step cap before any step, each phase's end state for
+    termination, finiteness and the guard band, and the run for at least 2
+    samples; the first failing check raises.
 
     Trace ``meta`` carries ground truth: per-phase boundaries
     (``boundaries``, a list of :class:`~capcycle.trace.CycleBoundary`),
@@ -297,14 +307,19 @@ def run_protocol(
     s.validate_against(p)
     ideal_duration = charge_duration(p, s)  # also validates window feasibility
     ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
-    est_samples = (
-        s.max_cycles * (2 * ideal_steps + rest_high_steps + rest_low_steps) // n_sub + 64
-    )
+    est_steps = s.max_cycles * (2 * ideal_steps + rest_high_steps + rest_low_steps)
+    est_samples = est_steps // n_sub + 64
     if est_samples > MAX_SAMPLES:
         raise ConfigError(
             f"the run needs about {est_samples:,} samples, more than the "
             f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
             "or fewer cycles"
+        )
+    if est_steps > MAX_STEPS:
+        raise ConfigError(
+            f"the run needs about {est_steps:,} internal steps, {n_sub:,} a sample "
+            f"for the redistribution branch, more than the {MAX_STEPS:,} cap; use "
+            "shorter rests, a larger current or fewer cycles"
         )
     max_active_steps = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
 

@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -567,7 +568,7 @@ class TestOptimize:
 
     def test_boundary_scan_when_analytic_point_infeasible(self, capsys):
         # at 15 A the 10F device's drops rule out vM = 1 at this fraction, so
-        # the optimizer falls back to scanning the energy-fraction boundary
+        # the best window on the energy-fraction boundary lies below it
         code, stdout, err = run(
             capsys, "optimize", "--device", "10F", "--current", "15",
             "--min-energy", "0.3",
@@ -954,6 +955,28 @@ class TestBudgets:
         code, _, err = run(capsys, "simulate", "--sample-period", "1e-7",
                            "--out", str(tmp_path / "x.csv"))
         assert_rejected(code, err, "samples")
+
+    def test_step_budget_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
+        # A 1e-7-ohm branch takes 11,000,000 internal steps per 0.1-s sample,
+        # so one cycle is few samples but billions of steps.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulator stepped a run over the step cap")
+
+        monkeypatch.setattr(simulator, "run_phase", refuse)
+        device = tmp_path / "d.json"
+        device.write_text(json.dumps({"c_main": 50, "r_series": 0.0088, "v_rated": 2.7,
+                                      "redistribution": {"c_branch": 5, "r_branch": 1e-7}}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "simulate", "--device", str(device), "--current", "3.95",
+                           "--cycles", "1", "--out", str(tmp_path / "x.csv"))
+        assert time.perf_counter() - start < 1.0
+        assert_rejected(code, err, "internal steps")
+        assert err == (
+            "error: the run needs about 7,325,387,342 internal steps, 11,000,000 a sample "
+            "for the redistribution branch, more than the 33,554,432 cap; use shorter "
+            "rests, a larger current or fewer cycles\n")
+        assert not (tmp_path / "x.csv").exists()
+        assert simulator.MAX_STEPS >= simulator.MAX_SAMPLES
 
     def test_simulated_map_cell_sample_budget(self, capsys, tmp_path, monkeypatch):
         # A map cell neither samples nor steps, so it needs no sample budget:

@@ -43,8 +43,10 @@ from capcycle import (
     usable_energy_fraction,
     WindowTooNarrow,
 )
+from capcycle.analyzer import ETA_SLACK
 from capcycle.cli import main
 from capcycle.effmap import MIN_FIT_QUALITY, PU_LEVELS, SelfDischargeModel
+from capcycle.presets import TEST_CURRENTS
 
 # Frozen regression constants for the embedded 50 F rest-drift table,
 # computed beforehand with an independent least-squares oracle.
@@ -522,6 +524,122 @@ class TestOptimizer:
         g2 = EfficiencyGrid(levels2, eta2, GridMethod.MEASURED, False)
         pt2 = optimize_window(g2, 0.1)
         assert pt2.window.vm_pu == 0.5  # equal fractions: larger vm wins
+
+    @pytest.mark.parametrize("device", ["10F", "50F", "100F"])
+    def test_periodic_objective_picks_the_closed_form_window_when_ideal(self, device):
+        # On an ideal device the orbit is the closed form, so both searches
+        # see the same boundary and pick the same window.
+        p, i = preset(device, ideal=True), TEST_CURRENTS[device]
+        for f in (0.25, 0.5, 0.75, 1.0):
+            orbit = optimize_window(PeriodicObjective(p, i), f)
+            closed = optimize_window(ClosedFormObjective(p, i), f)
+            assert orbit.window == closed.window, f
+            assert orbit.energy_fraction == closed.energy_fraction
+            assert orbit.eta == pytest.approx(closed.eta, rel=1e-14, abs=0)
+
+    def test_periodic_objective_with_rests_picks_below_rated(self):
+        # Rests drain a window's top, so the leaky 50F orbit trades vM for vm.
+        pt = optimize_window(PeriodicObjective(preset("50F"), 3.95, rest=1800.0), 0.5)
+        assert pt.window.vm_pu == pytest.approx(0.5519, abs=1e-4)
+        assert pt.window.vM_pu == pytest.approx(0.8970, abs=1e-4)
+        assert pt.eta == pytest.approx(0.88643, abs=1e-5)
+        assert pt.energy_fraction == 0.5
+
+
+class _StubObjective:
+    """An objective whose ``etas`` reads each window's value from ``rule(vm, vM)``."""
+
+    method = GridMethod.CLOSED_FORM
+    with_rest = False
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def etas(self, windows):
+        return [self.rule(vm, vM) for vm, vM in windows]
+
+
+class TestCellRule:
+    """``build_grid`` and ``optimize_window`` read ``etas`` under one rule.
+
+    The maps list their cells in row-major order, (0, 0.5) first; the
+    search uses the boundary of fraction 0.2, whose windows go by
+    increasing ``vM`` from sqrt(0.2) = 0.447 to 1.
+    """
+
+    @staticmethod
+    def _slack_below_top(vm, vM):
+        if vM > 0.95:
+            return WindowTooNarrow(f"window ({vm}, {vM}) too narrow", min_window=1.0)
+        if vM > 0.9:
+            return LossesExceedDelivery(f"window ({vm}, {vM}) delivers nothing")
+        return 1.0 + ETA_SLACK / 2
+
+    def test_undefined_windows_skipped_and_slack_clamped(self):
+        grid = build_grid(_StubObjective(self._slack_below_top), (0.0, 0.5, 0.92, 1.0))
+        assert grid.eta[1, 0] == 1.0
+        assert np.isnan(grid.eta[2:]).all()
+        pt = optimize_window(_StubObjective(self._slack_below_top), 0.2)
+        assert pt.eta == 1.0
+        assert pt.window.vM_pu <= 0.9
+
+    @pytest.mark.parametrize("first, later", [
+        (DynamicsDiverged("diverged"), 1.5),
+        (1.5, DynamicsDiverged("diverged")),
+        (0.0, 0.9),
+    ], ids=["error-first", "eta-first", "zero"])
+    def test_first_failure_in_order_raised(self, first, later):
+        def rule(vm, vM):
+            if vM > 0.95:
+                return WindowTooNarrow("narrow", min_window=1.0)  # skipped, never raised
+            return first if vM < 0.6 else later
+
+        raises = NumericError if isinstance(first, float) else DynamicsDiverged
+        with pytest.raises(raises) as grid_info:
+            build_grid(_StubObjective(rule), (0.0, 0.5, 1.0))
+        with pytest.raises(raises) as search_info:
+            optimize_window(_StubObjective(rule), 0.2)
+        if raises is NumericError:
+            assert str(grid_info.value) == (
+                f"grid cell (0.0, 0.5) produced efficiency {first!r} outside (0, 1]")
+            assert str(search_info.value).endswith(
+                f") produced efficiency {first!r} outside (0, 1]")
+        else:
+            assert grid_info.value is first and search_info.value is first
+
+
+# The regret of a model's pick: the measured η of the measured-best window
+# minus the measured η at the window the model picks on the same 6-level
+# grid, in percentage points, at energy floors 0.25, 0.5 and 0.75.  Both
+# models run the presets at the test currents; table4's closed form uses
+# table3's rest-voltage fit.  This records today's models; it is not a
+# target, and a model change that moves it says so.
+REGRET_PP = {
+    ("table2", "orbit"): {"10F": (0, 0, 0), "50F": (0, 0, 0), "100F": (0, 0, 0)},
+    ("table2", "closed_form"): {"10F": (0, 0, 0), "50F": (0, 0, 0), "100F": (0, 0, 0)},
+    ("table4", "orbit"): {"10F": (4.9, 4.3, 0), "50F": (2.6, 2.6, 0), "100F": (2.2, 2.2, 0)},
+    ("table4", "closed_form"): {"10F": (0, 0, 0), "50F": (0.3, 0, 0), "100F": (0.2, 0, 0)},
+}
+
+
+@pytest.mark.parametrize("table, model", sorted(REGRET_PP))
+def test_model_pick_regret_record(table, model):
+    rest = table == "table4"
+    for device, expected in REGRET_PP[table, model].items():
+        p, i = preset(device), TEST_CURRENTS[device]
+        if model == "orbit":
+            objective = PeriodicObjective(p, i, rest=1800.0 if rest else 0.0)
+        else:
+            fit = fit_self_discharge(load_rest_voltage_rows()) if rest else None
+            objective = ClosedFormObjective(p, i, fit)
+        grid = build_grid(objective, PU_LEVELS)
+        measured = measured_grid(device, rest=rest)
+        regret = []
+        for f in (0.25, 0.5, 0.75):
+            pick = optimize_window(grid, f).window
+            at_pick = measured.value(pick.vm_pu, pick.vM_pu)
+            regret.append(round((optimize_window(measured, f).eta - at_pick) * 100, 6))
+        assert tuple(regret) == expected, device
 
 
 class TestRenderMap:
