@@ -83,6 +83,11 @@ class Estimate:
     n: int
 
 
+def _estimate(values: list[float]) -> Estimate:
+    arr = np.array(values)
+    return Estimate(value=float(arr.mean()), stdev=float(arr.std()), n=arr.size)
+
+
 @dataclass(frozen=True)
 class SteadyReport:
     steady_from_cycle: int | None
@@ -286,31 +291,44 @@ class IntegratedCycle:
     w_discharge: float
 
 
-def _group_cycles(
-    segments: list[Segment],
-) -> tuple[list[dict[Phase, Segment]], list[str]]:
-    """Complete cycles (those with a discharge), each its segments by kind,
-    and warnings for what was dropped."""
-    cycles: list[dict[Phase, Segment]] = []
+def _complete_cycles(trace: Trace, segments: list[Segment]) -> tuple[list[IntegratedCycle], list[str]]:
+    """The complete cycles (those with a discharge), their active phases integrated
+    once, and a logged warning for each thing dropped; a cycle that takes in
+    no energy raises :class:`NumericError`."""
+    grouped: list[dict[Phase, Segment]] = []
     leading = 0
     for seg in segments:
         if seg.kind is Phase.CHARGE:
-            cycles.append({seg.kind: seg})
-        elif not cycles:
+            grouped.append({seg.kind: seg})
+        elif not grouped:
             leading += 1
         else:
-            cycles[-1][seg.kind] = seg
+            grouped[-1][seg.kind] = seg
     warnings = [
         f"cycle starting at t={c[Phase.CHARGE].t_start:g}s has no discharge phase; "
         "excluded"
-        for c in cycles
+        for c in grouped
         if Phase.DISCHARGE not in c
     ]
     if leading:
-        warnings.append(
-            f"{leading} segment(s) before the first charge phase ignored"
-        )
-    return [c for c in cycles if Phase.DISCHARGE in c], warnings
+        warnings.append(f"{leading} segment(s) before the first charge phase ignored")
+    for w in warnings:
+        logger.warning(w)
+    cycles = []
+    for n, cyc in enumerate((c for c in grouped if Phase.DISCHARGE in c), start=1):
+        charge, discharge = cyc[Phase.CHARGE], cyc[Phase.DISCHARGE]
+        e_in, q_in, w_c = _integrate(trace, charge)
+        e_dis, q_out, w_d = _integrate(trace, discharge)
+        if not (e_in > 0 and w_c + w_d > 0):
+            raise NumericError(
+                f"cycle {n} (t={charge.t_start:g}s): energy in {e_in!r} J and "
+                f"sum(i^2)*dt {w_c + w_d!r} A^2*s must be positive"
+            )
+        cycles.append(IntegratedCycle(
+            charge, cyc.get(Phase.REST_HIGH), discharge, cyc.get(Phase.REST_LOW),
+            e_in, q_in, w_c, -e_dis, q_out, w_d,
+        ))
+    return cycles, warnings
 
 
 def cycle_metrics(
@@ -444,8 +462,7 @@ def identify_resistance(trace: Trace, segments: list[Segment]) -> Estimate:
             "no active-to-rest transition in the trace; resistance identification "
             "needs rests after charge or discharge"
         )
-    arr = np.array(values)
-    return Estimate(value=float(arr.mean()), stdev=float(arr.std()), n=arr.size)
+    return _estimate(values)
 
 
 def identify_capacitance(trace: Trace, segments: list[Segment]) -> Estimate:
@@ -477,32 +494,7 @@ def identify_capacitance(trace: Trace, segments: list[Segment]) -> Estimate:
         raise InsufficientData(
             "no active segment long enough (>= 10 samples) for a slope fit"
         )
-    arr = np.array(values)
-    return Estimate(value=float(arr.mean()), stdev=float(arr.std()), n=arr.size)
-
-
-def _integrated_cycles(
-    trace: Trace, grouped: list[dict[Phase, Segment]]
-) -> list[IntegratedCycle]:
-    """Integrate each complete cycle's active phases once.
-
-    A cycle that takes in no energy raises :class:`NumericError`.
-    """
-    cycles = []
-    for n, cyc in enumerate(grouped, start=1):
-        charge, discharge = cyc[Phase.CHARGE], cyc[Phase.DISCHARGE]
-        e_in, q_in, w_c = _integrate(trace, charge)
-        e_dis, q_out, w_d = _integrate(trace, discharge)
-        if not (e_in > 0 and w_c + w_d > 0):
-            raise NumericError(
-                f"cycle {n} (t={charge.t_start:g}s): energy in {e_in!r} J and "
-                f"sum(i^2)*dt {w_c + w_d!r} A^2*s must be positive"
-            )
-        cycles.append(IntegratedCycle(
-            charge, cyc.get(Phase.REST_HIGH), discharge, cyc.get(Phase.REST_LOW),
-            e_in, q_in, w_c, -e_dis, q_out, w_d,
-        ))
-    return cycles
+    return _estimate(values)
 
 
 def analyze_trace(
@@ -521,13 +513,10 @@ def analyze_trace(
     """
     trace.validate()
     segs = segment(trace, i_threshold_frac, min_segment)
-    grouped, warnings = _group_cycles(segs)
-    for w in warnings:
-        logger.warning(w)
-    if not grouped:
+    cycles, warnings = _complete_cycles(trace, segs)
+    if not cycles:
         raise NoCyclesFound("no complete charge-discharge cycle in the trace")
 
-    cycles = _integrated_cycles(trace, grouped)
     steady0, _, _ = steady_window([(c.q_in, c.q_out) for c in cycles], steady_tol)
     steady_cycles = cycles if steady0 is None else cycles[steady0 - 1 :]
     steady_segs = [

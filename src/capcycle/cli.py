@@ -42,7 +42,7 @@ from .model import (
     Redistribution,
     test_current,
 )
-from .presets import PRESET_NAMES, TEST_CURRENTS, preset
+from .presets import PRESET_NAMES, TEST_CURRENTS, V_RATED, preset
 from .simulator import AcquisitionConfig, run_protocol
 from .trace import (
     read_trace_csv,
@@ -67,6 +67,7 @@ class Option(NamedTuple):
     help: str | None = None
     choices: tuple[str, ...] | None = None
     positional: bool = False
+    least: int | None = None  # the smallest value accepted
 
     @property
     def dest(self) -> str:
@@ -157,7 +158,8 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Typed values of every option: the flag, else the config, else the default.
 
     A config value of ``null`` counts as not given.  ``given`` holds the names
-    of the options that came from the flags or the config.
+    of the options that came from the flags or the config.  Once every value
+    is typed, a value below its option's ``least`` is refused.
     """
     command = COMMANDS[args.command]
     path = getattr(args, "config", None)
@@ -176,6 +178,10 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
         else:
             value = o.default
         setattr(resolved, o.dest, value)
+    for o in command.options:
+        value = getattr(resolved, o.dest)
+        if o.least is not None and value is not None and value < o.least:
+            raise ConfigError(f"{args.command}: --{o.name} must be >= {o.least}, got {value:g}")
     return resolved
 
 
@@ -192,7 +198,7 @@ def _float_fields(doc: dict, defaults: dict, where: str) -> dict:
     return out
 
 
-_DEVICE_FIELDS = {"c_main": REQUIRED, "r_series": REQUIRED, "v_rated": 2.7, "r_leak": None}
+_DEVICE_FIELDS = {"c_main": REQUIRED, "r_series": REQUIRED, "v_rated": V_RATED, "r_leak": None}
 _BRANCH_FIELDS = {"c_branch": REQUIRED, "r_branch": REQUIRED}
 
 
@@ -219,19 +225,15 @@ def _device_from_json(path: Path) -> DeviceParams:
 
 def _resolve_device(name_or_path: str, ideal: bool) -> DeviceParams:
     if name_or_path in PRESET_NAMES:
-        return preset(name_or_path, ideal=ideal)
-    path = Path(name_or_path)
-    if not path.exists():
+        device = preset(name_or_path)
+    elif Path(name_or_path).exists():
+        device = _device_from_json(Path(name_or_path))
+    else:
         raise ConfigError(
             f"device {name_or_path!r} is neither a preset "
             f"({', '.join(PRESET_NAMES)}) nor an existing JSON file"
         )
-    device = _device_from_json(path)
-    if ideal:
-        return DeviceParams(
-            c_main=device.c_main, r_series=device.r_series, v_rated=device.v_rated
-        )
-    return device
+    return device.ideal() if ideal else device
 
 
 def _default_current(o: argparse.Namespace) -> float:
@@ -265,16 +267,7 @@ def _refuse_ignored(
         raise ConfigError(f"{command}: {by} ignores {', '.join(ignored)}; leave it out")
 
 
-def _refuse_below(o: argparse.Namespace, command: str, names: tuple[str, ...], least=0) -> None:
-    for name in names:
-        value = getattr(o, name.replace("-", "_"))
-        if value is not None and value < least:
-            raise ConfigError(f"{command}: --{name} must be >= {least}, got {value:g}")
-
-
 def cmd_simulate(o: argparse.Namespace) -> int:
-    _refuse_below(o, "simulate", ("rest", "rest-high", "rest-low"))
-    _refuse_below(o, "simulate", ("cycles",), 1)
     if {"rest-high", "rest-low"} <= o.given:
         _refuse_ignored(o, "simulate", ("rest",), "--rest-high with --rest-low")
     device = _resolve_device(o.device, o.ideal)
@@ -325,7 +318,6 @@ def cmd_map(o: argparse.Namespace) -> int:
             )
         grid = fixtures.measured_grid(o.device, rest=o.fixture == "table4")
     else:
-        _refuse_below(o, "map", ("rest",))
         device = _resolve_device(o.device, o.ideal)
         i_c = _default_current(o)
         if o.method == "simulated":
@@ -402,10 +394,10 @@ COMMANDS = {
         Option("current", "float", None, "test current in A"),
         Option("vmin", "float", 0.0, "lower voltage limit in V"),
         Option("vmax", "float", None, "upper voltage limit in V"),
-        Option("rest", "float", 0.0, "rest after each phase in s"),
-        Option("rest-high", "float", None, "rest after charge in s"),
-        Option("rest-low", "float", None, "rest after discharge in s"),
-        Option("cycles", "int", 1, "number of cycles (default 1)"),
+        Option("rest", "float", 0.0, "rest after each phase in s", least=0),
+        Option("rest-high", "float", None, "rest after charge in s", least=0),
+        Option("rest-low", "float", None, "rest after discharge in s", least=0),
+        Option("cycles", "int", 1, "number of cycles (default 1)", least=1),
         Option("sample-period", "float", 0.1, "acquisition period in s"),
         Option("quantize", "bool", False, "apply acquisition quantization"),
         Option("out", "str", REQUIRED, "trace CSV path (sidecar written alongside)"),
@@ -425,7 +417,8 @@ COMMANDS = {
         Option("method", "str", "closedform", choices=("closedform", "simulated")),
         Option("fixture", "str", None, "render an embedded measured surface instead",
                choices=("table2", "table4")),
-        Option("rest", "float", None, "rest duration in s; enables the with-rest model"),
+        Option("rest", "float", None, "rest duration in s; enables the with-rest model",
+               least=0),
         Option("levels", "levels", PU_LEVELS, "comma-separated per-unit grid levels"),
         Option("out", "str", REQUIRED, "output file prefix"),
     )),
@@ -449,7 +442,8 @@ COMMANDS = {
             Option("target", "float", 0.95, "target efficiency (default 0.95)"),
             Option("vmin-pu", "float", 0.0, "window lower bound (default 0)"),
             Option("vmax-pu", "float", 1.0, "window upper bound (default 1)"),
-            Option("v-rated", "float", 2.7, "rated voltage when --r is given (default 2.7)"),
+            Option("v-rated", "float", V_RATED,
+                   f"rated voltage when --r is given (default {V_RATED:g})"),
         )),
     "fixtures": Command(cmd_fixtures, "export the embedded data tables", (
         Option("out_dir", "str", REQUIRED, "destination directory", positional=True),

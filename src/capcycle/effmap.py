@@ -30,12 +30,12 @@ from .errors import (
     WindowTooNarrow,
 )
 from .model import (
-    CycleSpec,
     DeviceParams,
     OperatingWindow,
     RestVoltages,
     efficiency_no_rest,
     efficiency_with_rest,
+    window_spec,
 )
 from .simulator import periodic_etas
 from .simulator import run_protocol  # unused; perfbench patches this name (ROADMAP items 1 and 9)
@@ -59,6 +59,7 @@ MAX_GRID_CELLS = 1 << 20
 """Largest ``n * n`` efficiency array :func:`build_grid` evaluates (1024 levels, 8 MB)."""
 
 _BOUNDARY_SCAN_POINTS = 4096
+_FRACTION_TIE = 4 * 2.0 ** -52  # four ulps of 1.0
 
 
 class GridMethod(Enum):
@@ -223,16 +224,10 @@ class ClosedFormObjective:
 
     def eta(self, vm_pu: float, vM_pu: float) -> float:
         """Efficiency at a per-unit window; raises for infeasible windows."""
-        v_rated = self.device.v_rated
-        if vm_pu < vM_pu and vm_pu * v_rated == vM_pu * v_rated:
-            raise WindowTooNarrow(
-                f"window ({vm_pu!r}, {vM_pu!r}) p.u. has no width in volts",
-                min_window=2.0 * self.i_c * self.device.r_series,
-            )
-        s = CycleSpec(i_c=self.i_c, v_min=vm_pu * v_rated, v_max=vM_pu * v_rated)
+        s = window_spec(self.device, self.i_c, vm_pu, vM_pu)
         if self.rest_model is None:
             return efficiency_no_rest(self.device, s)
-        rv = self.rest_model.predict((vM_pu - vm_pu) * v_rated)
+        rv = self.rest_model.predict((vM_pu - vm_pu) * self.device.v_rated)
         return efficiency_with_rest(self.device, s, rv)
 
     def etas(self, windows) -> list:
@@ -271,9 +266,7 @@ class PeriodicObjective:
         The errors are those of :func:`~capcycle.simulator.periodic_etas`,
         and a window's η does not depend on the others.
         """
-        v_rated = self.device.v_rated
-        return periodic_etas(self.device, self.i_c, self.rest,
-                             [(vm * v_rated, vM * v_rated) for vm, vM in windows])
+        return periodic_etas(self.device, self.i_c, self.rest, windows)
 
     def eta(self, vm_pu: float, vM_pu: float) -> float:
         """Periodic-cycle efficiency at a per-unit window."""
@@ -371,8 +364,9 @@ def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
     optimum lies there.  The boundary is sampled at evenly spaced ``vM``
     from ``sqrt(f)`` to exactly 1, each window with ``vM*vM - vm*vm >= f``
     in floats, and the windows go to ``etas`` in one call under
-    :func:`_cell_etas`'s rule.  Ties break toward larger energy
-    fraction, then larger ``vm``.
+    :func:`_cell_etas`'s rule.  Ties break toward larger energy fraction,
+    then larger ``vm``; fractions within 8.9e-16 (four ulps of 1.0) tie, as
+    they differ only by rounding, like all those on the boundary.
     """
     f = energy_fraction_min
     if f > 1:
@@ -405,12 +399,12 @@ def optimize_window(target, energy_fraction_min: float) -> OperatingPoint:
         frac = vM * vM - vm * vm
         if math.isnan(value) or frac < f - 1e-12:
             continue
-        key = (value, frac, vm)
-        if best is None or key > best[0]:
-            best = (key, vM)
+        if best is None or value > best[0] or value == best[0] and (
+                frac > best[1] + _FRACTION_TIE or frac >= best[1] - _FRACTION_TIE and vm > best[2]):
+            best = (value, frac, vm, vM)
     if best is None:
         raise InfeasibleEnergyRequirement(none_found)
-    (value, frac, vm), vM = best
+    value, frac, vm, vM = best
     # Cells are admitted up to 1e-12 short of the floor, so that decimal
     # levels can meet a decimal floor; such a cell reports the floor itself.
     return OperatingPoint(

@@ -7,8 +7,8 @@ optional open-circuit rests in between.  Because the terminal voltage includes
 the resistive drop, the capacitor itself swings between ``v_min + i*R`` and
 ``v_max - i*R``; every formula below follows from that picture.
 
-All voltages are absolute volts; per-unit windows are converted explicitly via
-:func:`window_to_volts`.
+All voltages are absolute volts; per-unit windows are converted explicitly, by
+:func:`window_to_volts` or, into a cycle spec, by :func:`window_spec`.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class DeviceParams:
             raise ConfigError(f"device.v_rated must be > 0, got {self.v_rated}")
         if self.r_leak is not None and not self.r_leak > 0:
             raise ConfigError(f"device.r_leak must be > 0 if present, got {self.r_leak}")
+
+    def ideal(self) -> DeviceParams:
+        """The device without redistribution and leakage: what the closed forms see."""
+        return DeviceParams(self.c_main, self.r_series, self.v_rated)
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,22 @@ def window_to_volts(window: OperatingWindow, v_rated: float) -> tuple[float, flo
     return window.vm_pu * v_rated, window.vM_pu * v_rated
 
 
+def window_spec(p: DeviceParams, i_c: float, vm_pu: float, vM_pu: float,
+                rest: float = 0.0) -> CycleSpec:
+    """The spec cycling a per-unit window at ``i_c``, with ``rest`` s after each phase.
+
+    A window whose ends give the same volts has no width: it is too narrow.
+    """
+    v_min, v_max = vm_pu * p.v_rated, vM_pu * p.v_rated
+    if v_min == v_max:
+        raise WindowTooNarrow(
+            f"window ({vm_pu!r}, {vM_pu!r}) p.u. has no width in volts",
+            min_window=2.0 * i_c * p.r_series,
+        )
+    return CycleSpec(i_c=i_c, v_min=v_min, v_max=v_max,
+                     rest_after_charge=rest, rest_after_discharge=rest)
+
+
 def _require_feasible_window(p: DeviceParams, s: CycleSpec) -> float:
     """Return 2*i*R after checking the window can fit both resistive jumps."""
     drop = 2.0 * s.i_c * p.r_series
@@ -168,6 +188,19 @@ def efficiency_no_rest(p: DeviceParams, s: CycleSpec) -> float:
     return efficiency_with_rest(p, s, RestVoltages(v_sd=0.0, v_sc=0.0))
 
 
+def _delivered(p: DeviceParams, s: CycleSpec, v_sd: float) -> tuple[float, float]:
+    """``(2*i*R, v_max + v_min - v_sd - 2*i*R)``; a second not positive delivers nothing."""
+    drop = _require_feasible_window(p, s)
+    vsum = s.v_max + s.v_min
+    numerator = vsum - v_sd - drop
+    if not numerator > 0:
+        raise LossesExceedDelivery(
+            f"self-discharge {v_sd:.6g} V plus resistive drop {drop:.6g} V "
+            f"consume the whole window sum {vsum:.6g} V; nothing is delivered"
+        )
+    return drop, numerator
+
+
 def efficiency_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> float:
     """Round-trip efficiency when open-circuit rests move the voltage.
 
@@ -175,15 +208,8 @@ def efficiency_with_rest(p: DeviceParams, s: CycleSpec, rv: RestVoltages) -> flo
     ``v_sc`` is never delivered, so both enter as window-shift penalties:
     ``(v_max + v_min - v_sd - 2*i*R) / (v_max + v_min + v_sc + 2*i*R)``.
     """
-    drop = _require_feasible_window(p, s)
-    vsum = s.v_max + s.v_min
-    numerator = vsum - rv.v_sd - drop
-    if not numerator > 0:
-        raise LossesExceedDelivery(
-            f"self-discharge {rv.v_sd:.6g} V plus resistive drop {drop:.6g} V "
-            f"consume the whole window sum {vsum:.6g} V; nothing is delivered"
-        )
-    return numerator / (vsum + rv.v_sc + drop)
+    drop, numerator = _delivered(p, s, rv.v_sd)
+    return numerator / (s.v_max + s.v_min + rv.v_sc + drop)
 
 
 def energy_in(p: DeviceParams, s: CycleSpec, rv: RestVoltages | None = None) -> float:
@@ -195,9 +221,8 @@ def energy_in(p: DeviceParams, s: CycleSpec, rv: RestVoltages | None = None) -> 
     duration) but raises the mean: ``i*(v_max + v_min + v_sc + 2*i*R)/2 * dt``.
     """
     drop = _require_feasible_window(p, s)
-    dt = p.c_main * (s.v_max - s.v_min - drop) / s.i_c
     v_sc = 0.0 if rv is None else rv.v_sc
-    return s.i_c * (s.v_max + s.v_min + v_sc + drop) / 2.0 * dt
+    return s.i_c * (s.v_max + s.v_min + v_sc + drop) / 2.0 * charge_duration(p, s)
 
 
 def energy_out(p: DeviceParams, s: CycleSpec, rv: RestVoltages | None = None) -> float:
@@ -206,16 +231,8 @@ def energy_out(p: DeviceParams, s: CycleSpec, rv: RestVoltages | None = None) ->
     A post-charge sag ``rv.v_sd`` lowers the mean discharge voltage:
     ``i*(v_max + v_min - v_sd - 2*i*R)/2 * dt``.
     """
-    drop = _require_feasible_window(p, s)
-    dt = p.c_main * (s.v_max - s.v_min - drop) / s.i_c
-    v_sd = 0.0 if rv is None else rv.v_sd
-    numerator = s.v_max + s.v_min - v_sd - drop
-    if not numerator > 0:
-        raise LossesExceedDelivery(
-            f"self-discharge {v_sd:.6g} V plus resistive drop {drop:.6g} V "
-            f"consume the whole window sum {s.v_max + s.v_min:.6g} V"
-        )
-    return s.i_c * numerator / 2.0 * dt
+    _, numerator = _delivered(p, s, 0.0 if rv is None else rv.v_sd)
+    return s.i_c * numerator / 2.0 * charge_duration(p, s)
 
 
 def test_current(p: DeviceParams, target_eff: float, window: OperatingWindow) -> float:

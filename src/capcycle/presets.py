@@ -43,19 +43,16 @@ def derived_resistance(i_c: float, v_rated: float = V_RATED,
 def preset(name: str, ideal: bool = False) -> DeviceParams:
     """Parameters of a campaign device; ``ideal=True`` strips the slow dynamics.
 
-    The ideal variant keeps capacitance and series resistance but drops the
-    redistribution branch and leakage, so simulations match the closed forms.
+    The ideal variant, :meth:`DeviceParams.ideal`, drops the redistribution
+    branch and leakage, so simulations match the closed forms.
     """
     if name not in _C_MAIN:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     c_main = _C_MAIN[name]
-    r_series = derived_resistance(TEST_CURRENTS[name])
-    if ideal:
-        return DeviceParams(c_main=c_main, r_series=r_series, v_rated=V_RATED)
     scale = 50.0 / c_main
-    return DeviceParams(
+    device = DeviceParams(
         c_main=c_main,
-        r_series=r_series,
+        r_series=derived_resistance(TEST_CURRENTS[name]),
         v_rated=V_RATED,
         redistribution=Redistribution(
             c_branch=_BRANCH_FRACTION * c_main,
@@ -63,3 +60,4 @@ def preset(name: str, ideal: bool = False) -> DeviceParams:
         ),
         r_leak=_R_LEAK_50 * scale,
     )
+    return device.ideal() if ideal else device

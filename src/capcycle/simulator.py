@@ -19,9 +19,10 @@ once per device by :func:`_modes`) each mode moves on its own: mode ``k`` is
 ``y_k(t) = e^{λt} y_k + i β_k φ1`` with ``φ1 = expm1(λt) / λ``
 (:func:`_flow`).  The state after ``k`` internal steps is that solution at
 ``t = k·dt`` from the phase's start state, so no step's rounding carries into
-the next.  Rest phases are evaluated in blocks of up to ``TABLE_CAP`` steps;
-charge and discharge phases in ``RAMP_BLOCK``-step blocks, stopping at the
-first step whose terminal voltage crosses the limit.
+the next.  Rest phases are evaluated at their samples and last step only,
+in blocks of up to ``TABLE_CAP`` steps; charge and discharge phases at every
+step, in ``RAMP_BLOCK``-step blocks, stopping at the first step whose
+terminal voltage crosses the limit.
 
 :func:`run_phase` advances one state through one phase, and
 :func:`run_protocol` drives it one phase at a time, checks each phase's end
@@ -55,14 +56,15 @@ from .errors import (
     LossesExceedDelivery,
     NumericError,
 )
-from .model import CycleSpec, DeviceParams, charge_duration
+from .model import CycleSpec, DeviceParams, charge_duration, window_spec
 from .trace import CycleBoundary, Trace
 
 TERMINATION_EPS = 1e-9
 """Absolute voltage tolerance on phase-termination comparisons."""
 
 BRANCH_STEPS_PER_TAU = 50
-"""Minimum internal steps per redistribution time constant."""
+"""Minimum internal steps per redistribution time constant; the flow is exact
+at any step, so they set only where a charge or discharge may end."""
 
 MAX_SAMPLES = 1 << 24
 """Sample cap of :func:`run_protocol`, checked before simulating (~400 MB of t, v, i)."""
@@ -72,9 +74,10 @@ MAX_STEPS = 1 << 25
 
 A fast redistribution branch takes ``n_sub`` internal steps per sample, so
 the sample cap alone does not bound the work.  Charge and discharge phases
-run about 6 million steps a second and rests about 36 million (2 vCPUs), so
-a run at the cap takes 1 to 6 seconds.  It is at least :data:`MAX_SAMPLES`,
-so without a branch (one step per sample) the sample cap is met first.
+run about 6 million steps a second (2 vCPUs) and a rest costs only its
+samples, though its steps count, so a run at the cap takes at most 6 s.  It
+is at least :data:`MAX_SAMPLES`, so without a branch (one step per sample)
+the sample cap is met first.
 """
 
 # Phase-loop modes of :func:`run_phase`.
@@ -255,21 +258,25 @@ def run_phase(
     steps, crossed = 0, False
     while steps < max_steps and not crossed:
         end = min(block, max_steps - steps)  # the steps taken in this block
-        t = np.arange(steps + 1.0, steps + end + 1.0)
+        # Samples fall on steps countdown, countdown + n_sub, ... up to end.  A
+        # ramp is evaluated at every step, to find its crossing, and a rest at
+        # its samples only; either also at the block's last step.
+        on = np.arange(countdown - 1, end, n_sub) if mode == MODE_FIXED else np.arange(end)
+        t = np.append(on, end - 1) + (steps + 1.0)
         t *= dt
         with np.errstate(invalid="ignore"):  # at λ = 0, _flow divides 0 by 0 in lanes it discards
             (y0_t, y1_t), _ = _flow((lam0, lam1), (drive0, drive1), (y0, y1), t)
         vt = w0 * y0_t + w1 * y1_t + v_offset
+        last = -1
         if mode != MODE_FIXED:
             hit = vt >= limit if mode == MODE_CHARGE else vt <= limit
             first = int(hit.argmax())
             if hit[first]:
-                end, crossed = first + 1, True
-        # Samples fall on steps countdown, countdown + n_sub, ... up to end.
-        parts.append(vt[countdown - 1 : end : n_sub])
+                end, last, crossed = first + 1, first, True
+        parts.append(vt[:-1] if mode == MODE_FIXED else vt[countdown - 1 : end : n_sub])
         countdown = (countdown - end - 1) % n_sub + 1
         steps += end
-    return (float(y0_t[end - 1]), float(y1_t[end - 1]), steps, np.concatenate(parts),
+    return (float(y0_t[last]), float(y1_t[last]), steps, np.concatenate(parts),
             countdown, crossed)
 
 
@@ -577,7 +584,7 @@ def _window(p: DeviceParams, s: CycleSpec) -> str:
 
 
 def periodic_etas(p: DeviceParams, i_c: float, rest: float, windows) -> list:
-    """η of each ``(v_min, v_max)`` window's periodic steady cycle, or the error that ends it.
+    """η of each per-unit ``(vm, vM)`` window's periodic steady cycle, or the error that ends it.
 
     Each window is cycled at ``i_c`` with ``rest`` seconds of rest after
     each phase.  The stabilized cycle that repeated cycling settles into is
@@ -597,15 +604,14 @@ def periodic_etas(p: DeviceParams, i_c: float, rest: float, windows) -> list:
     message names the window.
     """
     out: list = []
-    for v_min, v_max in windows:
+    for vm, vM in windows:
         try:
-            s = CycleSpec(i_c=i_c, v_min=v_min, v_max=v_max, rest_after_charge=rest,
-                          rest_after_discharge=rest)
+            s = window_spec(p, i_c, vm, vM, rest)
             s.validate_against(p)
             charge_duration(p, s)  # refuses a window narrower than 2*i*R
-            if p.r_leak is not None and not i_c * p.r_leak > v_max - i_c * p.r_series:
+            if p.r_leak is not None and not i_c * p.r_leak > s.v_max - i_c * p.r_series:
                 raise DynamicsDiverged(
-                    f"{_window(p, s)}: the charge never reaches {v_max!r} V; the "
+                    f"{_window(p, s)}: the charge never reaches {s.v_max!r} V; the "
                     f"leakage takes the whole {i_c!r}-A current once the capacitor "
                     f"is at {i_c * p.r_leak!r} V"
                 )

@@ -38,7 +38,7 @@ from capcycle import (
     write_trace_csv,
 )
 from capcycle import analyzer
-from capcycle.analyzer import _group_cycles, _integrate, _integrated_cycles
+from capcycle.analyzer import _complete_cycles, _integrate
 
 DEV = DeviceParams(c_main=10.0, r_series=0.0922, v_rated=2.7)
 SPEC_RESTS = CycleSpec(
@@ -256,7 +256,7 @@ class TestEnergyBookkeeping:
         # without one, they are the rests' share of the cycle's duration.
         rests = [s for s in rest_segments[:4] if s.kind in (Phase.REST_HIGH, Phase.REST_LOW)]
         assert len(rests) == 2
-        cycles = _integrated_cycles(rest_trace, _group_cycles(rest_segments)[0])
+        cycles = _complete_cycles(rest_trace, rest_segments)[0]
         sp = rest_trace.sample_period
         stored = cycle_metrics(cycles, sp, c_est=10.0)[0]
         drop = sum(0.5 * 10.0 * (s.v_start**2 - s.v_end**2) for s in rests)
@@ -275,9 +275,7 @@ class TestEnergyBookkeeping:
         assert split == pytest.approx(w_c / (w_c + w_d), rel=1e-12)
         no_rest = run_protocol(DEV, CycleSpec(i_c=0.4, v_min=0.5, v_max=2.5, max_cycles=2))
         segs = segment(no_rest)
-        first = cycle_metrics(
-            _integrated_cycles(no_rest, _group_cycles(segs)[0]), no_rest.sample_period
-        )[0]
+        first = cycle_metrics(_complete_cycles(no_rest, segs)[0], no_rest.sample_period)[0]
         assert first.loss_rest == 0.0
         w_c, w_d = (_fancy_index_integrals(no_rest, s)[2] for s in segs[:2])
         share = first.loss_charge / (first.e_in - first.e_out)
@@ -460,7 +458,7 @@ class TestAnalyzeTrace:
         assert any("discharge" in w for w in rep.warnings)
 
     def test_each_warning_logged_once(self, rest_trace, caplog):
-        # cycle_metrics regroups the cycles; the warning must not log twice
+        # the cycles are grouped once; the warning must not log twice
         b = rest_trace.meta["boundaries"][-3]
         sp = rest_trace.sample_period
         cut = int(round(b.t_start / sp)) + 30

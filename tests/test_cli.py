@@ -837,6 +837,23 @@ class TestOptionTable:
         result = coerce(kind, value, "x")
         assert result == expected and type(result) is type(expected)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_every_bound_refuses_a_value_below_it(self, capsys, tmp_path, source):
+        from capcycle.cli import COMMANDS
+
+        bounded = [(name, o) for name, command in COMMANDS.items()
+                   for o in command.options if o.least is not None]
+        assert bounded
+        for command, o in bounded:
+            value, config = o.least - 1, required_config(command, tmp_path)
+            if source == "flag":
+                argv = [f"--{o.name}", str(value)]
+            else:
+                argv, config = [], {**config, o.name: value}
+            code, _, err = run(capsys, command, *argv, "--config", write_config(tmp_path, config))
+            assert_rejected(code, err, f"{command}: --{o.name} must be >= {o.least}, got {value}")
+        assert not list(tmp_path.glob("[!c]*"))  # nothing written but the config
+
     def test_null_falls_back_to_default(self, capsys, tmp_path):
         nulls = {k: None for k in CONFIG_KEYS["simulate"] if k != "out"}
         cfg = write_config(tmp_path, {**nulls, "out": str(tmp_path / "a.csv")})

@@ -221,6 +221,44 @@ def test_closed_form_cells_are_the_objective(device, i_c, levels, model):
             assert got == expect or (math.isnan(got) and math.isnan(expect))
 
 
+@st.composite
+def _levels_with_collapsed_pairs(draw):
+    """Strictly increasing levels, often holding adjacent floats that give the same volts."""
+    levels = set(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5)))
+    for x in draw(st.lists(st.floats(0.38, 0.49) | st.floats(0.75, 0.99), max_size=2)):
+        # x·2.7 lands in a binade whose ulp is coarser than 2.7·ulp(x), so
+        # some neighbour of x rounds to the same volts as its successor
+        for _ in range(64):
+            y = math.nextafter(x, 1.0)
+            if x * 2.7 == y * 2.7:
+                levels |= {x, y}
+                break
+            x = y
+    assume(len(levels) >= 2)
+    return tuple(sorted(levels))
+
+
+@settings(max_examples=30, deadline=None)
+@given(device=st.sampled_from(PRESET_NAMES), levels=_levels_with_collapsed_pairs())
+def test_objectives_leave_the_same_cells_blank(device, levels):
+    # One window rule: a window whose ends give the same volts is too
+    # narrow under either objective, a blank cell and not an error.
+    p, i_c = preset(device, ideal=True), TEST_CURRENTS[device]
+    closed = build_grid(ClosedFormObjective(p, i_c), levels=levels)
+    orbit = build_grid(PeriodicObjective(p, i_c), levels=levels)
+    assert np.array_equal(closed.defined_mask(), orbit.defined_mask())
+
+
+def test_window_with_collapsed_volts_is_too_narrow():
+    lo, hi = 0.49543508709194095, 0.495435087091941
+    p = preset("100F", ideal=True)
+    assert lo < hi and lo * p.v_rated == hi * p.v_rated
+    with pytest.raises(WindowTooNarrow):
+        ClosedFormObjective(p, 4.7).eta(lo, hi)
+    with pytest.raises(WindowTooNarrow):
+        PeriodicObjective(p, 4.7).eta(lo, hi)
+
+
 class TestBuildGridSimulated:
     def test_matches_closed_form_within_0p2_points(self):
         d = preset("100F", ideal=True)
@@ -524,6 +562,14 @@ class TestOptimizer:
         g2 = EfficiencyGrid(levels2, eta2, GridMethod.MEASURED, False)
         pt2 = optimize_window(g2, 0.1)
         assert pt2.window.vm_pu == 0.5  # equal fractions: larger vm wins
+
+    def test_zero_resistance_ties_pick_the_rated_ceiling(self):
+        # Every boundary window reads η = 1; their fractions differ only by
+        # rounding, so the tie goes to the largest vm, which ends at vM = 1.
+        obj = ClosedFormObjective(DeviceParams(c_main=10.0, r_series=0.0, v_rated=2.7), 1.0)
+        for k in range(1, 101):
+            pt = optimize_window(obj, k / 100)
+            assert (pt.eta, pt.window.vM_pu) == (1.0, 1.0), k
 
     @pytest.mark.parametrize("device", ["10F", "50F", "100F"])
     def test_periodic_objective_picks_the_closed_form_window_when_ideal(self, device):

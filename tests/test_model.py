@@ -164,6 +164,25 @@ class TestEnergies:
             efficiency_with_rest(DEV, SPEC_04, rv), rel=1e-12
         )
 
+    def test_energy_out_refuses_the_windows_efficiency_refuses(self):
+        # One delivery rule: both refuse the same windows with the same message.
+        rng = np.random.default_rng(5)
+        refused = 0
+        for _ in range(300):
+            vmin = rng.uniform(0.0, 1.0)
+            s = _spec(rng.uniform(0.1, 2.0), vmin, rng.uniform(vmin + 0.5, 2.7))
+            d, rv = _dev(rng.uniform(0.0, 0.2)), RestVoltages(rng.uniform(0.0, 4.0), 0.1)
+            try:
+                efficiency_with_rest(d, s, rv)
+            except (LossesExceedDelivery, WindowTooNarrow) as exc:
+                refused += 1
+                with pytest.raises(type(exc)) as out:
+                    energy_out(d, s, rv)
+                assert str(out.value) == str(exc)
+            else:
+                assert energy_out(d, s, rv) > 0
+        assert 0 < refused < 300
+
     def test_zero_rest_voltages_are_bit_identical_to_no_rest(self):
         zero = RestVoltages(0.0, 0.0)
         for s in (SPEC_04, CycleSpec(i_c=1.7, v_min=0.0, v_max=2.7)):

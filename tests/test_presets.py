@@ -61,6 +61,7 @@ class TestPresetStructure:
         assert p.redistribution is None
         assert p.r_leak is None
         assert p.r_series == preset("50F").r_series
+        assert p == preset("50F").ideal()
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="13F"):

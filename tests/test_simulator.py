@@ -54,6 +54,13 @@ TWO_BRANCH = DeviceParams(
 )
 
 
+# A two-branch device whose 0.026-s branch takes 1,943 internal steps per 1-s
+# sample: a full charge at 0.275 A is about 1.0 M steps.
+FAST_BRANCH = DeviceParams(c_main=52.0, r_series=0.0088, v_rated=2.7,
+                           redistribution=Redistribution(c_branch=0.52, r_branch=0.05),
+                           r_leak=9000.0)
+
+
 def _phase_args(p, v_main, v_branch, i, dt, mode, v_stop, max_steps, n_sub, countdown):
     """``run_phase``'s arguments for a phase of ``p`` at current ``i`` from ``(v_main, v_branch)``."""
     m = simulator._modes(p)
@@ -500,6 +507,29 @@ class TestBlockedPropagation:
         _assert_phases_agree(got, _scalar_cell(*args), TWO_BRANCH)
         assert got[3].shape == ((steps - 2) // 3 + 1,)
 
+    @pytest.mark.parametrize("p, dt, max_steps, n_sub, countdown", [
+        (TWO_BRANCH, 0.05, 2 * TABLE_CAP + 1000, 3, 2),  # several table blocks
+        (TWO_BRANCH, 0.05, 7, 1, 1),
+        (TWO_BRANCH, 0.05, 2, 3, 3),  # no sample falls due
+        (FAST_BRANCH, 1.0 / 1943, 100 * 1943, 1943, 1943),
+    ], ids=["blocks", "n_sub-1", "no-sample", "fast-branch"])
+    def test_rest_evaluates_only_its_samples_and_last_step(self, monkeypatch, p, dt,
+                                                           max_steps, n_sub, countdown):
+        # A rest has no crossing to find, so each block is evaluated at its
+        # samples and its last step, and gives the bits of every step's.
+        args = _phase_args(p, 2.5, 2.0, 0.0, dt, MODE_FIXED, 0.0, max_steps, n_sub, countdown)
+        t = np.arange(1.0, max_steps + 1.0)
+        t *= dt
+        (y0, y1), _ = simulator._flow(args[2:4], args[4:6], args[:2], t)
+        every = args[6] * y0 + args[7] * y1 + args[9]
+        flow, points = simulator._flow, []
+        monkeypatch.setattr(simulator, "_flow", lambda *a: (points.append(a[3].size), flow(*a))[1])
+        got = run_phase(*args)
+        assert got[2] == max_steps and (got[0], got[1]) == (y0[-1], y1[-1])
+        assert np.array_equal(got[3], every[countdown - 1 :: n_sub])
+        blocks = -(-max_steps // TABLE_CAP)
+        assert len(points) == blocks and sum(points) <= got[3].size + blocks
+
     # Three cells, each starting elsewhere with its own countdown, and five
     # phases, each giving every cell its own limit and step budget, so the
     # cells cross, run out or rest apart.
@@ -643,13 +673,6 @@ class TestBlockedPropagation:
         bound = (1 + 2 * s.v_max / (s.v_min + s.v_max)) * (s.i_c * 1.0 / p.c_main) / swing
         assert 0 < orbit < 1
         assert abs(traced - orbit) <= bound
-
-
-# A two-branch device whose 0.026-s branch takes 1,943 internal steps per 1-s
-# sample: a full charge at 0.275 A is about 1.0 M steps.
-FAST_BRANCH = DeviceParams(c_main=52.0, r_series=0.0088, v_rated=2.7,
-                           redistribution=Redistribution(c_branch=0.52, r_branch=0.05),
-                           r_leak=9000.0)
 
 
 class TestLongPhases:
@@ -890,8 +913,10 @@ class TestProtocolProperties:
         # η, or the error that ends it.
         p, s, _ = case
         rest = s.rest_after_charge
-        s = dataclasses.replace(s, rest_after_discharge=rest)
-        (orbit,) = simulator.periodic_etas(p, s.i_c, rest, [(s.v_min, s.v_max)])
+        vm, vM = s.v_min / p.v_rated, s.v_max / p.v_rated
+        s = dataclasses.replace(s, v_min=vm * p.v_rated, v_max=vM * p.v_rated,
+                                rest_after_discharge=rest)
+        (orbit,) = simulator.periodic_etas(p, s.i_c, rest, [(vm, vM)])
         m, drop = simulator._modes(p), s.i_c * p.r_series
         v_lo, v_hi = np.array([s.v_min + drop]), np.array([s.v_max - drop])
         tol = simulator.ORBIT_TOL * p.v_rated
