@@ -452,20 +452,27 @@ COMMANDS = {
 """Every command's options; their flags, config keys and types come from here."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command`` named, only that command gets its options.
+
+    Every command's subparser is added either way, so the top-level usage,
+    help and errors do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="capcycle",
         description="supercapacitor cycling efficiency workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        if command.config:
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if command not in (None, name):
+            continue
+        if cmd.config:
             p.add_argument("--config", help="JSON config file; explicit flags win")
-        for o in command.options:
+        for o in cmd.options:
             if o.positional:
                 # with a config file, the positional may come from there
-                p.add_argument(o.dest, nargs="?" if command.config else None, help=o.help)
+                p.add_argument(o.dest, nargs="?" if cmd.config else None, help=o.help)
             elif o.kind == "bool":
                 p.add_argument(f"--{o.name}", action="store_true", default=None,
                                help=o.help)
@@ -476,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argv's first token names the command, if it names one
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return COMMANDS[args.command].run(resolve(args))
     except CapcycleError as exc:

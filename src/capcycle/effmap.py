@@ -33,9 +33,8 @@ from .model import (
     DeviceParams,
     OperatingWindow,
     RestVoltages,
-    efficiency_no_rest,
-    efficiency_with_rest,
-    window_spec,
+    window_error,
+    window_gate,
 )
 from .simulator import periodic_etas
 from .simulator import run_protocol  # unused; perfbench patches this name (ROADMAP items 1 and 9)
@@ -97,11 +96,15 @@ class SelfDischargeModel:
         """The smaller of the two coefficients of determination."""
         return min(self.fit_quality_sd, self.fit_quality_sc)
 
+    def rest_volts(self, dv):
+        """``(v_sd, v_sc)`` in volts for window spans ``dv`` volts; floats or arrays."""
+        return (np.maximum(0.0, (self.slope_sd * dv + self.intercept_sd) / 1000.0),
+                np.maximum(0.0, (self.slope_sc * dv + self.intercept_sc) / 1000.0))
+
     def predict(self, dv: float) -> RestVoltages:
         """Rest voltages (volts) for a window span ``dv`` volts."""
-        v_sd = max(0.0, (self.slope_sd * dv + self.intercept_sd) / 1000.0)
-        v_sc = max(0.0, (self.slope_sc * dv + self.intercept_sc) / 1000.0)
-        return RestVoltages(v_sd=v_sd, v_sc=v_sc)
+        v_sd, v_sc = self.rest_volts(dv)
+        return RestVoltages(v_sd=float(v_sd), v_sc=float(v_sc))
 
     def to_dict(self) -> dict:
         return {
@@ -197,6 +200,14 @@ def _validate_levels(levels) -> tuple[float, ...]:
     return levels
 
 
+def _one_eta(objective, vm_pu: float, vM_pu: float) -> float:
+    """An objective's efficiency at one per-unit window; raises the error ``etas`` gives it."""
+    (value,) = objective.etas([(vm_pu, vM_pu)])
+    if isinstance(value, CapcycleError):
+        raise value
+    return value
+
+
 @dataclass(frozen=True)
 class ClosedFormObjective:
     """Closed-form efficiency of per-unit windows, with rests when a model is given.
@@ -222,23 +233,33 @@ class ClosedFormObjective:
     def with_rest(self) -> bool:
         return self.rest_model is not None
 
-    def eta(self, vm_pu: float, vM_pu: float) -> float:
-        """Efficiency at a per-unit window; raises for infeasible windows."""
-        s = window_spec(self.device, self.i_c, vm_pu, vM_pu)
-        if self.rest_model is None:
-            return efficiency_no_rest(self.device, s)
-        rv = self.rest_model.predict((vM_pu - vm_pu) * self.device.v_rated)
-        return efficiency_with_rest(self.device, s, rv)
-
     def etas(self, windows) -> list:
-        """:meth:`eta`, or the error it raises, of each per-unit window."""
-        out = []
-        for vm, vM in windows:
-            try:
-                out.append(self.eta(vm, vM))
-            except CapcycleError as exc:
-                out.append(exc)
+        """Efficiency, or the error met, of each per-unit window, on arrays.
+
+        :func:`~capcycle.model.window_gate` refuses the windows that break a
+        window rule; the device's leakage is not among them, as the closed
+        forms do not see it.  Of the rest, a window whose drops and rest sag
+        leave nothing delivered is refused too.  Each refused window gets
+        :func:`~capcycle.model.window_error`'s error.
+        """
+        windows = list(windows)
+        vm, vM = np.array(windows, dtype=float).reshape(-1, 2).T
+        p = self.device.ideal()
+        v_min, v_max, ok = window_gate(p, self.i_c, vm, vM)
+        v_sd = v_sc = np.zeros(vm.size)
+        if self.rest_model is not None:
+            v_sd, v_sc = self.rest_model.rest_volts((vM - vm) * p.v_rated)
+        # efficiency_with_rest's operations, in its order
+        drop = 2.0 * self.i_c * p.r_series
+        vsum = v_max + v_min
+        numerator = vsum - v_sd - drop
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (numerator / (vsum + v_sc + drop)).tolist()
+        for c in np.flatnonzero(~(ok & (numerator > 0))).tolist():
+            out[c] = window_error(p, self.i_c, *windows[c], v_sd=float(v_sd[c]))
         return out
+
+    eta = _one_eta
 
 
 @dataclass(frozen=True)
@@ -268,12 +289,7 @@ class PeriodicObjective:
         """
         return periodic_etas(self.device, self.i_c, self.rest, windows)
 
-    def eta(self, vm_pu: float, vM_pu: float) -> float:
-        """Periodic-cycle efficiency at a per-unit window."""
-        (value,) = self.etas([(vm_pu, vM_pu)])
-        if isinstance(value, CapcycleError):
-            raise value
-        return value
+    eta = _one_eta
 
 
 def _cell_etas(objective, windows) -> np.ndarray:
@@ -422,21 +438,24 @@ def _fmt_level(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _fmt_pct(eta: float) -> str:
-    return f"{eta * 100.0:.4g}"
+_RAMP_STOPS = np.array([(215, 48, 39), (254, 224, 139), (26, 152, 80)], dtype=float)
 
 
-def _ramp_color(frac: float) -> str:
-    """Three-stop red-yellow-green ramp; frac in [0, 1]."""
-    stops = ((215, 48, 39), (254, 224, 139), (26, 152, 80))
-    if frac <= 0.5:
-        a, b = stops[0], stops[1]
-        u = frac / 0.5
-    else:
-        a, b = stops[1], stops[2]
-        u = (frac - 0.5) / 0.5
-    rgb = tuple(round(x + (y - x) * u) for x, y in zip(a, b))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _ramp_colors(frac: np.ndarray) -> list[str]:
+    """``#rrggbb`` of each fraction in [0, 1] on a three-stop red-yellow-green ramp.
+
+    A channel runs from ``a`` to ``b`` as ``round(a + (b - a) * u)``, ``u``
+    the position within the half of the ramp; ``np.rint`` rounds ties to
+    even, as ``round`` does.
+    """
+    frac = np.asarray(frac, dtype=float)[:, None]
+    upper = frac > 0.5
+    u = np.where(upper, (frac - 0.5) / 0.5, frac / 0.5)
+    a = np.where(upper, _RAMP_STOPS[1], _RAMP_STOPS[0])
+    b = np.where(upper, _RAMP_STOPS[2], _RAMP_STOPS[1])
+    rgb = np.rint(a + (b - a) * u).astype(np.int64)
+    packed = rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]
+    return [f"#{c:06x}" for c in packed.tolist()]
 
 
 def render_map(grid: EfficiencyGrid, out: str | Path) -> tuple[Path, Path]:
@@ -460,20 +479,20 @@ def render_map(grid: EfficiencyGrid, out: str | Path) -> tuple[Path, Path]:
     csv_path = out.with_suffix(".csv")
     svg_path = out.with_suffix(".svg")
 
-    lines = ["vmpu\\vMpu," + ",".join(_fmt_level(v) for v in grid.levels)]
-    for r, vM in enumerate(grid.levels):
-        cells = [
-            _fmt_pct(grid.eta[r, j]) if defined[r, j] else ""
-            for j in range(len(grid.levels))
-        ]
-        lines.append(_fmt_level(vM) + "," + ",".join(cells))
+    pct = (grid.eta * 100.0).tolist()  # NaN where undefined
+    labels = [_fmt_level(v) for v in grid.levels]
+    lines = ["vmpu\\vMpu," + ",".join(labels)]
+    for label, row in zip(labels, pct):
+        lines.append(label + "," + ",".join("" if v != v else f"{v:.4g}" for v in row))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    svg_path.write_text(_render_svg(grid, defined), encoding="utf-8", newline="\n")
+    svg_path.write_text(_render_svg(grid, defined, labels, pct), encoding="utf-8",
+                        newline="\n")
     return csv_path, svg_path
 
 
-def _render_svg(grid: EfficiencyGrid, defined: np.ndarray) -> str:
+def _render_svg(grid: EfficiencyGrid, defined: np.ndarray, labels: list[str],
+                pct: list[list[float]]) -> str:
     cw, ch = 66, 44
     left, top = 78, 46
     ncols = nrows = len(grid.levels)
@@ -484,6 +503,7 @@ def _render_svg(grid: EfficiencyGrid, defined: np.ndarray) -> str:
     values = grid.eta[defined]
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
+    colors = iter(_ramp_colors((values - lo) / span))  # row-major, as the cells
 
     tag = "with rest" if grid.rest else "no rest"
     parts = [
@@ -493,38 +513,34 @@ def _render_svg(grid: EfficiencyGrid, defined: np.ndarray) -> str:
         f'<text x="{left}" y="24" font-family="sans-serif" font-size="15" '
         f'fill="#000000">round-trip efficiency (%), {grid.method.value}, {tag}</text>',
     ]
-    for r in range(nrows):
+    for r, row in enumerate(pct):
         y = top + (nrows - 1 - r) * ch
-        for j in range(ncols):
+        for j, value in enumerate(row):
             x = left + j * cw
-            if defined[r, j]:
-                value = float(grid.eta[r, j])
-                color = _ramp_color((value - lo) / span)
-                parts.append(
-                    f'<rect x="{x}" y="{y}" width="{cw}" height="{ch}" '
-                    f'fill="{color}" stroke="#ffffff"/>'
-                )
-                parts.append(
-                    f'<text x="{x + cw // 2}" y="{y + ch // 2 + 5}" '
-                    f'font-family="sans-serif" font-size="13" text-anchor="middle" '
-                    f'fill="#000000">{value * 100.0:.1f}</text>'
-                )
-            else:
+            if value != value:  # NaN: undefined
                 parts.append(
                     f'<rect x="{x}" y="{y}" width="{cw}" height="{ch}" '
                     f'fill="#f2f2f2" stroke="#ffffff"/>'
                 )
-    for j, vm in enumerate(grid.levels):
+            else:
+                parts.append(
+                    f'<rect x="{x}" y="{y}" width="{cw}" height="{ch}" '
+                    f'fill="{next(colors)}" stroke="#ffffff"/>\n'
+                    f'<text x="{x + cw // 2}" y="{y + ch // 2 + 5}" '
+                    f'font-family="sans-serif" font-size="13" text-anchor="middle" '
+                    f'fill="#000000">{value:.1f}</text>'
+                )
+    for j, label in enumerate(labels):
         parts.append(
             f'<text x="{left + j * cw + cw // 2}" y="{top + nrows * ch + 20}" '
             f'font-family="sans-serif" font-size="12" text-anchor="middle" '
-            f'fill="#000000">{_fmt_level(vm)}</text>'
+            f'fill="#000000">{label}</text>'
         )
-    for r, vM in enumerate(grid.levels):
+    for r, label in enumerate(labels):
         y = top + (nrows - 1 - r) * ch + ch // 2 + 4
         parts.append(
             f'<text x="{left - 10}" y="{y}" font-family="sans-serif" '
-            f'font-size="12" text-anchor="end" fill="#000000">{_fmt_level(vM)}</text>'
+            f'font-size="12" text-anchor="end" fill="#000000">{label}</text>'
         )
     parts.append(
         f'<text x="{left + ncols * cw // 2}" y="{top + nrows * ch + 44}" '
@@ -541,12 +557,11 @@ def _render_svg(grid: EfficiencyGrid, defined: np.ndarray) -> str:
     lx = left + ncols * cw + 36
     lh = nrows * ch
     steps = 24
-    for k in range(steps):
-        frac = (k + 0.5) / steps
+    for k, color in enumerate(_ramp_colors((np.arange(steps) + 0.5) / steps)):
         y = top + lh - (k + 1) * lh / steps
         parts.append(
             f'<rect x="{lx}" y="{y:.2f}" width="18" height="{lh / steps + 0.5:.2f}" '
-            f'fill="{_ramp_color(frac)}"/>'
+            f'fill="{color}"/>'
         )
     parts.append(
         f'<text x="{lx + 24}" y="{top + lh}" font-family="sans-serif" font-size="11" '

@@ -9,14 +9,21 @@ the resistive drop, the capacitor itself swings between ``v_min + i*R`` and
 
 All voltages are absolute volts; per-unit windows are converted explicitly, by
 :func:`window_to_volts` or, into a cycle spec, by :func:`window_spec`.
+:func:`window_gate` decides which of many per-unit windows every window rule
+admits, on arrays, and :func:`window_error` names the rule a refused one breaks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
+    CapcycleError,
     ConfigError,
+    DynamicsDiverged,
     LossesExceedDelivery,
     UnboundedCurrent,
     WindowTooNarrow,
@@ -154,10 +161,68 @@ def window_spec(p: DeviceParams, i_c: float, vm_pu: float, vM_pu: float,
                      rest_after_charge=rest, rest_after_discharge=rest)
 
 
+def _fits_drops(v_min, v_max, i_r):
+    """Whether windows fit both resistive jumps of ``i_r`` volts; floats or arrays.
+
+    The window must exceed ``2*i*R``, and the capacitor's swing, from
+    ``v_min + i*R`` up to ``v_max - i*R``, must be positive: within an ulp of
+    ``2*i*R`` the two tests can disagree in floats.
+    """
+    return (v_max - v_min > 2.0 * i_r) & (v_max - i_r > v_min + i_r)
+
+
+def window_gate(p: DeviceParams, i_c: float, vm_pu: np.ndarray, vM_pu: np.ndarray,
+                rest: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(v_min, v_max, ok)`` of per-unit windows cycled at ``i_c``, ``rest`` s after each phase.
+
+    ``ok`` holds where a window passes every window rule, which
+    :func:`window_error` checks one window at a time in this order: ends
+    that give distinct volts (:func:`window_spec`), a valid
+    :class:`CycleSpec`, the rating (:meth:`CycleSpec.validate_against`),
+    both resistive jumps (:func:`_fits_drops`), and a charge that the
+    leakage lets reach ``v_max``.
+    """
+    v_min, v_max = vm_pu * p.v_rated, vM_pu * p.v_rated
+    spec_ok = i_c > 0 and 0 <= rest < math.inf  # CycleSpec's checks of the protocol
+    with np.errstate(invalid="ignore"):
+        ok = ((0 <= v_min) & (v_min < v_max) & (v_max <= p.v_rated)
+              & _fits_drops(v_min, v_max, i_c * p.r_series))
+        if p.r_leak is not None:  # the leakage must let the charge reach v_max
+            ok &= i_c * p.r_leak > v_max - i_c * p.r_series
+    return v_min, v_max, ok & spec_ok
+
+
+def window_label(p: DeviceParams, v_min: float, v_max: float) -> str:
+    """How messages name the window ``(v_min, v_max)`` volts."""
+    return f"window ({v_min / p.v_rated:g}, {v_max / p.v_rated:g}) p.u."
+
+
+def window_error(p: DeviceParams, i_c: float, vm_pu: float, vM_pu: float,
+                 rest: float = 0.0, v_sd: float = 0.0) -> CapcycleError:
+    """The error of a window that :func:`window_gate` refuses, or that delivers nothing.
+
+    That is the error of the first rule the window breaks, in the gate's
+    order; whether anything is delivered after a sag of ``v_sd`` volts is
+    checked right after the resistive jumps, by :func:`_delivered`.
+    """
+    try:
+        s = window_spec(p, i_c, vm_pu, vM_pu, rest)
+        s.validate_against(p)
+        _delivered(p, s, v_sd)
+    except CapcycleError as exc:
+        return exc
+    # the one rule left
+    return DynamicsDiverged(
+        f"{window_label(p, s.v_min, s.v_max)}: the charge never reaches {s.v_max!r} V; "
+        f"the leakage takes the whole {i_c!r}-A current once the capacitor is at "
+        f"{i_c * p.r_leak!r} V"
+    )
+
+
 def _require_feasible_window(p: DeviceParams, s: CycleSpec) -> float:
     """Return 2*i*R after checking the window can fit both resistive jumps."""
     drop = 2.0 * s.i_c * p.r_series
-    if not s.v_max - s.v_min > drop:
+    if not _fits_drops(s.v_min, s.v_max, s.i_c * p.r_series):
         raise WindowTooNarrow(
             f"window {s.v_max - s.v_min:.6g} V cannot exceed the resistive drop "
             f"budget 2*i*R = {drop:.6g} V; widen the window or lower the current",

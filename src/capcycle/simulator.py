@@ -56,7 +56,14 @@ from .errors import (
     LossesExceedDelivery,
     NumericError,
 )
-from .model import CycleSpec, DeviceParams, charge_duration, window_spec
+from .model import (
+    CycleSpec,
+    DeviceParams,
+    charge_duration,
+    window_error,
+    window_gate,
+    window_label,
+)
 from .trace import CycleBoundary, Trace
 
 TERMINATION_EPS = 1e-9
@@ -564,8 +571,8 @@ def _orbit(p: DeviceParams, i: float, rest: float, v_lo: np.ndarray, v_hi: np.nd
     return eta, code
 
 
-def _orbit_error(code: int, p: DeviceParams, s: CycleSpec) -> CapcycleError:
-    window = _window(p, s)
+def _orbit_error(code: int, p: DeviceParams, v_min: float, v_max: float) -> CapcycleError:
+    window = window_label(p, v_min, v_max)
     phase = "charge" if code in (_EMPTY_CHARGE, _STUCK_CHARGE) else "discharge"
     if code in (_EMPTY_CHARGE, _EMPTY_DISCHARGE):
         return LossesExceedDelivery(
@@ -577,10 +584,6 @@ def _orbit_error(code: int, p: DeviceParams, s: CycleSpec) -> CapcycleError:
                             f"{ORBIT_STEPS} secant steps")
     return NumericError(f"{window}: Newton did not locate the {phase}'s end within "
                         f"{ORBIT_STEPS} steps")
-
-
-def _window(p: DeviceParams, s: CycleSpec) -> str:
-    return f"window ({s.v_min / p.v_rated:g}, {s.v_max / p.v_rated:g}) p.u."
 
 
 def periodic_etas(p: DeviceParams, i_c: float, rest: float, windows) -> list:
@@ -596,34 +599,25 @@ def periodic_etas(p: DeviceParams, i_c: float, rest: float, windows) -> list:
     circuit's modes.  On an ideal device it is the closed form.
 
     The windows are solved together, elementwise, so a window's η does not
-    depend on the others.  A window narrower than the resistive drops is
-    :class:`WindowTooNarrow`; one whose rest empties a phase,
-    :class:`LossesExceedDelivery`; a charge limit that the leakage never
-    lets the capacitor reach, :class:`DynamicsDiverged`; and a Newton or
-    secant iteration that does not converge, :class:`NumericError`.  Each
-    message names the window.
+    depend on the others.  A window that :func:`~capcycle.model.window_gate`
+    refuses gets :func:`~capcycle.model.window_error`'s error: narrower than
+    the resistive drops, :class:`WindowTooNarrow`; a charge limit that the
+    leakage never lets the capacitor reach, :class:`DynamicsDiverged`.  One
+    whose rest empties a phase is :class:`LossesExceedDelivery`, and a
+    Newton or secant iteration that does not converge, :class:`NumericError`.
+    Each message names the window.
     """
-    out: list = []
-    for vm, vM in windows:
-        try:
-            s = window_spec(p, i_c, vm, vM, rest)
-            s.validate_against(p)
-            charge_duration(p, s)  # refuses a window narrower than 2*i*R
-            if p.r_leak is not None and not i_c * p.r_leak > s.v_max - i_c * p.r_series:
-                raise DynamicsDiverged(
-                    f"{_window(p, s)}: the charge never reaches {s.v_max!r} V; the "
-                    f"leakage takes the whole {i_c!r}-A current once the capacitor "
-                    f"is at {i_c * p.r_leak!r} V"
-                )
-            out.append(s)
-        except CapcycleError as exc:
-            out.append(exc)
-    cells = [c for c, s in enumerate(out) if isinstance(s, CycleSpec)]
-    if cells:
+    windows = list(windows)
+    vm, vM = np.array(windows, dtype=float).reshape(-1, 2).T
+    v_min, v_max, ok = window_gate(p, i_c, vm, vM, rest)
+    out = [None if k else window_error(p, i_c, *w, rest)
+           for w, k in zip(windows, ok.tolist())]
+    cells = np.flatnonzero(ok)
+    if cells.size:
         drop = i_c * p.r_series
-        v_lo = np.array([out[c].v_min for c in cells]) + drop
-        v_hi = np.array([out[c].v_max for c in cells]) - drop
-        eta, code = _orbit(p, i_c, rest, v_lo, v_hi)
-        for c, value, k in zip(cells, eta.tolist(), code.tolist()):
-            out[c] = value if k == _FINE else _orbit_error(k, p, out[c])
+        v_min, v_max = v_min[cells], v_max[cells]
+        eta, code = _orbit(p, i_c, rest, v_min + drop, v_max - drop)
+        for c, value, k, lo, hi in zip(cells.tolist(), eta.tolist(), code.tolist(),
+                                       v_min.tolist(), v_max.tolist()):
+            out[c] = value if k == _FINE else _orbit_error(k, p, lo, hi)
     return out

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, and end-to-end flows."""
 
+import argparse
 import decimal
 import gzip
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capcycle import efficiency_no_rest, preset, read_sidecar_csv, simulator
+from capcycle import cli, efficiency_no_rest, preset, read_sidecar_csv, simulator
 from capcycle.cli import main
 from capcycle.model import CycleSpec
 
@@ -860,6 +861,44 @@ class TestOptionTable:
         assert run(capsys, "simulate", "--config", cfg)[0] == 0
         assert run(capsys, "simulate", "--out", str(tmp_path / "b.csv"))[0] == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+_SURFACE = [["--help"], [], ["bogus"], ["map", "--bogus"], ["map"], ["optimize"],
+            ["fixtures"], *([name, "--help"] for name in cli.COMMANDS)]
+
+
+class TestParser:
+    """``main`` builds the options of the invoked command only."""
+
+    @pytest.mark.parametrize("argv", _SURFACE, ids=lambda argv: " ".join(argv) or "none")
+    def test_surface_matches_a_parser_of_every_command(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        got = outcome()
+        every = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: every())
+        assert got == outcome()
+
+    def test_map_adds_no_option_of_another_command(self, capsys, monkeypatch, tmp_path):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(real(command)) or built[-1])
+        assert run(capsys, "map", "--fixture", "table2", "--out", str(tmp_path / "m"))[0] == 0
+        (parser,) = built
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands) == list(cli.COMMANDS)
+        for name, sub in commands.items():
+            dests = {a.dest for a in sub._actions} - {"help"}
+            expected = {"config", *(o.dest for o in cli.COMMANDS["map"].options)}
+            assert dests == (expected if name == "map" else set()), name
 
 
 _DEVICE = {"c_main": 10.0, "r_series": 0.03,

@@ -1,5 +1,6 @@
 """Efficiency grids, the rest-voltage fit, the optimizer, and rendering."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -239,11 +240,23 @@ def _levels_with_collapsed_pairs(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(device=st.sampled_from(PRESET_NAMES), levels=_levels_with_collapsed_pairs())
-def test_objectives_leave_the_same_cells_blank(device, levels):
-    # One window rule: a window whose ends give the same volts is too
-    # narrow under either objective, a blank cell and not an error.
+@given(device=st.sampled_from(PRESET_NAMES), levels=_levels_with_collapsed_pairs(),
+       near=st.lists(st.tuples(st.floats(0.0, 0.95), st.integers(-4, 4)), max_size=3))
+@example(device="100F", levels=(0.0, 0.7, 0.7256410256410256, 1.0), near=[])
+def test_objectives_leave_the_same_cells_blank(device, levels, near):
+    # One window gate: a window whose ends give the same volts, or whose
+    # span is within a few ulps of 2iR, is too narrow under either
+    # objective, a blank cell and not an error.
     p, i_c = preset(device, ideal=True), TEST_CURRENTS[device]
+    drops = 2 * i_c * p.r_series / p.v_rated
+    levels = set(levels)
+    for x, ulps in near:  # a pair of levels about 2iR apart, moved a few ulps
+        y = x + drops
+        for _ in range(abs(ulps)):
+            y = math.nextafter(y, math.copysign(math.inf, ulps))
+        if y <= 1.0:
+            levels |= {x, y}
+    levels = tuple(sorted(levels))
     closed = build_grid(ClosedFormObjective(p, i_c), levels=levels)
     orbit = build_grid(PeriodicObjective(p, i_c), levels=levels)
     assert np.array_equal(closed.defined_mask(), orbit.defined_mask())
@@ -257,6 +270,50 @@ def test_window_with_collapsed_volts_is_too_narrow():
         ClosedFormObjective(p, 4.7).eta(lo, hi)
     with pytest.raises(WindowTooNarrow):
         PeriodicObjective(p, 4.7).eta(lo, hi)
+
+
+def test_window_within_an_ulp_of_the_drops_is_too_narrow():
+    # 0.7256410256410256 - 0.7 exceeds 2iR/v_rated, but the capacitor's
+    # swing from v_min + iR up to v_max - iR rounds to nothing.
+    p, vm, vM = preset("100F", ideal=True), 0.7, 0.7256410256410256
+    i_r = 4.7 * p.r_series
+    assert vM * p.v_rated - vm * p.v_rated > 2 * i_r
+    assert not vM * p.v_rated - i_r > vm * p.v_rated + i_r
+    for objective in (ClosedFormObjective(p, 4.7), PeriodicObjective(p, 4.7)):
+        with pytest.raises(WindowTooNarrow, match="cannot exceed the resistive drop"):
+            objective.eta(vm, vM)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    device=st.builds(
+        DeviceParams,
+        c_main=st.floats(0.1, 500.0),
+        r_series=st.floats(0.0, 0.5),
+        v_rated=st.floats(1.0, 5.0),
+    ),
+    i_c=st.floats(0.01, 50.0),
+    windows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=8),
+    model=st.none() | _MODELS,
+)
+def test_closed_form_etas_are_the_scalar_formulas(device, i_c, windows, model):
+    # The array closed form gives each window the scalar formulas' η bit
+    # for bit, or the error they raise, with its class and message.
+    got = ClosedFormObjective(device, i_c, model).etas(windows)
+    for (vm, vM), value in zip(windows, got):
+        try:
+            s = CycleSpec(i_c, vm * device.v_rated, vM * device.v_rated)
+            rv = RestVoltages(0.0, 0.0) if model is None else model.predict(
+                (vM - vm) * device.v_rated)
+            expect = efficiency_with_rest(device, s, rv)
+        except (ConfigError, WindowTooNarrow, LossesExceedDelivery) as exc:
+            if vm * device.v_rated == vM * device.v_rated:
+                assert isinstance(value, WindowTooNarrow)
+                assert str(value).endswith("p.u. has no width in volts")
+            else:
+                assert type(value) is type(exc) and str(value) == str(exc)
+            continue
+        assert type(value) is float and value == expect
 
 
 class TestBuildGridSimulated:
@@ -732,3 +789,46 @@ class TestRenderMap:
         body = svg_path.read_text()
         for cell in ("62.3", "89.1", "92.4"):
             assert cell in body
+
+    def test_blank_cells_and_constant_grid_digests(self, tmp_path):
+        # Both grids' outputs were pinned from the per-cell renderer; the
+        # constant grid takes the ramp's span-1 fallback.
+        eta = np.full((5, 5), np.nan)
+        eta[2, 0], eta[2, 1], eta[3, 1] = 0.9025, 0.875, 0.93125
+        eta[4, 0], eta[4, 2], eta[4, 3] = 0.95, 0.9875, 0.6
+        blanks = EfficiencyGrid((0.0, 0.25, 0.5, 0.75, 1.0), eta, GridMethod.SIMULATED, True)
+        constant = EfficiencyGrid((0.0, 0.3, 0.6, 0.9),
+                                  np.where(np.tri(4, k=-1, dtype=bool), 0.97, np.nan),
+                                  GridMethod.CLOSED_FORM, False)
+        digests = {}
+        for name, grid in (("blanks", blanks), ("constant", constant)):
+            paths = render_map(grid, tmp_path / name)
+            digests[name] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+        assert digests == {
+            "blanks": ("d0aee3f8359a170a35730ad78edb8657e079e1fa103ad2effc376a8836796043",
+                       "3c374b6ee9e388e4baf7e8ff5a36caec2e2c017808d88c7ef2f2ea85e89cb772"),
+            "constant": ("782bc2091c76b3779f99533dd7db6cb8b60740d84dea27d2ac3a3ff94630e275",
+                         "05ff455a5a0c0481526a627aaa4520e20eefac7e2961171590fa80dc2d00c0c3"),
+        }
+
+
+def _ramp_reference(frac):
+    """The scalar colour ramp: each channel ``round(a + (b - a) * u)``."""
+    stops = ((215, 48, 39), (254, 224, 139), (26, 152, 80))
+    if frac <= 0.5:
+        a, b, u = stops[0], stops[1], frac / 0.5
+    else:
+        a, b, u = stops[1], stops[2], (frac - 0.5) / 0.5
+    return "#{:02x}{:02x}{:02x}".format(*(round(x + (y - x) * u) for x, y in zip(a, b)))
+
+
+def test_array_ramp_is_the_scalar_formula():
+    legend = [(k + 0.5) / 24 for k in range(24)]
+    fine = [k / 4096 for k in range(4097)]
+    # a channel lands exactly on .5 at these: blue 51.5 and 76.5 in the
+    # lower half, green 219.5 and 210.5 in the upper; round() takes the
+    # even neighbour, up for the first of each pair and down for the second
+    ties = [0.0625, 0.1875, 0.53125, 0.59375]
+    fracs = [0.0, 0.5, 1.0, *legend, *fine, *ties]
+    assert effmap._ramp_colors(np.array(fracs)) == [_ramp_reference(f) for f in fracs]
+    assert [_ramp_reference(f) for f in ties] == ["#dc4634", "#e6724c", "#f0dc87", "#d3d280"]
