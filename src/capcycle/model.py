@@ -161,14 +161,25 @@ def window_spec(p: DeviceParams, i_c: float, vm_pu: float, vM_pu: float,
                      rest_after_charge=rest, rest_after_discharge=rest)
 
 
+SWING_EPS = 4 * 2.0**-52
+"""Share of ``v_max`` that the capacitor's swing must exceed, see :func:`_fits_drops`."""
+
+
 def _fits_drops(v_min, v_max, i_r):
     """Whether windows fit both resistive jumps of ``i_r`` volts; floats or arrays.
 
     The window must exceed ``2*i*R``, and the capacitor's swing, from
-    ``v_min + i*R`` up to ``v_max - i*R``, must be positive: within an ulp of
-    ``2*i*R`` the two tests can disagree in floats.
+    ``v_min + i*R`` up to ``v_max - i*R``, must exceed :data:`SWING_EPS`
+    times ``v_max``, 4 to 8 ulps of it.  Each end of the swing is rounded
+    once, by at most half an ulp of ``v_max``, and their difference is
+    exact, so a computed swing of an ulp may stand for none.  The orbit of
+    :func:`~capcycle.simulator.periodic_etas` reads ``v_main`` back from a
+    two-branch device's modal coordinates, off by up to 3 ulps on the
+    presets; on a swing within that, a cycle moves nothing it can resolve,
+    its secant residuals repeat and the secant step divides by zero.
     """
-    return (v_max - v_min > 2.0 * i_r) & (v_max - i_r > v_min + i_r)
+    swing = (v_max - i_r) - (v_min + i_r)
+    return (v_max - v_min > 2.0 * i_r) & (swing > SWING_EPS * v_max)
 
 
 def window_gate(p: DeviceParams, i_c: float, vm_pu: np.ndarray, vM_pu: np.ndarray,

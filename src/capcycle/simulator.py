@@ -20,7 +20,8 @@ once per device by :func:`_modes`) each mode moves on its own: mode ``k`` is
 (:func:`_flow`).  The state after ``k`` internal steps is that solution at
 ``t = k·dt`` from the phase's start state, so no step's rounding carries into
 the next.  Rest phases are evaluated at their samples and last step only,
-in blocks of up to ``TABLE_CAP`` steps; charge and discharge phases at every
+in blocks of up to ``TABLE_CAP`` steps, and without ``φ1``, which their zero
+drive would multiply; charge and discharge phases at every
 step, in ``RAMP_BLOCK``-step blocks, stopping at the first step whose
 terminal voltage crosses the limit.
 
@@ -190,17 +191,24 @@ def _modes(p: DeviceParams) -> _Modes:
     return _Modes(lam, vec, inv, (inv[0, 0] * b_main, inv[1, 0] * b_main))
 
 
-def _flow(lam, drive, y, t: np.ndarray):
+def _flow(lam, drive, y, t: np.ndarray, want_phi1: bool = True):
     """The modal state ``t`` seconds after ``y``, and each mode's ``φ1``.
 
     Mode ``k`` has rate ``lam[k]`` and drive ``drive[k]``, the constant
     current times ``β_k``, and moves as ``y_k(t) = e^{λt} y_k + drive_k φ1``
-    with ``φ1 = expm1(λt) / λ``, which is ``t`` at ``λ = 0``.
+    with ``φ1 = expm1(λt) / λ``, which is ``t`` at ``λ = 0``.  Unless
+    ``want_phi1``, a mode without drive (a rest's) skips its ``φ1``, which is
+    None in the list.
     """
     out, phi1 = [], []
     for lam_k, drive_k, yk in zip(lam, drive, y):
         z = lam_k * t
         em = np.expm1(z)
+        if not want_phi1 and drive_k == 0.0:
+            # φ1 > 0 at t > 0, so drive_k * φ1 is drive_k, a zero of its sign
+            out.append((em + 1.0) * yk + drive_k)
+            phi1.append(None)
+            continue
         p1 = t * np.where(z == 0.0, 1.0, em / z)
         out.append((em + 1.0) * yk + drive_k * p1)
         phi1.append(p1)
@@ -272,7 +280,7 @@ def run_phase(
         t = np.append(on, end - 1) + (steps + 1.0)
         t *= dt
         with np.errstate(invalid="ignore"):  # at λ = 0, _flow divides 0 by 0 in lanes it discards
-            (y0_t, y1_t), _ = _flow((lam0, lam1), (drive0, drive1), (y0, y1), t)
+            (y0_t, y1_t), _ = _flow((lam0, lam1), (drive0, drive1), (y0, y1), t, False)
         vt = w0 * y0_t + w1 * y1_t + v_offset
         last = -1
         if mode != MODE_FIXED:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import re
 import warnings
 from array import array
 from dataclasses import dataclass, field
@@ -84,7 +83,7 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-WRITE_BLOCK_ROWS = 4096
+WRITE_BLOCK_ROWS = 16384
 """Rows :func:`write_trace_csv` assembles into one byte matrix."""
 
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -97,11 +96,12 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
     """Write the trace in the canonical CSV format; returns the path.
 
     Rows go out in blocks of :data:`WRITE_BLOCK_ROWS`.  A block is one
-    ``uint8`` matrix with a row per sample, each field NUL-padded to its
-    column's width, and its non-NUL bytes are the block's lines.  The time
-    column's block is spelled from integers by :func:`_grid_field` when every
-    value in it passes that function's check; any other block column is
-    formatted at ``%.9g`` by :func:`_text_field`.
+    ``uint8`` matrix with a row per sample, its fields NUL-padded to their
+    widths, and its non-NUL bytes are the block's lines.  The time field is
+    spelled from integers by :func:`_grid_field` when every value in the
+    block passes that function's check, and is otherwise formatted at
+    ``%.9g`` by :func:`_text_field`; the ``v,i`` tail of each row is
+    formatted by :func:`_text_field` once per run of rows that repeat it.
     """
     path = Path(path)
     if not trace.t.size == trace.v.size == trace.i.size:
@@ -111,13 +111,13 @@ def write_trace_csv(trace: Trace, path: str | Path) -> Path:
         fh.write(_HEADER_BYTES + b"\n")
         for start in range(0, len(trace), WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
+            tail = _text_field((trace.v[block], trace.i[block]), "\n")
             times = _grid_field(trace.t[block], e)
-            rows = np.concatenate([
-                _text_field(trace.t[block], ",") if times is None else times,
-                _text_field(trace.v[block], ","),
-                _text_field(trace.i[block], "\n"),
-            ], axis=1)
-            fh.write(rows[rows != 0].tobytes())
+            if times is None:
+                times = _text_field((trace.t[block],), ",")
+            rows = np.concatenate([times, tail], axis=1)
+            del times, tail
+            fh.write(rows.tobytes().translate(None, b"\0"))
     return path
 
 
@@ -162,43 +162,56 @@ def _grid_field(t: np.ndarray, e: int) -> np.ndarray | None:
     if not ok.all():
         return None
     n = n.astype(np.int64)
-    width = 4 * -(-max(len(str(n.max())), e + 1) // 4)
-    digits = np.empty((len(t), width // 4), np.uint32)
-    for k in range(width // 4):
-        digits[:, -1 - k] = _digit_groups()[n // 10 ** (4 * k) % 10000]
-    digits = digits.view(np.uint8)
+    groups = -(-max(len(str(n.max())), e + 1) // 4)
+    width = 4 * groups
+    # N's digits, four to a cell, and a spare cell for the shifted fraction and the comma
+    cells = np.empty((len(t), groups + 1), np.uint32)
+    rest = n
+    for k in range(groups):
+        high = rest // 10000
+        cells[:, groups - 1 - k] = _digit_groups()[rest - high * 10000]
+        rest = high
+    field = cells.view(np.uint8)
+    field[:, width + 1] = ord(",")
     point = width - e  # columns of the integer part, whose units digit stays
     for j in range(point - 1):
-        digits[:, j] *= n >= 10 ** (width - 1 - j)
-    for j in range(point, width):
-        digits[:, j] *= n % 10 ** (width - j) != 0
-    field = np.empty((len(t), width + 2), np.uint8)
-    field[:, :point] = digits[:, :point]
-    field[:, point] = 0 if e == 0 else (digits[:, point] != 0) * ord(".")
-    field[:, point + 1 : -1] = digits[:, point:]
-    field[:, -1] = ord(",")
-    return field
+        field[:, j] *= n >= 10 ** (width - 1 - j)
+    # the fraction's trailing zeros go, and the point if nothing is left of it
+    kept = np.zeros(len(t), dtype=bool)
+    for j in range(width - 1, point - 1, -1):
+        kept |= field[:, j] != ord("0")
+        field[:, j] *= kept
+    field[:, point + 1 : width + 1] = field[:, point:width]
+    field[:, point] = kept * ord(".")
+    return field[:, : width + 2]
 
 
-def _text_field(column: np.ndarray, sep: str) -> np.ndarray:
-    """The column's ``%.9g`` fields, each followed by ``sep``, NUL-padded.
+def _text_field(columns: tuple[np.ndarray, ...], end: str) -> np.ndarray:
+    """The columns' ``%.9g`` fields, a comma between two, each row followed by ``end``, NUL-padded.
 
-    Each run of bitwise-equal values is formatted once: bits, not ``==``,
-    delimit the runs, so ``-0.0`` and ``0.0`` stay apart and a NaN repeats
-    like any value.  The runs' text is encoded once, its bytes scattered into
-    a matrix with a row per run, and that matrix gathered with a row per value.
+    Each run of rows that are bitwise equal in every column is spelled once
+    by :func:`_spelled`: bits, not ``==``, delimit the runs, so ``-0.0`` and
+    ``0.0`` stay apart and a NaN repeats like any value.  The runs' bytes are
+    scattered into a matrix with a row per run, and that matrix gathered
+    with a row per sample.
     """
-    bits = column.view(np.int64)
-    head = np.empty(bits.size, dtype=bool)
+    head = np.zeros(columns[0].size, dtype=bool)
     head[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=head[1:])
-    firsts = column[head]
-    text = np.frombuffer((f"%.9g{sep}" * firsts.size % tuple(firsts.tolist())).encode(),
-                         np.uint8)
-    widths = np.diff(np.flatnonzero(text == ord(sep)), prepend=-1)
-    runs = np.zeros((firsts.size, widths.max()), np.uint8)
+    for column in columns:
+        bits = column.view(np.int64)
+        head[1:] |= bits[1:] != bits[:-1]
+    text = _spelled(np.stack([column[head] for column in columns], axis=1), end)
+    widths = np.diff(np.flatnonzero(text == ord(end)), prepend=-1)
+    runs = np.zeros((widths.size, widths.max()), np.uint8)
     runs[np.arange(widths.max()) < widths[:, None]] = text
-    return runs[np.cumsum(head) - 1]
+    del text, widths
+    return runs.take(np.cumsum(head) - 1, axis=0)  # several times runs[index]'s speed here
+
+
+def _spelled(rows: np.ndarray, end: str) -> np.ndarray:
+    """The bytes of a matrix's rows at ``%.9g``, a comma between two fields and ``end`` after each row."""
+    line = ",".join(["%.9g"] * rows.shape[1]) + end
+    return np.frombuffer((line * len(rows) % tuple(rows.ravel().tolist())).encode(), np.uint8)
 
 
 def read_utf8(path: str | Path) -> str:
@@ -266,10 +279,7 @@ def csv_lines(path: str | Path, width: int, header: str | None = None):
     are skipped.  Empty lines are skipped; a line of other than ``width``
     comma-separated fields raises :class:`TraceParseError`.
     """
-    # Each match is one line and its ending; the text is not copied.  At the
-    # end of the text \Z matches an empty line, which is skipped like any.
-    matches = re.finditer(r"([^\r\n]*)(?:\r\n|\r|\n|\Z)", read_utf8(path))
-    lines = (match[1] for match in matches)
+    lines = _lines(read_utf8(path))
     if header is not None and (first := next(lines)) != header:
         raise TraceParseError(f"expected header {header!r}, got {first!r}", line_no=1)
     for line_no, line in enumerate(lines, start=1 if header is None else 2):
@@ -284,6 +294,33 @@ def csv_lines(path: str | Path, width: int, header: str | None = None):
                 line_no=line_no,
             )
         yield line_no, fields
+
+
+LINE_CHUNK = 1 << 12
+"""Characters of text, and the rest of a line, that :func:`_lines` splits at once."""
+
+
+def _lines(text: str):
+    """Yield the lines of ``text``, which end at LF, CRLF or a lone CR.
+
+    The text is split a chunk of :data:`LINE_CHUNK` characters at a time,
+    each chunk ending at an LF, so that a CRLF never straddles two chunks and
+    the split lines of only one chunk are held at once.  Text that ends with
+    a line ending ends with an empty line, which callers skip like any.
+    """
+    start = 0
+    while True:
+        end = text.find("\n", start + LINE_CHUNK) + 1  # past the chunk's last LF, or 0
+        chunk = text[start : end or None]
+        if "\r" in chunk:
+            chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+        lines = chunk.split("\n")
+        if not end:
+            yield from lines
+            return
+        del lines[-1]  # the empty piece after the chunk's last LF
+        yield from lines
+        start = end
 
 
 def _read_trace_csv_lines(path: Path) -> Trace:

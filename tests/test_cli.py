@@ -335,6 +335,27 @@ class TestMap:
         assert code == 0
         assert (tmp_path / "s.csv").read_text().splitlines()[0] == "vmpu\\vMpu,0,0.5,1"
 
+    @pytest.mark.parametrize("device", ["10F", "50F", "100F"])
+    def test_windows_at_the_drop_budget_are_blank_under_both_methods(self, capsys, tmp_path,
+                                                                     device):
+        # At levels k/39 each preset's 2iR is one level step, so adjacent
+        # levels give windows whose capacitor swing is zero in exact
+        # arithmetic and rounds to an ulp or so either way.  Both methods
+        # refuse those windows alike; the simulated map once exited 4 there,
+        # its orbit's secant dividing by zero on a cycle that moved nothing.
+        levels = ",".join(repr(k / 39) for k in range(40))
+        blanks = {}
+        for method in ("closedform", "simulated"):
+            code, _, err = run(capsys, "map", "--device", device, "--method", method,
+                               "--levels", levels, "--out", str(tmp_path / method))
+            assert code == 0, err
+            lines = (tmp_path / f"{method}.csv").read_text().splitlines()[1:]
+            blanks[method] = {(r, c) for r, line in enumerate(lines)
+                              for c, cell in enumerate(line.split(",")[1:]) if not cell}
+        assert blanks["closedform"] == blanks["simulated"]
+        # the cell of window (8/39, 9/39), which the closed form once gave 88.89
+        assert (9, 8) in blanks["closedform"]
+
     def test_simulated_map_keeps_ramps_shorter_than_glitch_filter(self, capsys, tmp_path):
         # Cell (0, 0.05) charges in under a second, less than the analyzer's
         # default 1-s glitch filter; the cell must not abort the whole map.

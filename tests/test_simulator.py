@@ -530,6 +530,41 @@ class TestBlockedPropagation:
         blocks = -(-max_steps // TABLE_CAP)
         assert len(points) == blocks and sum(points) <= got[3].size + blocks
 
+    _REST_DEVICES = {
+        "ideal": DEV,  # both modes at λ = 0
+        "leaky": dataclasses.replace(DEV, r_leak=900.0),
+        "two-branch": dataclasses.replace(TWO_BRANCH, r_leak=None),
+        "two-branch-leaky": TWO_BRANCH,
+        "fast-branch": FAST_BRANCH,
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(_REST_DEVICES)),
+        volts=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 2.7))] * 2),
+        dt=st.sampled_from([0.05, 0.1, 1.0, 1.0 / 1943, 7.3]),
+        max_steps=st.one_of(st.integers(1, 50), st.sampled_from(
+            [TABLE_CAP - 1, TABLE_CAP, TABLE_CAP + 1, 2 * TABLE_CAP + 3])),
+        n_sub=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rest_without_phi1_keeps_the_bits(self, kind, volts, dt, max_steps, n_sub, data):
+        # A rest has no drive, so its flow skips φ1; every sample and the end
+        # state keep the bits of the flow that computes φ1 and adds drive·φ1,
+        # a zero of the drive's sign (run_protocol's rest drive is 0.0·β).
+        p = self._REST_DEVICES[kind]
+        countdown = data.draw(st.integers(1, n_sub), label="countdown")
+        args = _phase_args(p, *volts, 0.0, dt, MODE_FIXED, 0.0, max_steps, n_sub, countdown)
+        t = np.arange(1.0, max_steps + 1.0)
+        t *= dt
+        with np.errstate(invalid="ignore"):  # 0/0 in the λ = 0 lanes, discarded
+            (y0, y1), phi1 = simulator._flow(args[2:4], args[4:6], args[:2], t)
+        assert all(p1 is not None for p1 in phi1)
+        every = args[6] * y0 + args[7] * y1 + args[9]
+        got = run_phase(*args)
+        assert np.array(got[:2]).tobytes() == np.array([y0[-1], y1[-1]]).tobytes()
+        assert got[3].tobytes() == every[countdown - 1 :: n_sub].tobytes()
+
     # Three cells, each starting elsewhere with its own countdown, and five
     # phases, each giving every cell its own limit and step budget, so the
     # cells cross, run out or rest apart.

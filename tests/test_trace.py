@@ -2,6 +2,7 @@
 against the per-value writer it replaced, and the round trip."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from capcycle import trace as trace_module
 from capcycle.cli import main
 from capcycle.errors import TraceParseError
 from capcycle.model import CycleSpec
@@ -21,6 +23,7 @@ from capcycle.trace import (
     _decimals,
     _grid_field,
     _read_trace_csv_lines,
+    csv_lines,
     read_sidecar_csv,
     read_trace_csv,
     write_trace_csv,
@@ -314,6 +317,61 @@ def test_sidecar_line_of_spaces_is_refused(tmp_path):
     assert str(exc.value) == "line 3: expected 4 comma-separated fields, got 1"
 
 
+def _regex_csv_lines(path, width, header=None):
+    """``csv_lines`` as it split lines before, one regex match a line, kept as its oracle."""
+    text = path.read_bytes().decode("utf-8")
+    lines = (m[1] for m in re.finditer(r"([^\r\n]*)(?:\r\n|\r|\n|\Z)", text))
+    if header is not None and (first := next(lines)) != header:
+        raise TraceParseError(f"expected header {header!r}, got {first!r}", line_no=1)
+    for line_no, line in enumerate(lines, start=1 if header is None else 2):
+        if header is None:
+            line = line.strip()
+        if not line or (header is None and line.startswith("#")):
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise TraceParseError(
+                f"expected {width} comma-separated fields, got {len(fields)}",
+                line_no=line_no,
+            )
+        yield line_no, fields
+
+
+def _collected(lines):
+    """The items a line reader yields, then the error that ends it, if any."""
+    out = []
+    try:
+        out.extend(lines)
+    except TraceParseError as exc:
+        out.append(("error", str(exc), exc.line_no))
+    return out
+
+
+_LINE_PIECES = ["\n", "\r\n", "\r", " ", "\t", "#c", "1", "1,2", "1,2,3", " 1,2 ", "x,y,z,w",
+                TRACE_HEADER, "\x1c", "é"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pieces=st.lists(st.sampled_from(_LINE_PIECES), max_size=40),
+    width=st.sampled_from([1, 2, 3]),
+    header=st.sampled_from([None, TRACE_HEADER, "1,2"]),
+    chunk=st.sampled_from([0, 1, 2, 7, 4096]),
+)
+@example(pieces=["1,2", "\r", "\n", "1,2"], width=2, header=None, chunk=0)
+@example(pieces=[TRACE_HEADER, "\r\n", "1,2,3", "\r"], width=3, header=TRACE_HEADER, chunk=1)
+def test_csv_lines_match_the_regex_splitter(tmp_path, monkeypatch, pieces, width, header, chunk):
+    # Lines end at LF, CRLF or a lone CR, with a CRLF one ending even where a
+    # chunk of the split ends at its LF; fields, line numbers and errors are
+    # those of the regex splitter the chunked split replaced.
+    monkeypatch.setattr(trace_module, "LINE_CHUNK", chunk)
+    path = tmp_path / "t.csv"
+    path.write_bytes("".join(pieces).encode())
+    got = _collected(csv_lines(path, width, header))
+    assert got == _collected(_regex_csv_lines(path, width, header))
+
+
 # ---------------------------------------------------------------------------
 # Writer: byte identity with the per-value writer, and the round trip
 
@@ -515,11 +573,37 @@ def test_time_column_takes_the_integer_path(tmp_path, period):
     assert _refused_blocks(back) == []
 
 
+def _bit_runs(*columns) -> int:
+    """The number of runs of rows that are bitwise equal in every column."""
+    change = np.zeros(max(columns[0].size - 1, 0), dtype=bool)
+    for column in columns:
+        bits = column.view(np.int64)
+        change |= bits[1:] != bits[:-1]
+    return int(columns[0].size > 0) + int(change.sum())
+
+
+def test_row_tail_is_spelled_once_per_run(tmp_path, monkeypatch):
+    # A silent fall back to a field per sample, or to a run key per column,
+    # would keep the bytes and lose the speed.  On the campaign trace each
+    # block spells exactly its (v, i) bit-runs, two fields each.
+    spec = CycleSpec(i_c=3.95, v_min=0.0, v_max=2.7, rest_after_charge=1800.0,
+                     rest_after_discharge=1800.0, max_cycles=8)
+    trace = run_protocol(preset("50F"), spec, AcquisitionConfig(quantize=True))
+    spelled, spell = [], trace_module._spelled
+    monkeypatch.setattr(trace_module, "_spelled",
+                        lambda rows, end: (spelled.append(rows.shape), spell(rows, end))[1])
+    write_trace_csv(trace, tmp_path / "t.csv")
+    starts = range(0, len(trace), WRITE_BLOCK_ROWS)
+    blocks = [slice(s, s + WRITE_BLOCK_ROWS) for s in starts]
+    assert spelled == [(_bit_runs(trace.v[b], trace.i[b]), 2) for b in blocks]
+    assert sum(runs for runs, _ in spelled) < len(trace) / 10
+
+
 def test_writer_peak_does_not_grow_with_the_rows(tmp_path, traced_peak):
     # The writer holds one block at a time: the formatted values' tuple
     # (32 bytes a value) and text, and byte matrices of about 40 bytes a row
-    # with their mask and compacted copy.  Measured: about 135 bytes a row of
-    # a block, at 4 blocks and at 16.
+    # with their bytes and compacted copy.  Measured: about 142 bytes a row
+    # of a block, at 4 blocks and at 16.
     path = tmp_path / "t.csv"
     for blocks in (4, 16):
         trace = _sample_trace(blocks * WRITE_BLOCK_ROWS)
