@@ -82,7 +82,6 @@ from .presets import (
 from .simulator import (
     AcquisitionConfig,
     Phase,
-    branch_time_constant,
     quantize_trace,
     run_protocol,
 )

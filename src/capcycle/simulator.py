@@ -1,13 +1,13 @@
 """Constant-current cycling protocol simulator.
 
-The circuit is linear, so each internal step uses the exact zero-order-hold
-update of the two-state system (main capacitor + optional redistribution
-branch, optional leakage): the only discretization artifact left is phase
-termination landing on an internal-step boundary, an excursion of at most one
-step beyond the voltage limit.
+The circuit is linear, so each sample is the exact solution of the two-state
+system (main capacitor + optional redistribution branch, optional leakage)
+at its time: the only discretization artifact left is that a charge or
+discharge ends on the first sample that reaches its limit, as a cycler that
+checks its limits at its sampling rate stops, so at most one sample past it.
 
 Sampling convention: the emitted trace has no t=0 sample; sample k sits at
-``t = k * sample_period`` and carries the applied current of the internal step
+``t = k * sample_period`` and carries the applied current of the interval
 that ends there, with terminal voltage ``v_main + i * r_series``.  A phase's
 boundary sample therefore still carries the active current, which is what a
 real acquisition chain integrating over the preceding interval reports, and
@@ -17,13 +17,12 @@ Phase propagation evaluates the circuit's exact solution.  Within one phase
 the current is constant and the circuit linear, and on its modes (computed
 once per device by :func:`_modes`) each mode moves on its own: mode ``k`` is
 ``y_k(t) = e^{λt} y_k + i β_k φ1`` with ``φ1 = expm1(λt) / λ``
-(:func:`_flow`).  The state after ``k`` internal steps is that solution at
-``t = k·dt`` from the phase's start state, so no step's rounding carries into
-the next.  Rest phases are evaluated at their samples and last step only,
-in blocks of up to ``TABLE_CAP`` steps, and without ``φ1``, which their zero
-drive would multiply; charge and discharge phases at every
-step, in ``RAMP_BLOCK``-step blocks, stopping at the first step whose
-terminal voltage crosses the limit.
+(:func:`_flow`).  The state ``k`` samples into a phase is that solution at
+``t = k·T`` from the phase's start state, so no sample's rounding carries
+into the next.  Rest phases are evaluated in blocks of up to ``TABLE_CAP``
+samples, and without ``φ1``, which their zero drive would multiply; charge
+and discharge phases in ``RAMP_BLOCK``-sample blocks, stopping at the first
+sample whose terminal voltage crosses the limit.
 
 :func:`run_phase` advances one state through one phase, and
 :func:`run_protocol` drives it one phase at a time, checks each phase's end
@@ -70,34 +69,31 @@ from .trace import CycleBoundary, Trace
 TERMINATION_EPS = 1e-9
 """Absolute voltage tolerance on phase-termination comparisons."""
 
-BRANCH_STEPS_PER_TAU = 50
-"""Minimum internal steps per redistribution time constant; the flow is exact
-at any step, so they set only where a charge or discharge may end."""
-
 MAX_SAMPLES = 1 << 24
 """Sample cap of :func:`run_protocol`, checked before simulating (~400 MB of t, v, i)."""
 
-MAX_STEPS = 1 << 25
-"""Internal-step cap of :func:`run_protocol`, checked before simulating.
+MIN_CHARGE_SAMPLES = 2
+"""Fewest sample periods ``T`` that the ideal charge may last, checked before simulating.
 
-A fast redistribution branch takes ``n_sub`` internal steps per sample, so
-the sample cap alone does not bound the work.  Charge and discharge phases
-run about 6 million steps a second (2 vCPUs) and a rest costs only its
-samples, though its steps count, so a run at the cap takes at most 6 s.  It
-is at least :data:`MAX_SAMPLES`, so without a branch (one step per sample)
-the sample cap is met first.
+A ramp ends on the first sample past its limit, up to one sample's swing
+``δ = i·T/C`` past it.  The ideal charge lasts ``t_c = C·S/i``, with ``S``
+the capacitor's swing, so ``δ/S = T/t_c``.  At ``t_c >= 2T`` each end
+overshoots by at most ``S/2``: the capacitor cycles over at most twice
+the window it was asked for, and an ideal ramp takes at least
+``⌈t_c/T⌉ = 2`` samples.  A shorter charge lets a single sample cross more
+than half the window, beyond it at ``t_c <= T``.
 """
 
 # Phase-loop modes of :func:`run_phase`.
 MODE_CHARGE = 0      # terminate when terminal voltage rises to v_stop
 MODE_DISCHARGE = 1   # terminate when terminal voltage falls to v_stop
-MODE_FIXED = 2       # run exactly max_steps (rest phases)
+MODE_FIXED = 2       # take exactly max_steps samples (rest phases)
 
 TABLE_CAP = 1 << 15
-"""Most steps of one rest block, which bounds its arrays (256 kB each); longer rests loop over blocks."""
+"""Most samples of one rest block, which bounds its arrays (256 kB each); longer rests loop over blocks."""
 
 RAMP_BLOCK = 256
-"""Steps of one charge or discharge block, which bounds the steps evaluated past a crossing."""
+"""Samples of one charge or discharge block, which bounds the samples evaluated past a crossing."""
 
 V_QUANTUM = 0.093e-3
 """Voltage resolution of the emulated acquisition chain, in V."""
@@ -215,22 +211,6 @@ def _flow(lam, drive, y, t: np.ndarray, want_phi1: bool = True):
     return out, phi1
 
 
-def branch_time_constant(p: DeviceParams) -> float | None:
-    """Relaxation time constant of the redistribution branch, if present."""
-    if p.redistribution is None:
-        return None
-    r = p.redistribution
-    return r.r_branch * p.c_main * r.c_branch / (p.c_main + r.c_branch)
-
-
-def _internal_substeps(p: DeviceParams, sample_period: float) -> int:
-    tau = branch_time_constant(p)
-    if tau is None:
-        return 1
-    finest = min(sample_period, tau / BRANCH_STEPS_PER_TAU)
-    return max(1, math.ceil(sample_period / finest))
-
-
 def run_phase(
     y0,
     y1,
@@ -246,53 +226,42 @@ def run_phase(
     v_stop,
     eps,
     max_steps,
-    n_sub,
-    countdown,
 ):
-    """Advance one modal state through one protocol phase, sampling every ``n_sub`` internal steps.
+    """Advance one modal state through one protocol phase, one sample every ``dt``.
 
-    The state ``k`` internal steps into the phase is :func:`_flow` at ``t =
-    k·dt`` from the phase's start state ``(y0, y1)``, in the device's modal
+    The state ``k`` samples into the phase is :func:`_flow` at ``t = k·dt``
+    from the phase's start state ``(y0, y1)``, in the device's modal
     coordinates: coordinate ``j`` has rate ``lamj`` and drive ``drivej``, the
-    phase current times ``β_j``.  A sample is the terminal voltage
-    ``v_main + i*R``, that is ``w0·y0(t) + w1·y1(t) + v_offset`` with ``(w0,
-    w1)`` the basis row that reads ``v_main``, at the end of an internal
-    step; the termination test applies to every step (sample or not), and
-    the crossing step still yields its sample when one falls due.
-    ``countdown`` is the number of steps until the next sample.
-    ``max_steps`` must be positive.
+    phase current times ``β_j``.  A sample is the terminal voltage ``v_main +
+    i*R``, that is ``w0·y0(t) + w1·y1(t) + v_offset`` with ``(w0, w1)`` the
+    basis row that reads ``v_main``.  A charge or discharge ends on the first
+    sample that reaches ``v_stop``, so at most one sample past its limit, as
+    a cycler that checks its limits at its sampling rate stops; a rest takes
+    exactly ``max_steps`` samples.  ``max_steps`` must be positive.
 
-    Returns ``(y0, y1, steps, samples, countdown, crossed)``: the modal end
-    state, the int count of internal steps taken, the sampled terminal
-    voltages in order, the countdown to the next sample, and whether the
-    phase reached ``v_stop``.
+    Returns ``(y0, y1, steps, samples, crossed)``: the modal end state, the
+    int count of samples taken, the sampled terminal voltages in order, and
+    whether the phase reached ``v_stop``.
     """
     block = TABLE_CAP if mode == MODE_FIXED else RAMP_BLOCK
     limit = v_stop - eps if mode == MODE_CHARGE else v_stop + eps
     parts = []
     steps, crossed = 0, False
     while steps < max_steps and not crossed:
-        end = min(block, max_steps - steps)  # the steps taken in this block
-        # Samples fall on steps countdown, countdown + n_sub, ... up to end.  A
-        # ramp is evaluated at every step, to find its crossing, and a rest at
-        # its samples only; either also at the block's last step.
-        on = np.arange(countdown - 1, end, n_sub) if mode == MODE_FIXED else np.arange(end)
-        t = np.append(on, end - 1) + (steps + 1.0)
+        end = min(block, max_steps - steps)  # the samples taken in this block
+        t = np.arange(end) + (steps + 1.0)
         t *= dt
         with np.errstate(invalid="ignore"):  # at λ = 0, _flow divides 0 by 0 in lanes it discards
             (y0_t, y1_t), _ = _flow((lam0, lam1), (drive0, drive1), (y0, y1), t, False)
         vt = w0 * y0_t + w1 * y1_t + v_offset
-        last = -1
         if mode != MODE_FIXED:
             hit = vt >= limit if mode == MODE_CHARGE else vt <= limit
             first = int(hit.argmax())
             if hit[first]:
-                end, last, crossed = first + 1, first, True
-        parts.append(vt[:-1] if mode == MODE_FIXED else vt[countdown - 1 : end : n_sub])
-        countdown = (countdown - end - 1) % n_sub + 1
+                end, crossed = first + 1, True
+        parts.append(vt[:end])
         steps += end
-    return (float(y0_t[last]), float(y1_t[last]), steps, np.concatenate(parts),
-            countdown, crossed)
+    return float(y0_t[end - 1]), float(y1_t[end - 1]), steps, np.concatenate(parts), crossed
 
 
 def run_protocol(
@@ -307,9 +276,13 @@ def run_protocol(
     device with a redistribution branch stabilizes over several cycles.
 
     The spec is checked against the device, the window's feasibility, the
-    sample cap and the step cap before any step, each phase's end state for
-    termination, finiteness and the guard band, and the run for at least 2
-    samples; the first failing check raises.
+    charge's length in samples and the sample cap before any step, and each
+    phase's end state for termination, finiteness and the guard band; the
+    first failing check raises.  A charge or discharge ends on the first
+    sample past its limit, up to one sample's swing ``i·T/C`` past it, so an
+    ideal charge must last at least :data:`MIN_CHARGE_SAMPLES` sample
+    periods.  Every charge and discharge yields at least its crossing
+    sample, so a trace has at least two.
 
     Trace ``meta`` carries ground truth: per-phase boundaries
     (``boundaries``, a list of :class:`~capcycle.trace.CycleBoundary`),
@@ -319,34 +292,32 @@ def run_protocol(
     """
     if acq is None:
         acq = AcquisitionConfig()
-    n_sub = _internal_substeps(p, acq.sample_period)
-    dt_int = acq.sample_period / n_sub
+    dt = acq.sample_period
     m = _modes(p)
     (w0, w1), (u0, u1) = m.vec.tolist()
-    rest_high_steps = round(s.rest_after_charge / dt_int)
-    rest_low_steps = round(s.rest_after_discharge / dt_int)
+    rest_high_steps = round(s.rest_after_charge / dt)
+    rest_low_steps = round(s.rest_after_discharge / dt)
 
     s.validate_against(p)
     ideal_duration = charge_duration(p, s)  # also validates window feasibility
-    ideal_steps = max(1, math.ceil(ideal_duration / dt_int))
-    est_steps = s.max_cycles * (2 * ideal_steps + rest_high_steps + rest_low_steps)
-    est_samples = est_steps // n_sub + 64
+    swing = s.i_c * dt / p.c_main  # how far past its limit a ramp may end
+    if ideal_duration < MIN_CHARGE_SAMPLES * dt:
+        raise ConfigError(
+            f"the charge takes {ideal_duration:.6g} s, fewer than {MIN_CHARGE_SAMPLES} "
+            f"samples at a sample period of {dt!r} s, so a ramp could end up to "
+            f"{swing:.6g} V past its limit; use a shorter sample period or a smaller "
+            "current"
+        )
+    ideal_steps = math.ceil(ideal_duration / dt)
+    est_samples = s.max_cycles * (2 * ideal_steps + rest_high_steps + rest_low_steps) + 64
     if est_samples > MAX_SAMPLES:
         raise ConfigError(
             f"the run needs about {est_samples:,} samples, more than the "
             f"{MAX_SAMPLES:,} cap; use a longer sample period, shorter rests "
             "or fewer cycles"
         )
-    if est_steps > MAX_STEPS:
-        raise ConfigError(
-            f"the run needs about {est_steps:,} internal steps, {n_sub:,} a sample "
-            f"for the redistribution branch, more than the {MAX_STEPS:,} cap; use "
-            "shorter rests, a larger current or fewer cycles"
-        )
     max_active_steps = _PHASE_SAFETY_FACTOR * ideal_steps + 1000
 
-    # A phase may end one internal step past its limit.
-    swing = s.i_c * dt_int / p.c_main
     guard_low = _GUARD_LOW * p.v_rated - swing
     guard_high = _GUARD_HIGH * p.v_rated + swing
     plan = (
@@ -357,7 +328,6 @@ def run_protocol(
     )
     v_start = s.v_min + s.i_c * p.r_series
     y0, y1 = (m.inv @ (v_start, v_start)).tolist()
-    countdown = n_sub
     global_step = 0
 
     boundaries: list[CycleBoundary] = []
@@ -371,7 +341,7 @@ def run_protocol(
         for phase, mode, i_sig, v_stop, max_steps in plan:
             if max_steps <= 0:  # a rest of zero length
                 continue
-            y0, y1, steps, samples, countdown, crossed = run_phase(
+            y0, y1, steps, samples, crossed = run_phase(
                 y0,
                 y1,
                 *m.lam,
@@ -379,19 +349,17 @@ def run_protocol(
                 i_sig * m.beta[1],
                 w0,
                 w1,
-                dt_int,
+                dt,
                 i_sig * p.r_series,
                 mode,
                 v_stop,
                 TERMINATION_EPS,
                 max_steps,
-                n_sub,
-                countdown,
             )
             if mode != MODE_FIXED and not crossed:
                 raise DynamicsDiverged(
                     f"{phase.value} phase did not reach {float(v_stop)!r} V "
-                    f"within {max_steps} internal steps; the applied "
+                    f"within {max_steps} samples; the applied "
                     "current cannot overcome leakage near the voltage limit"
                 )
             v_main, v_branch = w0 * y0 + w1 * y1, u0 * y0 + u1 * y1
@@ -402,32 +370,26 @@ def run_protocol(
                     f"state left the guard band after {phase.value} phase: "
                     f"v_main={v_main!r}, v_branch={v_branch!r}"
                 )
-            t_start = global_step * dt_int
+            t_start = global_step * dt
             global_step += steps
             boundaries.append(
-                CycleBoundary(cycle, phase.value, t_start, global_step * dt_int)
+                CycleBoundary(cycle, phase.value, t_start, global_step * dt)
             )
             phase_v.append(samples)
             phase_i.append(i_sig)
             if phase is Phase.CHARGE:
-                q_in.append(s.i_c * steps * dt_int)
-                t_charge.append(steps * dt_int)
+                q_in.append(s.i_c * steps * dt)
+                t_charge.append(steps * dt)
             elif phase is Phase.DISCHARGE:
-                q_out.append(s.i_c * steps * dt_int)
-                t_discharge.append(steps * dt_int)
+                q_out.append(s.i_c * steps * dt)
+                t_discharge.append(steps * dt)
 
     # From here on the trace's columns are the only sample arrays alive.
     sizes = [a.size for a in phase_v]
     v = np.concatenate(phase_v)
     del phase_v, samples
-    if v.size < 2:
-        raise ConfigError(
-            f"the run gives {v.size} sample(s) at a sample period of "
-            f"{acq.sample_period!r} s, and a trace needs at least 2; use a "
-            "shorter sample period or more cycles"
-        )
     t = np.arange(1.0, v.size + 1.0)  # whole numbers below 2**53 are exact
-    t *= acq.sample_period
+    t *= dt
     trace = Trace(
         t=t,
         v=v,
@@ -439,8 +401,6 @@ def run_protocol(
             "q_out": q_out,
             "t_charge": t_charge,
             "t_discharge": t_discharge,
-            "dt_internal": dt_int,
-            "n_sub": n_sub,
             "quantized": acq.quantize,
         },
     )
@@ -555,8 +515,9 @@ def _orbit(p: DeviceParams, i: float, rest: float, v_lo: np.ndarray, v_hi: np.nd
     the branch voltage there, and without a branch it has none: one cycle
     from anywhere is the orbit.  Otherwise the secant method solves ``G(vb)
     = vb``, starting from the rest equilibrium ``vb = v_lo`` and one cycle
-    on.  A cell leaves once its secant step is within the tolerance, with
-    the η of the cycle evaluated last, or once a phase fails.
+    on.  A cell leaves once its secant step is within the tolerance, or its
+    residual repeats exactly, with the η of the cycle evaluated last, or
+    once a phase fails.
     """
     m, tol = _modes(p), ORBIT_TOL * p.v_rated
     with np.errstate(all="ignore"):  # failed cells end with a code, not a value
@@ -571,7 +532,7 @@ def _orbit(p: DeviceParams, i: float, rest: float, v_lo: np.ndarray, v_hi: np.nd
                 break
             g, eta_n, code_n = _cycle(p, m, i, rest, v_lo[live], v_hi[live], x, tol)
             h = g - x
-            step = np.where(h == 0, 0.0, h * (x - x_prev) / (h - h_prev))
+            step = np.where((h == 0) | (h == h_prev), 0.0, h * (x - x_prev) / (h - h_prev))
             done = (np.abs(step) <= tol) | (code_n >= _STUCK_CHARGE)
             eta[live[done]], code[live[done]] = eta_n[done], code_n[done]
             keep = ~done

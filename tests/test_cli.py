@@ -51,9 +51,14 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
-    def test_sample_period_longer_than_the_run_exit_2(self, capsys, tmp_path):
-        # One 10F cycle is over before the first 200-s sample: the run would
-        # write a trace that `analyze` cannot read, so nothing is written.
+    def test_sample_period_longer_than_the_run_exit_2(self, capsys, tmp_path, monkeypatch):
+        # One 10F charge is over before the first 200-s sample: a ramp could
+        # end a whole window past its limit, so the run is refused before
+        # any work and nothing is written.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simulator stepped a refused run")
+
+        monkeypatch.setattr(simulator, "run_phase", refuse)
         out = tmp_path / "e.csv"
         code, stdout, err = run(
             capsys, "simulate", "--device", "10F", "--sample-period", "200",
@@ -63,6 +68,25 @@ class TestSimulate:
         assert "sample period of 200.0 s" in err
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_charge_shorter_than_two_samples_exit_2(self, capsys, tmp_path):
+        # The ideal charge lasts 19.8 s, 1.32 samples of 15 s: its last
+        # sample would carry this 2.7-V device to 3.52 V, a trace that
+        # `analyze` refuses.  The run is refused and nothing is written.
+        device = tmp_path / "d.json"
+        device.write_text(json.dumps({"c_main": 10, "r_series": 0.01, "v_rated": 2.7}))
+        out = tmp_path / "t.csv"
+        code, stdout, err = run(
+            capsys, "simulate", "--device", str(device), "--current", "1", "--vmin", "0.5",
+            "--vmax", "2.5", "--cycles", "3", "--sample-period", "15", "--out", str(out),
+        )
+        assert code == 2
+        assert err == (
+            "error: the charge takes 19.8 s, fewer than 2 samples at a sample period of "
+            "15.0 s, so a ramp could end up to 1.5 V past its limit; use a shorter sample "
+            "period or a smaller current\n")
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
 
     def test_infeasible_window_exit_4(self, capsys, tmp_path):
         device = tmp_path / "dev.json"
@@ -267,20 +291,20 @@ class TestAnalyze:
         assert "NaN" not in out
 
     def test_more_energy_out_than_in_exit_4(self, capsys, tmp_path):
-        # At a 1-s sample period this narrow window's charge ends between
-        # samples, and the 0.4-s minimum segment keeps the short phases:
-        # the trapezoids used to report an efficiency above 1.
+        # At a 1-s sample period this narrow window's charge spans three
+        # samples, and the first, at t = 1 s, carries no trapezoid: cycle 1
+        # misses a third of its energy in and reports an efficiency above 1.
         device = tmp_path / "dev.json"
         device.write_text(json.dumps({"c_main": 10.0, "r_series": 0.01, "redistribution":
                                       {"c_branch": 2.0, "r_branch": 5.0}}))
         out = tmp_path / "t.csv"
         code, _, err = run(capsys, "simulate", "--device", str(device), "--current", "1.0",
-                           "--vmin", "2.0", "--vmax", "2.1", "--rest", "5", "--cycles", "6",
+                           "--vmin", "2.0", "--vmax", "2.3", "--rest", "5", "--cycles", "6",
                            "--sample-period", "1.0", "--out", str(out))
         assert code == 0, err
-        code, stdout, err = run(capsys, "analyze", str(out), "--min-segment", "0.4")
+        code, stdout, err = run(capsys, "analyze", str(out))
         assert code == 4, err
-        assert "error: cycle 1 gives out 2.078714" in err
+        assert "error: cycle 1 gives out 6.371791" in err
         assert stdout == ""
 
     def test_missing_file_exit_5(self, capsys, tmp_path):
@@ -505,7 +529,7 @@ class TestMap:
         assert code == 0, err
 
     def test_simulated_cell_with_merged_phase_exit_4(self, capsys, tmp_path):
-        # After the 60-s rest this device's first sampled discharge spans 9
+        # After the 60-s rest this device's first sampled discharge spans 4
         # samples, less than the 1-s minimum segment of a trace's analysis,
         # which merges it and exits 4.  The map solves the cell's periodic
         # orbit, which samples nothing, so there the cell is defined.
@@ -514,18 +538,18 @@ class TestMap:
                                       {"c_branch": 30.0, "r_branch": 0.5}}))
         trace = str(tmp_path / "t.csv")
         code, _, err = run(capsys, "simulate", "--device", str(device), "--current", "1.0",
-                           "--vmin", "1.89", "--vmax", "2.16", "--rest", "60",
+                           "--vmin", "1.89", "--vmax", "2.025", "--rest", "60",
                            "--cycles", "6", "--out", trace)
         assert code == 0, err
         code, _, err = run(capsys, "analyze", trace)
         assert code == 4, err
         assert "consecutive charge phases without the opposite phase between" in err
         code, _, err = run(capsys, "map", "--device", str(device), "--method", "simulated",
-                           "--current", "1.0", "--levels", "0.6,0.7,0.8", "--rest", "60",
+                           "--current", "1.0", "--levels", "0.6,0.7,0.75", "--rest", "60",
                            "--out", str(tmp_path / "m"))
         assert code == 0, err
         row = (tmp_path / "m.csv").read_text().splitlines()[3]
-        assert row.startswith("0.8,") and 0 < float(row.split(",")[2]) < 100  # (0.7, 0.8)
+        assert row.startswith("0.75,") and 0 < float(row.split(",")[2]) < 100  # (0.7, 0.75)
 
     def test_simulated_zero_rest_is_the_no_rest_map(self, capsys, tmp_path):
         # --rest 0 used to exit 2; it is the rest-free protocol, while a
@@ -1034,10 +1058,11 @@ class TestBudgets:
         assert_rejected(code, err, "samples")
 
     def test_step_budget_refused_before_stepping(self, capsys, tmp_path, monkeypatch):
-        # A 1e-7-ohm branch takes 11,000,000 internal steps per 0.1-s sample,
-        # so one cycle is few samples but billions of steps.
+        # Each sample is one evaluated step, and a rest costs its samples: a
+        # 1e6-s rest at 0.1-s samples is ten million of them, so one cycle
+        # of a fast 1e-7-ohm branch is over the sample cap before any step.
         def refuse(*args, **kwargs):
-            raise AssertionError("the simulator stepped a run over the step cap")
+            raise AssertionError("the simulator stepped a run over the sample cap")
 
         monkeypatch.setattr(simulator, "run_phase", refuse)
         device = tmp_path / "d.json"
@@ -1045,15 +1070,13 @@ class TestBudgets:
                                       "redistribution": {"c_branch": 5, "r_branch": 1e-7}}))
         start = time.perf_counter()
         code, _, err = run(capsys, "simulate", "--device", str(device), "--current", "3.95",
-                           "--cycles", "1", "--out", str(tmp_path / "x.csv"))
+                           "--rest", "1e6", "--cycles", "1", "--out", str(tmp_path / "x.csv"))
         assert time.perf_counter() - start < 1.0
-        assert_rejected(code, err, "internal steps")
+        assert_rejected(code, err, "samples")
         assert err == (
-            "error: the run needs about 7,325,387,342 internal steps, 11,000,000 a sample "
-            "for the redistribution branch, more than the 33,554,432 cap; use shorter "
-            "rests, a larger current or fewer cycles\n")
+            "error: the run needs about 20,000,730 samples, more than the 16,777,216 cap; "
+            "use a longer sample period, shorter rests or fewer cycles\n")
         assert not (tmp_path / "x.csv").exists()
-        assert simulator.MAX_STEPS >= simulator.MAX_SAMPLES
 
     def test_simulated_map_cell_sample_budget(self, capsys, tmp_path, monkeypatch):
         # A map cell neither samples nor steps, so it needs no sample budget:

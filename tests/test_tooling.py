@@ -56,18 +56,19 @@ def test_perfbench_patch_targets_exist(tracing):
 def test_perfbench_reads_kernel_counts(tracing):
     # The harness names kernel spans from run_phase's mode argument and counts
     # steps from its result, by position; a moved argument or result slot
-    # would file the counts under the wrong metric.
+    # would file the counts under the wrong metric.  Each phase takes one
+    # step a sample, and the rests and ramps here take different counts.
     spec = CycleSpec(i_c=3.95, v_min=0.5, v_max=2.7, rest_after_charge=20.0,
                      rest_after_discharge=10.0, max_cycles=2)
     tracer = tracing.Tracer()
     with tracing.Patches(tracer) as patches:
         # the harness wraps run_protocol under the attribute the CLI calls
         trace = cli.run_protocol(preset("50F"), spec, AcquisitionConfig(sample_period=1.0))
-    assert trace.meta["n_sub"] > 1
     steps = {"ramp": 0, "fixed": 0}
     for b in trace.meta["boundaries"]:
         kind = "fixed" if b.phase.startswith("rest") else "ramp"
-        steps[kind] += round((b.t_end - b.t_start) / trace.meta["dt_internal"])
+        steps[kind] += round((b.t_end - b.t_start) / trace.sample_period)
+    assert steps["ramp"] != steps["fixed"]
     values = tracing.layer_values(tracer, patches.missing)
     expected = {
         "kernels.fixed_steps": steps["fixed"],
