@@ -412,15 +412,15 @@ def run_protocol(
 def quantize_trace(trace: Trace) -> Trace:
     """Round voltage and current to ``V_QUANTUM`` and ``I_QUANTUM`` (idempotent).
 
-    Returns a new trace; each column is one new array, rounded in place.
+    Returns a new trace and leaves the input untouched.  Its voltage and
+    current are each one new array, rounded in place; quantization does not
+    touch time, so its time column is the input's, the same array.
     """
     v = _quantized(trace.v, V_QUANTUM)
     i = _quantized(trace.i, I_QUANTUM)
     meta = dict(trace.meta)
     meta["quantized"] = True
-    return Trace(
-        t=trace.t.copy(), v=v, i=i, sample_period=trace.sample_period, meta=meta
-    )
+    return Trace(t=trace.t, v=v, i=i, sample_period=trace.sample_period, meta=meta)
 
 
 def _quantized(x: np.ndarray, q: float) -> np.ndarray:

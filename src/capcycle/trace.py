@@ -30,7 +30,12 @@ SIDECAR_HEADER = "cycle,phase,t_start_s,t_end_s"
 
 @dataclass
 class Trace:
-    """Uniformly sampled terminal voltage and applied current."""
+    """Uniformly sampled terminal voltage and applied current.
+
+    The columns need not be contiguous or own their memory: a trace read
+    from CSV holds strided views of one ``(n, 3)`` block, and a quantized
+    trace shares its time column with the trace it was rounded from.
+    """
 
     t: np.ndarray
     v: np.ndarray
@@ -241,8 +246,9 @@ def read_trace_csv(path: str | Path) -> Trace:
     parser, which decides whether the file is valid and reports where it is
     not; so does a file named with a suffix on which ``np.loadtxt`` would
     decompress it, so that every file is read as the bytes it holds.  The
-    ``np.loadtxt`` block is released as soon as its columns are copied out,
-    so validation runs beside one copy of the samples.
+    trace's columns are strided views of the ``(n, 3)`` block that
+    ``np.loadtxt`` returns, not copies of it, so validation runs beside the
+    one copy of the samples that the parse made.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -264,9 +270,7 @@ def read_trace_csv(path: str | Path) -> Trace:
         return _read_trace_csv_lines(path)
     if data.shape[1] != 3 or len(data) < 2 or not np.isfinite(data).all():
         return _read_trace_csv_lines(path)
-    t, v, i = data.T.copy()
-    del data  # not held while the columns are validated
-    return _validated(path, t, v, i)
+    return _validated(path, *data.T)
 
 
 def csv_lines(path: str | Path, width: int, header: str | None = None):
@@ -320,11 +324,16 @@ def _lines(text: str):
             return
         del lines[-1]  # the empty piece after the chunk's last LF
         yield from lines
+        del chunk, lines  # not held while the next chunk is split
         start = end
 
 
 def _read_trace_csv_lines(path: Path) -> Trace:
-    """The line-by-line trace parser: slow, but it names the offending line."""
+    """The line-by-line trace parser: slow, but it names the offending line.
+
+    Its columns are strided views of the samples it collected row by row,
+    the same layout as :func:`read_trace_csv`'s.
+    """
     values = array("d")  # the samples row by row, 8 bytes a value
     for line_no, fields in csv_lines(path, 3, TRACE_HEADER):
         try:
@@ -337,9 +346,7 @@ def _read_trace_csv_lines(path: Path) -> Trace:
         values.extend(row)
     if len(values) < 6:
         raise TraceParseError("trace needs at least 2 samples")
-    t, v, i = np.frombuffer(values).reshape(-1, 3).T.copy()
-    del values
-    return _validated(path, t, v, i)
+    return _validated(path, *np.frombuffer(values).reshape(-1, 3).T)
 
 
 def _validated(path: Path, t: np.ndarray, v: np.ndarray, i: np.ndarray) -> Trace:

@@ -104,3 +104,21 @@ def test_perfbench_counts_analyzer_and_map_layers(tracing, tmp_path):
                          "--levels", "0,0.5,1", "--out", str(tmp_path / "m")]) == 0
     values = tracing.layer_values(tracer, patches.missing)
     assert (values["kernels.calls"], values["effmap.cells"]) == (0, 3)
+
+
+def test_perfbench_times_every_campaign_layer(tracing, tmp_path):
+    # campaign's simulate --quantize and analyze go through the quantizer,
+    # the writer and the reader under the names the harness wraps; a call
+    # made any other way would read 0 s, its time filed under its caller's.
+    csv_path = tmp_path / "t.csv"
+    tracer = tracing.Tracer()
+    with tracing.Patches(tracer) as patches:
+        assert cli.main(["simulate", "--device", "10F", "--cycles", "2", "--rest", "10",
+                         "--quantize", "--out", str(csv_path)]) == 0
+        assert cli.main(["analyze", str(csv_path), "--out", str(tmp_path / "r.json")]) == 0
+    values = tracing.layer_values(tracer, patches.missing)
+    timed = ("simulator.quantize_s", "simulator.run_protocol_s", "trace.write_s",
+             "trace.read_s")
+    assert [name for name in timed if not values[name] > 0] == []
+    size = csv_path.stat().st_size
+    assert (values["trace.write_bytes"], values["trace.read_bytes"]) == (size, size)
